@@ -10,7 +10,7 @@ block's terminator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from typing import NamedTuple
 
@@ -324,10 +324,3 @@ def to_json_dict(g: Cfg) -> dict:
             for f in sorted(g.entries.values(), key=lambda f: f.entry)
         ],
     }
-
-
-def with_status(g: Cfg, entry: int, status: ReturnStatus) -> Cfg:
-    """Return a graph with one entry's status replaced."""
-    out = g.clone()
-    out.entries[entry] = replace(out.entries[entry], status=status)
-    return out

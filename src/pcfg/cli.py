@@ -121,8 +121,6 @@ def cmd_bench(image_path: str, threads_list: list[int], repeat: int) -> int:
             cfg, _, _ = construct_details(image, threads)
             times.append(time.perf_counter() - t0)
             canon = canonical_serialize(cfg)
-            if os.environ.get("PCFG_BENCH_FAULT") and threads == threads_list[-1] and i == repeat - 1:
-                canon += "fault\n"  # harness self-test hook
             if outputs.setdefault(threads, canon) != canon:
                 print(
                     f"error: run {i} at {threads} threads diverged from its first run",

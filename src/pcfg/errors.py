@@ -56,10 +56,6 @@ class AlreadySetError(PcfgError):
     """A single-assignment return status was written twice."""
 
 
-class PhaseError(PcfgError):
-    """Symbol table read/write phase discipline was violated."""
-
-
 class SpecOutOfBoundsError(PcfgError):
     """Scenario parameters fall outside their documented bounds."""
 

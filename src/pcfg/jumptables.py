@@ -136,17 +136,6 @@ class TableRegistry:
         return out
 
 
-def analyze_ijmp(state, image: Image, block) -> set[int]:
-    """Resolve the targets of an indirect table jump for the concurrent
-    engine, registering/updating its descriptor. Pure in the image and
-    the converged predecessor set."""
-    del image  # the state carries the image it was built over
-    desc = state.registry.get_or_create(block.ta, block.tb, block.end)
-    state.refresh_descriptor(desc)
-    with desc.lock:
-        return set(desc.targets)
-
-
 def refresh_tables(state, image: Image, function) -> bool:
     """Re-run target resolution for every table jump this function has
     encountered; returns whether any table gained targets."""

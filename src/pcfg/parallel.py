@@ -53,7 +53,7 @@ from .jumptables import (
     refresh_tables,
     update_descriptor,
 )
-from .symtab import IndexedSymbols
+from .symtab import symbol_facts
 
 _INTRA_INTS = frozenset(int(k) for k in INTRA_EDGE_KINDS)
 _NO_TERM = -2
@@ -171,7 +171,6 @@ class _WorkerCtx:
 @dataclass
 class EngineStats:
     workers: int = 0
-    mode: str = "tasks"
     blocks_created: int = 0
     block_claim_losses: int = 0
     end_registrations: int = 0
@@ -188,7 +187,6 @@ class EngineStats:
     waiter_peak: int = 0
     waiters_live_at_quiescence: int = -1
     call_fallthrough_edges: int = 0
-    already_set_errors: int = 0
     finalize_flips: int = 0
     finalize_iterations: int = 0
     raw_edge_count: int = 0
@@ -272,14 +270,11 @@ class _TaskPool:
 class ConcurrentCfgState:
     """Shared construction state plus the engine operating on it."""
 
-    def __init__(self, image: Image, workers: int, mode: str = "tasks", debug: bool = False):
+    def __init__(self, image: Image, workers: int, debug: bool = False):
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if mode not in ("tasks", "levels"):
-            raise ValueError(f"unknown scheduling mode {mode!r}")
         self.image = image
         self.workers = workers
-        self.mode = mode
         self.debug = debug
         self.blocks_by_start: dict[int, _EngineBlock] = {}
         self.blocks_by_end: dict[int, _EndEntry] = {}
@@ -287,19 +282,9 @@ class ConcurrentCfgState:
         self.functions: dict[int, _FuncRecord] = {}
         self.incoming: dict[int, list[tuple[int, int]]] = {}
         self.registry = TableRegistry()
-        self.symbols = IndexedSymbols()
-        self.names: dict[int, str] = {}
-        self.known_noreturn: set[int] = set()
-        self.seed_addrs: set[int] = set()
-        for sym in image.func_symbols():
-            self.names.setdefault(sym.offset, sym.pretty)
-            self.seed_addrs.add(sym.offset)
-            if sym.known_noreturn:
-                self.known_noreturn.add(sym.offset)
+        self.symbols = symbol_facts(image)
         self.pool = _TaskPool(workers)
         self._running = False
-        self._dirty_lock = threading.Lock()
-        self.dirty: set[_FuncRecord] = set()
 
     # -- invariant primitives ---------------------------------------------
 
@@ -327,10 +312,10 @@ class ConcurrentCfgState:
             if ctx:
                 ctx.fn_losses += 1
             return False
-        status = (
-            ReturnStatus.NORETURN if addr in self.known_noreturn else ReturnStatus.UNSET
-        )
-        rec = _FuncRecord(addr, self.names.get(addr), addr in self.seed_addrs, status)
+        syms = self.symbols
+        status = ReturnStatus.NORETURN if addr in syms.noreturn else ReturnStatus.UNSET
+        # every seed has a name, so the name map doubles as the seed set
+        rec = _FuncRecord(addr, syms.names.get(addr), addr in syms.names, status)
         if self.functions.setdefault(addr, rec) is not rec:
             if ctx:
                 ctx.fn_losses += 1
@@ -513,11 +498,14 @@ class ConcurrentCfgState:
         self._set_status(entry, status, strict=True)
 
     def _set_status(self, entry: int, status: ReturnStatus, strict: bool) -> None:
+        """A non-strict write (a `ret`, or a tail-call propagation) only
+        fills an unset status, so a known-noreturn flag wins over a `ret`
+        found in the flagged function, as in the serial oracle."""
         rec = self.functions[entry]
         with rec.status_lock:
             cur = rec.status
             if cur is not ReturnStatus.UNSET:
-                if not strict and status is ReturnStatus.RETURN and cur is ReturnStatus.RETURN:
+                if not strict:
                     return
                 raise AlreadySetError(f"0x{entry:x}: {cur.value} -> {status.value}")
             rec.status = status
@@ -604,15 +592,9 @@ class ConcurrentCfgState:
     def _enqueue_work(self, rec: _FuncRecord, addrs) -> None:
         with rec.lock:
             rec.pending.extend(addrs)
-            if not rec.pending:
-                return
-            if self.mode == "tasks":
-                if not rec.active and self._running:
-                    rec.active = True
-                    self.pool.spawn(lambda ctx, r=rec: self.traverse_function(r, ctx))
-            else:
-                with self._dirty_lock:
-                    self.dirty.add(rec)
+            if rec.pending and not rec.active and self._running:
+                rec.active = True
+                self.pool.spawn(lambda ctx, r=rec: self.traverse_function(r, ctx))
 
     def traverse_function(self, rec: _FuncRecord, ctx: _WorkerCtx) -> set[int]:
         """Drain one function's worklist, driving its jump tables to a
@@ -720,36 +702,24 @@ class ConcurrentCfgState:
     # -- drive to completion --------------------------------------------------
 
     def run(self) -> tuple[Cfg, EngineStats]:
-        stats = EngineStats(workers=self.workers, mode=self.mode)
+        stats = EngineStats(workers=self.workers)
         t0 = time.perf_counter()
         self._running = True
         self.pool.start()
 
-        syms = list(self.image.symbols)
-        step = max(1, (len(syms) + self.workers - 1) // self.workers)
-        for i in range(0, len(syms), step):
-            chunk = syms[i : i + step]
-            self.pool.spawn(lambda ctx, c=chunk: [self.symbols.insert(s) for s in c])
-        self.pool.wait_idle()
-        self.symbols.seal()
-
-        funcs = self.image.func_symbols()
-        for i in range(0, len(funcs), step):
-            chunk = funcs[i : i + step]
+        seeds = self.symbols.seeds
+        step = max(1, (len(seeds) + self.workers - 1) // self.workers)
+        for i in range(0, len(seeds), step):
+            chunk = seeds[i : i + step]
             self.pool.spawn(
-                lambda ctx, c=chunk: [self.attempt_create_function(s.offset, ctx) for s in c]
+                lambda ctx, c=chunk: [self.attempt_create_function(a, ctx) for a in c]
             )
-        if self.mode == "levels":
-            self.pool.wait_idle()
         t1 = time.perf_counter()
         stats.init_seconds = t1 - t0
 
         first_quiescence = True
         while True:
-            if self.mode == "levels":
-                self._run_level_rounds()
-            else:
-                self.pool.wait_idle()
+            self.pool.wait_idle()
             if first_quiescence:
                 stats.waiters_live_at_quiescence = self._count_live_waiters()
                 first_quiescence = False
@@ -776,17 +746,6 @@ class ConcurrentCfgState:
             1 for e in final.edges if e.kind is EdgeKind.CALL_FALLTHROUGH
         )
         return final, stats
-
-    def _run_level_rounds(self) -> None:
-        while True:
-            with self._dirty_lock:
-                batch = sorted(self.dirty, key=lambda r: r.entry)
-                self.dirty.clear()
-            if not batch:
-                return
-            for rec in batch:
-                self.pool.spawn(lambda ctx, r=rec: self.traverse_function(r, ctx))
-            self.pool.wait_idle()
 
     def _merge_ctx_stats(self, stats: EngineStats) -> None:
         for ctx in self.pool.ctxs:
@@ -842,25 +801,6 @@ class ConcurrentCfgState:
 # -- module-level operation surface ------------------------------------------
 
 
-def attempt_create_block(state: ConcurrentCfgState, addr: int) -> bool:
-    return state.attempt_create_block(addr)
-
-
-def attempt_create_function(state: ConcurrentCfgState, addr: int) -> bool:
-    return state.attempt_create_function(addr)
-
-
-def register_block_end(state: ConcurrentCfgState, image: Image, block: _EngineBlock):
-    del image
-    won, edges = state.register_block_end(block, None)
-    return edges if won else []
-
-
-def split_chain(state: ConcurrentCfgState, block: _EngineBlock, registered=None) -> None:
-    del registered  # re-read per iteration; the registrant may change
-    state.split_chain(block)
-
-
 def traverse_function(state: ConcurrentCfgState, image: Image, f: _FuncRecord) -> set[int]:
     del image
     return state.traverse_function(f, _WorkerCtx())
@@ -874,16 +814,16 @@ def resolve_status_cycles(state: ConcurrentCfgState) -> None:
     state.resolve_status_cycles()
 
 
-def construct(image: Image, workers: int, mode: str = "tasks", debug: bool = False) -> Cfg:
+def construct(image: Image, workers: int, debug: bool = False) -> Cfg:
     """Build the finalized CFG with `workers` cooperating workers. Output
     is identical to `serial_construct` for every worker count."""
-    cfg, _ = ConcurrentCfgState(image, workers, mode, debug).run()
+    cfg, _ = ConcurrentCfgState(image, workers, debug).run()
     return cfg
 
 
 def construct_details(
-    image: Image, workers: int, mode: str = "tasks", debug: bool = False
+    image: Image, workers: int, debug: bool = False
 ) -> tuple[Cfg, EngineStats, TableRegistry]:
-    state = ConcurrentCfgState(image, workers, mode, debug)
+    state = ConcurrentCfgState(image, workers, debug)
     cfg, stats = state.run()
     return cfg, stats, state.registry

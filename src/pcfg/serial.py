@@ -41,6 +41,7 @@ from .jumptables import (
     read_table_targets,
     update_descriptor,
 )
+from .symtab import symbol_facts
 
 _DIRECT_TERMS = (Opcode.JMP_DIRECT, Opcode.JCC_DIRECT, Opcode.CALL)
 _INDIRECT_TERMS = (Opcode.IJMP_TABLE, Opcode.IJMP_OPAQUE)
@@ -324,7 +325,6 @@ class _SerialDriver:
         self.ft_waiters: dict[int, dict[int, set[int]]] = {}
         # callee entry -> functions whose branch tail-calls it
         self.tail_waiters: dict[int, set[int]] = {}
-        self.names: dict[int, str] = {}
 
     # -- status handling ------------------------------------------------
 
@@ -449,10 +449,6 @@ class _SerialDriver:
                 self.g = op_fei(
                     self.g, self.image, Edge(blk.start, callee, EdgeKind.CALL)
                 )
-                if self.g.entries[callee].name is None and callee in self.names:
-                    self.g.entries[callee] = replace(
-                        self.g.entries[callee], name=self.names[callee]
-                    )
                 self._ensure_traversal(callee)
             self._process_call_site(fn, blk, callee)
         elif kind is Opcode.RET:
@@ -472,19 +468,19 @@ class _SerialDriver:
                 self.g = op_iec(self.g, self.image, blk)
         # HALT and the synthesized end-of-text terminator have no successors
 
-    def run(self) -> Cfg:
-        for sym in self.image.func_symbols():
-            self.names.setdefault(sym.offset, sym.pretty)
-        for sym in self.image.func_symbols():
-            if sym.offset not in self.g.entries:
-                self.g.entries[sym.offset] = FunctionEntry(
-                    sym.offset, self.names[sym.offset], ReturnStatus.UNSET, seed=True
-                )
-                self.g.candidates.add(sym.offset)
-                if sym.known_noreturn:
-                    self._set_status(sym.offset, ReturnStatus.NORETURN)
-                self._ensure_traversal(sym.offset)
+    def _seed(self) -> None:
+        facts = symbol_facts(self.image)
+        for addr in facts.seeds:
+            self.g.entries[addr] = FunctionEntry(
+                addr, facts.names[addr], ReturnStatus.UNSET, seed=True
+            )
+            self.g.candidates.add(addr)
+            if addr in facts.noreturn:
+                self._set_status(addr, ReturnStatus.NORETURN)
+            self._ensure_traversal(addr)
 
+    def run(self) -> Cfg:
+        self._seed()
         while True:
             while self.queue:
                 fn, t = self.queue.popleft()

@@ -1,103 +1,30 @@
-"""Multi-keyed symbol table with single-winner concurrent insertion.
+"""The facts both constructors read from an image's symbol table.
 
-Writes and reads are phase-separated: all inserts happen before seal(),
-all lookups after. The master map mediates between racing inserters of
-the same symbol; the winner populates the four secondary indexes while
-holding its master entry's lock, so the collective entries are updated
-in a total order. Symbol identity is the (offset, mangled) pair.
+Only function symbols count. An offset may carry several of them; its
+name is the pretty name of the first, and it is known non-returning if
+any of them carries the noreturn flag. Every named offset seeds one
+function, in symbol order.
 """
 
 from __future__ import annotations
 
-import threading
+from dataclasses import dataclass
 
-from .errors import PhaseError
-from .image import SymbolEntry
-
-
-class _MasterEntry:
-    __slots__ = ("symbol", "lock")
-
-    def __init__(self, symbol: SymbolEntry):
-        self.symbol = symbol
-        self.lock = threading.Lock()
+from .image import Image
 
 
-class IndexedSymbols:
-    def __init__(self) -> None:
-        self._master: dict[tuple[int, str], _MasterEntry] = {}
-        self._by_offset: dict[int, list[SymbolEntry]] = {}
-        self._by_mangled: dict[str, list[SymbolEntry]] = {}
-        self._by_pretty: dict[str, list[SymbolEntry]] = {}
-        self._by_typed: dict[str, list[SymbolEntry]] = {}
-        self._sealed = False
+@dataclass(frozen=True)
+class SymbolFacts:
+    names: dict[int, str]  # offset -> pretty name of its first FUNC symbol
+    seeds: tuple[int, ...]  # distinct FUNC symbol offsets, in symbol order
+    noreturn: frozenset[int]  # offsets with at least one flagged FUNC symbol
 
-    def insert(self, s: SymbolEntry) -> bool:
-        """Insert a symbol; exactly one of N racing inserts of the same
-        identity returns True, and only that caller touches the indexes."""
-        if self._sealed:
-            raise PhaseError("insert after seal")
-        entry = _MasterEntry(s)
-        won = self._master.setdefault((s.offset, s.mangled), entry) is entry
-        if not won:
-            return False
-        with entry.lock:
-            self._by_offset.setdefault(s.offset, []).append(s)
-            self._by_mangled.setdefault(s.mangled, []).append(s)
-            self._by_pretty.setdefault(s.pretty, []).append(s)
-            self._by_typed.setdefault(s.typed, []).append(s)
-        return True
 
-    def seal(self) -> None:
-        """End the write phase; sorts every index into canonical order."""
-        self._sealed = True
-        for index in (self._by_offset, self._by_mangled, self._by_pretty, self._by_typed):
-            for values in index.values():
-                values.sort(key=lambda s: (s.offset, s.mangled))
-
-    def __len__(self) -> int:
-        return len(self._master)
-
-    def _lookup(self, index: dict, key) -> list[SymbolEntry]:
-        if not self._sealed:
-            raise PhaseError("lookup before seal")
-        return list(index.get(key, ()))
-
-    def lookup_by_offset(self, offset: int) -> list[SymbolEntry]:
-        return self._lookup(self._by_offset, offset)
-
-    def lookup_by_mangled(self, name: str) -> list[SymbolEntry]:
-        return self._lookup(self._by_mangled, name)
-
-    def lookup_by_pretty(self, name: str) -> list[SymbolEntry]:
-        return self._lookup(self._by_pretty, name)
-
-    def lookup_by_typed(self, name: str) -> list[SymbolEntry]:
-        return self._lookup(self._by_typed, name)
-
-    def audit(self) -> list[str]:
-        """Post-quiescence index check: every master symbol appears exactly
-        once in each secondary index under its own key."""
-        problems = []
-        for (offset, mangled), entry in self._master.items():
-            s = entry.symbol
-            for index, key, label in (
-                (self._by_offset, offset, "offset"),
-                (self._by_mangled, mangled, "mangled"),
-                (self._by_pretty, s.pretty, "pretty"),
-                (self._by_typed, s.typed, "typed"),
-            ):
-                n = sum(1 for x in index.get(key, ()) if x is s)
-                if n != 1:
-                    problems.append(f"{mangled}@0x{offset:x} in {label} index {n} times")
-        total = len(self._master)
-        for label, index in (
-            ("offset", self._by_offset),
-            ("mangled", self._by_mangled),
-            ("pretty", self._by_pretty),
-            ("typed", self._by_typed),
-        ):
-            n = sum(len(v) for v in index.values())
-            if n != total:
-                problems.append(f"{label} index holds {n} symbols, master holds {total}")
-        return problems
+def symbol_facts(image: Image) -> SymbolFacts:
+    names: dict[int, str] = {}
+    noreturn: set[int] = set()
+    for sym in image.func_symbols():
+        names.setdefault(sym.offset, sym.pretty)
+        if sym.known_noreturn:
+            noreturn.add(sym.offset)
+    return SymbolFacts(names, tuple(names), frozenset(noreturn))

@@ -311,7 +311,8 @@ def test_criterion_5_convergence_audits(corpus):
 
 def test_criterion_6_invariant_counters():
     """Exactly one successful creation per distinct block start, block
-    end, and function entry; no status double-writes."""
+    end, and function entry; no status double-writes (one would raise
+    AlreadySetError out of construct_details)."""
     t0 = time.perf_counter()
     img, _ = generate(ScenarioSpec.make("shared-code", 0, sharers=64))
     cfg, stats, _ = construct_details(img, 8, debug=True)
@@ -320,7 +321,6 @@ def test_criterion_6_invariant_counters():
         and all(v == 1 for v in stats.per_start_creations.values())
         and all(v == 1 for v in stats.per_end_registrations.values())
         and all(v == 1 for v in stats.per_entry_creations.values())
-        and stats.already_set_errors == 0
     )
     _report(
         "criterion 6: invariant counters on the contention stress image",

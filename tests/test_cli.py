@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from pcfg import cli
 from pcfg.cli import main
 from pcfg.workload import ScenarioSpec, emit, generate
 
@@ -131,8 +132,17 @@ class TestBench:
 
     def test_fault_injection_detected(self, corpus, capsys, monkeypatch):
         image_path, _ = corpus
-        monkeypatch.setenv("PCFG_BENCH_FAULT", "1")
+        real = cli.canonical_serialize
+        calls = []
+
+        def second_call_differs(cfg):
+            calls.append(cfg)
+            text = real(cfg)
+            return text + "fault\n" if len(calls) == 2 else text
+
+        monkeypatch.setattr(cli, "canonical_serialize", second_call_differs)
         code, _, err = _run(capsys, "bench", image_path, "--threads", "1", "--repeat", 2)
+        assert len(calls) == 2
         assert code == 1
         assert "diverged" in err
 

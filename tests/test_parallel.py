@@ -215,6 +215,27 @@ class TestReturnStatus:
         assert cfg.entries[0x0].status is ReturnStatus.NORETURN
         assert not any(e.kind is EdgeKind.CALL_FALLTHROUGH for e in cfg.edges)
 
+    @pytest.mark.parametrize(
+        "g_symbols",
+        [
+            [(0x6, "g$1", True)],
+            # only the second of g's two symbols carries the flag
+            [(0x6, "g$1", False), (0x6, "g$2", True)],
+        ],
+    )
+    def test_noreturn_flag_wins_over_ret(self, g_symbols):
+        img = asm_image(
+            0x0,
+            [(Opcode.CALL, 0x6), (Opcode.RET,), (Opcode.RET,)],
+            symbols=[(0x0, "f$1", False)] + g_symbols,
+        )
+        want = serial_construct(img)
+        assert want.entries[0x0].status is ReturnStatus.NORETURN
+        assert want.entries[0x6].status is ReturnStatus.NORETURN
+        for workers in (1, 2):
+            got = construct(img, workers)
+            assert canonical_serialize(got) == canonical_serialize(want)
+
     def test_cycle_resolution(self):
         img, truth = generate(ScenarioSpec.make("noreturn-cycle", seed=2, k=3))
         cfg, stats, _ = construct_details(img, 4)
@@ -251,17 +272,6 @@ class TestOracleEquivalence:
             for workers in (1, 2, 4, 8):
                 got = canonical_serialize(construct(img, workers))
                 assert got == want, f"{spec.family} diverged at {workers} workers"
-
-    def test_level_synchronous_mode_matches(self):
-        for family, params in (
-            ("shared-code", {"sharers": 5}),
-            ("noreturn-chain", {"depth": 4}),
-            ("big-random", {"functions": 40}),
-        ):
-            img, _ = generate(ScenarioSpec.make(family, 11, **params))
-            want = canonical_serialize(serial_construct(img))
-            got = canonical_serialize(construct(img, 4, mode="levels"))
-            assert got == want
 
     def test_repeated_runs_identical(self):
         img, _ = generate(ScenarioSpec.make("big-random", 5, functions=80))
@@ -305,5 +315,3 @@ class TestInstrumentation:
 def test_worker_count_validated(paper_layout):
     with pytest.raises(ValueError):
         construct(paper_layout, 0)
-    with pytest.raises(ValueError):
-        ConcurrentCfgState(paper_layout, 2, mode="bogus")

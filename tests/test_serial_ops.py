@@ -441,15 +441,7 @@ class TestSerialConstruct:
 
         def pre_final(i):
             d = _SerialDriver(i)
-            for sym in i.func_symbols():
-                d.names.setdefault(sym.offset, sym.pretty)
-            for sym in i.func_symbols():
-                if sym.offset not in d.g.entries:
-                    d.g.entries[sym.offset] = FunctionEntry(
-                        sym.offset, sym.pretty, ReturnStatus.UNSET, True
-                    )
-                    d.g.candidates.add(sym.offset)
-                    d._ensure_traversal(sym.offset)
+            d._seed()
             while d.queue:
                 fn, t = d.queue.popleft()
                 d._process(fn, t)

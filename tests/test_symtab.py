@@ -1,101 +1,56 @@
-import threading
-
-import pytest
-
-from pcfg.errors import PhaseError
-from pcfg.image import SymbolKind, make_symbol
-from pcfg.symtab import IndexedSymbols
+from pcfg.image import Image, SymbolKind, make_symbol
+from pcfg.symtab import symbol_facts
 
 
-def _sym(offset, mangled, kind=SymbolKind.FUNC):
-    return make_symbol(offset, mangled, kind)
+def _facts(*symbols):
+    syms = tuple(
+        make_symbol(offset, mangled, kind, noreturn)
+        for offset, mangled, kind, noreturn in symbols
+    )
+    return symbol_facts(Image(0x0, bytes(0x100), 0x1000, b"", syms))
 
 
-def test_insert_then_lookup_under_all_four_keys():
-    t = IndexedSymbols()
-    s = _sym(0x40, "frob$aa")
-    assert t.insert(s)
-    t.seal()
-    assert t.lookup_by_offset(0x40) == [s]
-    assert t.lookup_by_mangled("frob$aa") == [s]
-    assert t.lookup_by_pretty("frob") == [s]
-    assert t.lookup_by_typed("frob()") == [s]
+F, O = SymbolKind.FUNC, SymbolKind.OBJECT
+
+
+def test_first_name_wins():
+    facts = _facts((0x40, "frob$aa", F, False), (0x40, "alias$bb", F, False))
+    assert facts.names == {0x40: "frob"}
+
+
+def test_equal_pretty_names_at_two_offsets_both_kept():
+    facts = _facts((0x10, "shared$1", F, False), (0x20, "shared$2", F, False))
+    assert facts.names == {0x10: "shared", 0x20: "shared"}
+
+
+def test_any_noreturn_flag_counts():
+    facts = _facts(
+        (0x10, "g$1", F, False),
+        (0x10, "g$2", F, True),
+        (0x20, "h$1", F, False),
+    )
+    assert facts.noreturn == {0x10}
+
+
+def test_non_func_symbols_ignored():
+    facts = _facts((0x10, "table$1", O, True), (0x20, "f$1", F, False))
+    assert facts.names == {0x20: "f"}
+    assert facts.seeds == (0x20,)
+    assert facts.noreturn == frozenset()
+
+
+def test_seeds_deduplicated_in_symbol_order():
+    facts = _facts(
+        (0x30, "c$1", F, False),
+        (0x10, "a$1", F, False),
+        (0x30, "c$2", F, False),
+        (0x20, "b$1", F, False),
+    )
+    assert facts.seeds == (0x30, 0x10, 0x20)
 
 
 def test_miss_returns_empty():
-    t = IndexedSymbols()
-    t.seal()
-    assert t.lookup_by_offset(1) == []
-    assert t.lookup_by_pretty("nope") == []
-
-
-def test_equal_pretty_names_multimap():
-    t = IndexedSymbols()
-    a = _sym(0x10, "shared$1")
-    b = _sym(0x20, "shared$2")
-    assert t.insert(a) and t.insert(b)
-    t.seal()
-    assert t.lookup_by_pretty("shared") == [a, b]  # sorted by offset
-
-
-def test_sequential_reinsert_returns_false():
-    t = IndexedSymbols()
-    s = _sym(0x10, "f$1")
-    assert t.insert(s)
-    assert not t.insert(_sym(0x10, "f$1"))
-    t.seal()
-    assert t.lookup_by_offset(0x10) == [s]
-
-
-def test_phase_discipline_enforced():
-    t = IndexedSymbols()
-    t.insert(_sym(0x10, "f$1"))
-    with pytest.raises(PhaseError):
-        t.lookup_by_offset(0x10)
-    t.seal()
-    with pytest.raises(PhaseError):
-        t.insert(_sym(0x20, "g$1"))
-
-
-def test_concurrent_same_symbol_single_winner():
-    t = IndexedSymbols()
-    wins = []
-    barrier = threading.Barrier(8)
-
-    def worker():
-        barrier.wait()
-        wins.append(t.insert(_sym(0x99, "hot$1")))
-
-    threads = [threading.Thread(target=worker) for _ in range(8)]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join()
-    assert sum(wins) == 1
-    t.seal()
-    assert len(t.lookup_by_offset(0x99)) == 1
-    assert t.audit() == []
-
-
-def test_bulk_parallel_insert_audit():
-    t = IndexedSymbols()
-    n = 100_000
-    symbols = [_sym(i, f"sym{i:06x}$v") for i in range(n)]
-
-    def worker(start):
-        # every worker also replays a slice of its neighbor's work to
-        # force duplicate-insert races
-        for s in symbols[start::8]:
-            t.insert(s)
-        for s in symbols[(start + 1) % 8 :: 16]:
-            t.insert(s)
-
-    threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join()
-    t.seal()
-    assert len(t) == n
-    assert t.audit() == []
-    assert t.lookup_by_offset(12345)[0].mangled == "sym003039$v"
+    facts = _facts()
+    assert facts.names == {}
+    assert facts.seeds == ()
+    assert facts.noreturn == frozenset()
