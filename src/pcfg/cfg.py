@@ -36,6 +36,12 @@ class EdgeKind(IntEnum):
     TAIL_CALL = 7
 
 
+#: The members of EdgeKind and their lower-case names, indexed by value,
+#: so that writers and the engine's export look kinds up per edge
+#: without an enum call.
+EDGE_KINDS: tuple[EdgeKind, ...] = tuple(EdgeKind)
+EDGE_KIND_NAMES: tuple[str, ...] = tuple(k.name.lower() for k in EdgeKind)
+
 #: Edge kinds followed when walking a single function's blocks.
 INTRA_EDGE_KINDS: frozenset[EdgeKind] = frozenset(
     {
@@ -65,6 +71,9 @@ class Block:
 
 
 class Edge(NamedTuple):
+    """Edges sort canonically in their natural tuple order: source,
+    target, then the kind's integer value."""
+
     source: int  # start address of the source block
     target: int  # start address of the target block or candidate
     kind: EdgeKind
@@ -103,6 +112,12 @@ class Violation:
 
 
 _DIRECT_TERMS = frozenset({Opcode.JMP_DIRECT, Opcode.JCC_DIRECT})
+# members bound once: each enum class attribute lookup costs ~0.1 us, and
+# validate looks kinds up per edge
+_BRANCH_EDGES = frozenset({EdgeKind.DIRECT, EdgeKind.TAIL_CALL})
+_CALL_EDGE = EdgeKind.CALL
+_CALL_FALLTHROUGH_EDGE = EdgeKind.CALL_FALLTHROUGH
+_CALL_TERM = Opcode.CALL
 
 
 def validate(g: Cfg) -> list[Violation]:
@@ -119,55 +134,52 @@ def validate(g: Cfg) -> list[Violation]:
         ends_seen[b.end] = ends_seen.get(b.end, 0) + 1
         if b.start >= b.end:
             out.append(Violation("empty-block", (b.start, b.end), "start must precede end"))
-    for addr, n in sorted(starts_seen.items()):
-        if n > 1:
-            out.append(
-                Violation("duplicate-block-start", (addr,), f"{n} blocks start here")
-            )
-    for addr, n in sorted(ends_seen.items()):
-        if n > 1:
-            out.append(Violation("duplicate-block-end", (addr,), f"{n} blocks end here"))
+    for addr in sorted(a for a, n in starts_seen.items() if n > 1):
+        n = starts_seen[addr]
+        out.append(Violation("duplicate-block-start", (addr,), f"{n} blocks start here"))
+    for addr in sorted(a for a, n in ends_seen.items() if n > 1):
+        n = ends_seen[addr]
+        out.append(Violation("duplicate-block-end", (addr,), f"{n} blocks end here"))
     starts = set(starts_seen)
     for c in sorted(g.candidates):
         if c in starts:
             out.append(
                 Violation("candidate-shadows-block", (c,), "candidate at a block start")
             )
-    for e in sorted(g.edges, key=lambda e: (e.source, e.target, e.kind)):
+    # edges are walked in set order and only their violations are sorted:
+    # a stable sort by edge yields them as a walk in edge order would
+    edge_out: list[tuple[Edge, Violation]] = []
+    for e in g.edges:
         src = g.blocks.get(e.source)
         if src is None or src.start != e.source:
-            out.append(
-                Violation("dangling-edge-source", (e.source, e.target), "no source block")
-            )
+            v = Violation("dangling-edge-source", (e.source, e.target), "no source block")
+            edge_out.append((e, v))
             continue
         if e.target not in starts and e.target not in g.candidates:
-            out.append(
-                Violation(
-                    "dangling-edge-target", (e.source, e.target), "no target block or candidate"
-                )
+            v = Violation(
+                "dangling-edge-target", (e.source, e.target), "no target block or candidate"
             )
-        if e.kind is EdgeKind.CALL_FALLTHROUGH and e.target != src.end:
-            out.append(
-                Violation(
-                    "bad-call-fallthrough",
-                    (e.source, e.target),
-                    "fall-through target must be the source block end",
-                )
+            edge_out.append((e, v))
+        if e.kind is _CALL_FALLTHROUGH_EDGE and e.target != src.end:
+            v = Violation(
+                "bad-call-fallthrough",
+                (e.source, e.target),
+                "fall-through target must be the source block end",
             )
+            edge_out.append((e, v))
         term = src.terminator.kind if src.terminator else None
-        if e.kind in (EdgeKind.DIRECT, EdgeKind.TAIL_CALL) and term not in _DIRECT_TERMS:
-            out.append(
-                Violation(
-                    "bad-edge-kind", (e.source, e.target), f"{e.kind.name} from {term} block"
-                )
+        if e.kind in _BRANCH_EDGES and term not in _DIRECT_TERMS:
+            v = Violation(
+                "bad-edge-kind", (e.source, e.target), f"{e.kind.name} from {term} block"
             )
-        if e.kind is EdgeKind.CALL and term is not Opcode.CALL:
-            out.append(
-                Violation(
-                    "bad-edge-kind", (e.source, e.target), f"CALL edge from {term} block"
-                )
-            )
-    for key, f in sorted(g.entries.items()):
+            edge_out.append((e, v))
+        if e.kind is _CALL_EDGE and term is not _CALL_TERM:
+            v = Violation("bad-edge-kind", (e.source, e.target), f"CALL edge from {term} block")
+            edge_out.append((e, v))
+    edge_out.sort(key=lambda item: item[0])
+    out.extend(v for _, v in edge_out)
+    for key in sorted(g.entries):
+        f = g.entries[key]
         if key != f.entry:
             out.append(
                 Violation("entry-key-mismatch", (key, f.entry), "entry keyed by wrong address")
@@ -253,22 +265,26 @@ def canonical_serialize(g: Cfg) -> str:
     """Deterministic text form: equal graphs produce identical bytes."""
     _require_valid(g)
     lines: list[str] = []
-    blocks = sorted(g.blocks.values(), key=lambda b: (b.start, b.end))
+    # a valid graph keys each block by its start, and no two blocks share
+    # one, so the sorted keys give the (start, end) order
+    blocks = g.blocks
     lines.append(f"blocks {len(blocks)}")
-    for b in blocks:
-        lines.append(f"B 0x{b.start:x} 0x{b.end:x}")
+    for start in sorted(blocks):
+        lines.append(f"B 0x{start:x} 0x{blocks[start].end:x}")
     cands = sorted(g.candidates)
     lines.append(f"candidates {len(cands)}")
     for c in cands:
         lines.append(f"C 0x{c:x}")
-    edges = sorted(g.edges, key=lambda e: (e.source, e.target, int(e.kind)))
+    edges = sorted(g.edges)
     lines.append(f"edges {len(edges)}")
-    for e in edges:
-        lines.append(f"E 0x{e.source:x} 0x{e.target:x} {e.kind.name.lower()}")
-    entries = sorted(g.entries.values(), key=lambda f: f.entry)
+    names = EDGE_KIND_NAMES
+    for source, target, kind in edges:
+        lines.append(f"E 0x{source:x} 0x{target:x} {names[kind]}")
+    entries = g.entries
     lines.append(f"entries {len(entries)}")
-    for f in entries:
-        lines.append(f"F 0x{f.entry:x} {f.status.value} {int(f.seed)}")
+    for addr in sorted(entries):
+        f = entries[addr]
+        lines.append(f"F 0x{addr:x} {f.status.value} {int(f.seed)}")
     return "\n".join(lines) + "\n"
 
 
@@ -285,9 +301,9 @@ def to_dot(g: Cfg) -> str:
         lines.append(f'  "0x{b.start:x}" [{attrs}];')
     for c in sorted(g.candidates):
         lines.append(f'  "0x{c:x}" [label="0x{c:x}?" style=dashed];')
-    for e in sorted(g.edges, key=lambda e: (e.source, e.target, int(e.kind))):
+    for source, target, kind in sorted(g.edges):
         lines.append(
-            f'  "0x{e.source:x}" -> "0x{e.target:x}" [label="{e.kind.name.lower()}"];'
+            f'  "0x{source:x}" -> "0x{target:x}" [label="{EDGE_KIND_NAMES[kind]}"];'
         )
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -308,11 +324,11 @@ def to_json_dict(g: Cfg) -> dict:
         "candidates": [f"0x{c:x}" for c in sorted(g.candidates)],
         "edges": [
             {
-                "source": f"0x{e.source:x}",
-                "target": f"0x{e.target:x}",
-                "kind": e.kind.name.lower(),
+                "source": f"0x{source:x}",
+                "target": f"0x{target:x}",
+                "kind": EDGE_KIND_NAMES[kind],
             }
-            for e in sorted(g.edges, key=lambda e: (e.source, e.target, int(e.kind)))
+            for source, target, kind in sorted(g.edges)
         ],
         "entries": [
             {

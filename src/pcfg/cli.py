@@ -49,7 +49,7 @@ def cmd_analyze(image_path: str, threads: int, fmt: str, out: str | None) -> int
     cfg, stats, registry = construct_details(image, threads)
     print(
         f"init {stats.init_seconds:.3f}s traversal {stats.traversal_seconds:.3f}s "
-        f"finalization {stats.finalize_seconds:.3f}s",
+        f"export {stats.export_seconds:.3f}s finalization {stats.finalize_seconds:.3f}s",
         file=sys.stderr,
     )
     trimmed = sum(

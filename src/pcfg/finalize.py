@@ -25,7 +25,9 @@ Each edge flips at most once per finalization, which bounds the loop.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .cfg import (
     Cfg,
@@ -39,6 +41,9 @@ from .image import Image
 from .jumptables import TableRegistry
 
 _CALLISH = (EdgeKind.CALL, EdgeKind.TAIL_CALL)
+# bound once: an enum class attribute lookup costs ~0.1 us per edge
+_DIRECT = EdgeKind.DIRECT
+_TAIL_CALL = EdgeKind.TAIL_CALL
 
 
 @dataclass
@@ -134,15 +139,23 @@ def _trim_details(g: Cfg, registry: TableRegistry, stats: FinalizeStats) -> tupl
     return g, stats
 
 
-def assign_function_boundaries(g: Cfg) -> list[FunctionBoundary]:
+def assign_function_boundaries(
+    g: Cfg, prior: list[FunctionBoundary] | None = None, sources: Iterable[int] = ()
+) -> list[FunctionBoundary]:
     """One boundary per entry: the blocks reachable from the entry over
-    intra-procedural edges. Shared blocks appear in several boundaries."""
+    intra-procedural edges. Shared blocks appear in several boundaries.
+
+    Given `prior`, the boundaries of an earlier version of `g` that
+    differs from it only in the kinds of edges leaving `sources` and in
+    removed entries, only the boundaries that contain one of `sources`
+    are walked again: a walk that never reaches a changed edge's source
+    cannot see the change."""
     adj: dict[int, list[int]] = {}
     for e in g.edges:
         if e.kind in INTRA_EDGE_KINDS:
             adj.setdefault(e.source, []).append(e.target)
-    out = []
-    for entry in sorted(g.entries):
+
+    def walk(entry: int) -> FunctionBoundary:
         blocks: set[int] = set()
         if entry in g.blocks:
             work = deque([entry])
@@ -153,8 +166,16 @@ def assign_function_boundaries(g: Cfg) -> list[FunctionBoundary]:
                     if tgt in g.blocks and tgt not in blocks:
                         blocks.add(tgt)
                         work.append(tgt)
-        out.append(FunctionBoundary(entry, blocks))
-    return out
+        return FunctionBoundary(entry, blocks)
+
+    if prior is None:
+        return [walk(entry) for entry in sorted(g.entries)]
+    changed = set(sources)
+    return [
+        fb if changed.isdisjoint(fb.blocks) else walk(fb.entry)
+        for fb in prior
+        if fb.entry in g.entries
+    ]
 
 
 def correct_tail_calls(
@@ -162,8 +183,10 @@ def correct_tail_calls(
 ) -> tuple[Cfg, bool]:
     """One pass of the three correction rules against a snapshot of the
     graph; returns the updated graph and whether anything flipped."""
+    # the natural tuple order of edges is the canonical one
+    edges = sorted(g.edges)
     incoming: dict[int, list[Edge]] = {}
-    for e in sorted(g.edges, key=lambda e: (e.source, e.target, int(e.kind))):
+    for e in edges:
         incoming.setdefault(e.target, []).append(e)
     member: dict[int, set[int]] = {}
     bmap: dict[int, set[int]] = {}
@@ -174,19 +197,19 @@ def correct_tail_calls(
 
     flips: list[tuple[Edge, EdgeKind]] = []
     drop_entries: list[int] = []
-    for e in sorted(g.edges, key=lambda e: (e.source, e.target, int(e.kind))):
+    for e in edges:
         if not ledger.can_flip(e.source, e.target):
             continue
-        if e.kind is EdgeKind.DIRECT:
+        if e.kind is _DIRECT:
             if any(o.kind in _CALLISH for o in incoming.get(e.target, ()) if o != e):
-                flips.append((e, EdgeKind.TAIL_CALL))
-        elif e.kind is EdgeKind.TAIL_CALL:
+                flips.append((e, _TAIL_CALL))
+        elif e.kind is _TAIL_CALL:
             if any(
                 e.target in bmap[f] for f in sorted(member.get(e.source, ()))
             ):
-                flips.append((e, EdgeKind.DIRECT))
+                flips.append((e, _DIRECT))
             elif incoming.get(e.target, []) == [e]:
-                flips.append((e, EdgeKind.DIRECT))
+                flips.append((e, _DIRECT))
                 entry = g.entries.get(e.target)
                 if entry is not None and not entry.seed:
                     drop_entries.append(e.target)
@@ -261,14 +284,18 @@ def finalize_details(
     g, stats = _trim_details(g, registry, stats)
     ledger = FlipLedger()
     edge_budget = len(g.edges)
+    boundaries = assign_function_boundaries(g)
     while True:
         stats.iterations += 1
-        boundaries = assign_function_boundaries(g)
+        recorded = len(ledger.counts)
         g, changed = correct_tail_calls(g, boundaries, ledger)
         if not changed:
             break
         if stats.iterations > edge_budget + 2:
             raise InternalError("tail-call correction failed to converge")
+        # the ledger records each flipped edge once, in flip order
+        flipped = [source for source, _ in islice(ledger.counts, recorded, None)]
+        boundaries = assign_function_boundaries(g, boundaries, flipped)
     stats.flips = ledger.total_flips
     g = _prune(g, stats)
     violations = validate(g)

@@ -133,7 +133,11 @@ def load_image(raw: bytes) -> Image:
     symbols = []
     for _ in range(count):
         offset, kind_b, noreturn, name_len = r.unpack("<QBBH", "symbol entry")
-        name = r.take(name_len, "symbol name").decode("utf-8")
+        raw_name = r.take(name_len, "symbol name")
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedImageError(f"symbol name {raw_name!r} is not UTF-8") from exc
         try:
             kind = SymbolKind(kind_b)
         except ValueError as exc:

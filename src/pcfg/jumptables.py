@@ -5,8 +5,9 @@ declared bound. The effective bound is the maximum of the declared
 bound and the last bound-hint immediate found in each currently-known
 intra-procedural direct predecessor block, so targets discovered along
 different paths accumulate as a union and the resolved set only ever
-grows. Reads past the data section are clamped with a diagnostic;
-entries that do not land in the text section are skipped. The registry
+grows. Reads past the data section are clamped, and each clamped table
+gets one diagnostic once construction has settled its bound; entries
+that do not land in the text section are skipped. The registry
 records one descriptor per table base so finalization can detect tables
 whose effective extent overlaps the next table and trim them.
 """
@@ -29,14 +30,10 @@ def read_table_entries(image: Image, base: int, bound: int) -> tuple[list[int | 
     not point into the text section."""
     clamped = False
     if base < image.data_base or base > image.data_end:
-        logger.warning("table base 0x%x outside data section", base)
         return [], True
     avail = (image.data_end - base) // 4
     n = bound
     if n > avail:
-        logger.warning(
-            "table at 0x%x: %d entries requested, %d available", base, bound, avail
-        )
         n = avail
         clamped = True
     off = base - image.data_base
@@ -134,6 +131,24 @@ class TableRegistry:
                 }
             )
         return out
+
+
+def log_clamped_tables(registry: TableRegistry, image: Image) -> int:
+    """Log one warning per table whose reads were clamped to the data
+    section, with its settled bound; returns how many there are."""
+    clamped = [d for d in registry.sorted_descriptors() if d.clamped]
+    for d in clamped:
+        if d.base < image.data_base or d.base > image.data_end:
+            logger.warning("table base 0x%x outside data section", d.base)
+        else:
+            avail = (image.data_end - d.base) // 4
+            logger.warning(
+                "table at 0x%x: %d entries requested, %d available",
+                d.base,
+                d.effective_bound,
+                avail,
+            )
+    return len(clamped)
 
 
 def refresh_tables(state, image: Image, function) -> bool:

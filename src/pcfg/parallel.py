@@ -27,12 +27,14 @@ call labels and heuristic entry labels).
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
 
 from .cfg import (
+    EDGE_KINDS,
     Block,
     Cfg,
     Edge,
@@ -41,15 +43,16 @@ from .cfg import (
     INTRA_EDGE_KINDS,
     ReturnStatus,
 )
-from ._kernels import scan_block
+from ._kernels import ScanResult, scan_block
 from .errors import AlreadySetError
 from .finalize import finalize_details
 from .image import Image
-from .isa import LENGTHS, Instruction, Opcode, decode_at
+from .isa import LENGTHS, Instruction, Opcode
 from .jumptables import (
     TableRegistry,
     effective_bound,
     last_bound_hint,
+    log_clamped_tables,
     refresh_tables,
     update_descriptor,
 )
@@ -58,6 +61,16 @@ from .symtab import symbol_facts
 _INTRA_INTS = frozenset(int(k) for k in INTRA_EDGE_KINDS)
 _NO_TERM = -2
 _SYNTH_HALT = -1
+# a `hint_at` no block end reaches: the block's hint must be walked
+_HINT_UNKNOWN = 1 << 64
+
+_DIRECT = int(EdgeKind.DIRECT)
+_COND_TAKEN = int(EdgeKind.COND_TAKEN)
+_COND_FALLTHROUGH = int(EdgeKind.COND_FALLTHROUGH)
+_CALL_EDGE = int(EdgeKind.CALL)
+_CALL_FALLTHROUGH = int(EdgeKind.CALL_FALLTHROUGH)
+_INDIRECT = int(EdgeKind.INDIRECT)
+_TAIL_CALL = int(EdgeKind.TAIL_CALL)
 
 _JMP = int(Opcode.JMP_DIRECT)
 _JCC = int(Opcode.JCC_DIRECT)
@@ -67,9 +80,39 @@ _TABLE = int(Opcode.IJMP_TABLE)
 _OPAQUE = int(Opcode.IJMP_OPAQUE)
 _HALT = int(Opcode.HALT)
 
+#: Opcode members indexed by their value
+_OPCODES = {int(op): op for op in Opcode}
+
+
+class _CollectorPause:
+    """Keeps the cyclic garbage collector off while any construction runs
+    in any thread, and turns it back on only if it was on when the first
+    of them began."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._restore = False
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if self._depth == 0:
+                self._restore = gc.isenabled()
+                gc.disable()
+            self._depth += 1
+
+    def __exit__(self, *exc) -> None:
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0 and self._restore:
+                gc.enable()
+
+
+_COLLECTOR_PAUSE = _CollectorPause()
+
 
 class _EngineBlock:
-    __slots__ = ("start", "end", "term", "ta", "tb", "out")
+    __slots__ = ("start", "end", "term", "ta", "tb", "teardown", "hint_at", "hint", "out")
 
     def __init__(self, start: int):
         self.start = start
@@ -77,6 +120,11 @@ class _EngineBlock:
         self.term = _NO_TERM
         self.ta = 0
         self.tb = 0
+        # what the scan that set `end` saw in [start, end): a frame
+        # teardown, and the address and immediate of the last bound hint
+        self.teardown = False
+        self.hint_at = _HINT_UNKNOWN
+        self.hint: int | None = None
         # (target, kind) -> None; append-only during traversal except for
         # moves performed under the end-entry lock
         self.out: dict[tuple[int, int], None] = {}
@@ -148,7 +196,7 @@ class _WorkerCtx:
     )
 
     def __init__(self):
-        self.scans: dict[int, tuple[int, int, int, int]] = {}
+        self.scans: dict[int, ScanResult] = {}
         self.cfis = 0
         self.cache_hits = 0
         self.lookups = 0
@@ -193,8 +241,10 @@ class EngineStats:
     per_start_creations: dict[int, int] = field(default_factory=dict)
     per_end_registrations: dict[int, int] = field(default_factory=dict)
     per_entry_creations: dict[int, int] = field(default_factory=dict)
+    tables_clamped: int = 0
     init_seconds: float = 0.0
     traversal_seconds: float = 0.0
+    export_seconds: float = 0.0
     finalize_seconds: float = 0.0
 
 
@@ -329,10 +379,12 @@ class ConcurrentCfgState:
         self._enqueue_work(rec, (addr,))
         return True
 
-    def register_block_end(self, block: _EngineBlock, fn: _FuncRecord | None, ctx: _WorkerCtx | None = None):
+    def register_block_end(
+        self, block: _EngineBlock, fn: _FuncRecord | None, ctx: _WorkerCtx | None = None
+    ) -> bool:
         """Single-winner end registration. The winner creates the block's
-        outgoing edges while holding the entry lock and returns them;
-        losers get an empty list and must run the split loop."""
+        outgoing edges while holding the entry lock; losers get False and
+        must run the split loop."""
         entry = self.blocks_by_end.setdefault(block.end, _EndEntry())
         with entry.lock:
             if entry.block is None:
@@ -341,13 +393,13 @@ class ConcurrentCfgState:
                     ctx.end_wins += 1
                     if self.debug:
                         ctx.per_end[block.end] = ctx.per_end.get(block.end, 0) + 1
-                edges = self._create_edges_locked(block, fn, ctx)
-                return True, edges
+                self._create_edges_locked(block, fn, ctx)
+                return True
             if entry.block is block or entry.block.start == block.start:
-                return True, []
+                return True
             if ctx:
                 ctx.end_losses += 1
-            return False, []
+            return False
 
     def split_chain(self, block: _EngineBlock, ctx: _WorkerCtx | None = None) -> None:
         """Eager block split: resolve overlapping blocks that reached the
@@ -390,10 +442,8 @@ class ConcurrentCfgState:
         b.term = _NO_TERM
         b.ta = 0
         b.tb = 0
-        b.out = {(new_end, int(EdgeKind.COND_FALLTHROUGH)): None}
-        self.incoming.setdefault(new_end, []).append(
-            (new_end, int(EdgeKind.COND_FALLTHROUGH))
-        )
+        b.out = {(new_end, _COND_FALLTHROUGH): None}
+        self.incoming.setdefault(new_end, []).append((new_end, _COND_FALLTHROUGH))
 
     # -- edges ---------------------------------------------------------------
 
@@ -409,18 +459,16 @@ class ConcurrentCfgState:
         if target not in self.blocks_by_start:
             self.candidates.setdefault(target, None)
 
-    def _create_edges_locked(self, block: _EngineBlock, fn: _FuncRecord | None, ctx) -> list[Edge]:
+    def _create_edges_locked(self, block: _EngineBlock, fn: _FuncRecord | None, ctx) -> None:
         term = block.term
         if term == _JMP:
-            tail = self._classify_branch(fn, block.start, block.end, block.ta)
-            kind = int(EdgeKind.TAIL_CALL) if tail else int(EdgeKind.DIRECT)
-            self._add_edge_locked(block, block.ta, kind, ctx)
+            tail = self._classify_branch(fn, block.start, block.ta, block.teardown)
+            self._add_edge_locked(block, block.ta, _TAIL_CALL if tail else _DIRECT, ctx)
         elif term == _JCC:
-            self._add_edge_locked(block, block.ta, int(EdgeKind.COND_TAKEN), ctx)
-            self._add_edge_locked(block, block.end, int(EdgeKind.COND_FALLTHROUGH), ctx)
+            self._add_edge_locked(block, block.ta, _COND_TAKEN, ctx)
+            self._add_edge_locked(block, block.end, _COND_FALLTHROUGH, ctx)
         elif term == _CALL:
-            self._add_edge_locked(block, block.ta, int(EdgeKind.CALL), ctx)
-        return [Edge(block.start, t, EdgeKind(k)) for (t, k) in block.out]
+            self._add_edge_locked(block, block.ta, _CALL_EDGE, ctx)
 
     def _ensure_cfec(self, call_end: int) -> None:
         """Idempotently create the call fall-through edge at a call site.
@@ -431,28 +479,15 @@ class ConcurrentCfgState:
             blk = entry.block
             if blk is None:
                 return
-            key = (call_end, int(EdgeKind.CALL_FALLTHROUGH))
+            key = (call_end, _CALL_FALLTHROUGH)
             if key in blk.out:
                 return
             blk.out[key] = None
-            self.incoming.setdefault(call_end, []).append(
-                (blk.end, int(EdgeKind.CALL_FALLTHROUGH))
-            )
+            self.incoming.setdefault(call_end, []).append((blk.end, _CALL_FALLTHROUGH))
             if call_end not in self.blocks_by_start:
                 self.candidates.setdefault(call_end, None)
 
     # -- tail call classification -------------------------------------------
-
-    def _has_teardown(self, start: int, end: int) -> bool:
-        addr = start
-        text = self.image.text
-        base = self.image.text_base
-        while addr < end:
-            ins = decode_at(text, base, addr)
-            if ins.kind is Opcode.FRAME_TEARDOWN:
-                return True
-            addr += ins.length
-        return False
 
     def _reaches_intra(self, source: int, goal: int, exclude: tuple[int, int]) -> bool:
         seen = {source}
@@ -474,10 +509,12 @@ class ConcurrentCfgState:
                     work.append(tgt)
         return goal in seen
 
-    def _classify_branch(self, fn: _FuncRecord | None, src: int, src_end: int, target: int) -> bool:
+    def _classify_branch(
+        self, fn: _FuncRecord | None, src: int, target: int, teardown: bool
+    ) -> bool:
         """Tail-call heuristics in order: branch to a known entry; branch
         to a block already reachable inside this function; frame teardown
-        before the branch."""
+        before the branch (`teardown`, from the scan of the source block)."""
         if target in self.functions:
             return True
         if fn is not None:
@@ -489,7 +526,7 @@ class ConcurrentCfgState:
                     f, target, (src, target)
                 ):
                     return False
-        return self._has_teardown(src, src_end)
+        return teardown
 
     # -- return status ---------------------------------------------------------
 
@@ -558,7 +595,7 @@ class ConcurrentCfgState:
                     pb = pent.block if pent is not None else None
                     if pb is None:
                         continue
-                    h = last_bound_hint(self.image, pb.start, pb.end)
+                    h = self._last_hint(pb)
                     if h is not None:
                         hints.append(h)
                 bound = effective_bound(desc.declared_bound, hints)
@@ -566,7 +603,7 @@ class ConcurrentCfgState:
                 if not new:
                     return False
                 for t in sorted(new):
-                    self._add_edge_locked(owner, t, int(EdgeKind.INDIRECT))
+                    self._add_edge_locked(owner, t, _INDIRECT)
                 interested = sorted(desc.interested)
                 new_sorted = sorted(new)
         for fi in interested:
@@ -574,6 +611,15 @@ class ConcurrentCfgState:
             for t in new_sorted:
                 self._enqueue_addr(rec, t)
         return True
+
+    def _last_hint(self, b: _EngineBlock) -> int | None:
+        """`last_bound_hint` over the block's current range, read from its
+        scan unless a split cut the block short before its recorded hint
+        (or the scan walked nothing), in which case the range is walked."""
+        end = b.end
+        if b.hint_at < end:
+            return b.hint
+        return last_bound_hint(self.image, b.start, end)
 
     def _global_table_sweep(self) -> bool:
         changed = False
@@ -629,24 +675,30 @@ class ConcurrentCfgState:
         cached = ctx.scans.get(addr)
         if cached is not None:
             ctx.cache_hits += 1
-            end, kind, a, b = cached
+            end, kind, a, b, teardown, _, _ = cached
         else:
             claimed = self.attempt_create_block(addr, ctx)
-            end, kind, a, b = scan_block(self.image.text, self.image.text_base, addr)
+            scan = scan_block(self.image.text, self.image.text_base, addr)
             ctx.cfis += 1
-            ctx.scans[addr] = (end, kind, a, b)
+            ctx.scans[addr] = scan
+            end, kind, a, b, teardown, hint_at, hint = scan
             if claimed:
                 blk = self.blocks_by_start[addr]
                 blk.end = end
                 blk.term = kind if kind != -1 else _SYNTH_HALT
                 blk.ta = a
                 blk.tb = b
-                won, _ = self.register_block_end(blk, fn, ctx)
-                if not won:
+                blk.teardown = teardown
+                # below the text the scan walks nothing, so the hint
+                # stays unknown and `_last_hint` walks the range
+                if addr >= self.image.text_base:
+                    blk.hint_at = hint_at
+                    blk.hint = hint
+                if not self.register_block_end(blk, fn, ctx):
                     self.split_chain(blk, ctx)
 
         if kind == _JMP:
-            tail = self._classify_branch(fn, addr, end, a)
+            tail = self._classify_branch(fn, addr, a, teardown)
             if tail:
                 self.attempt_create_function(a, ctx)
                 self._tail_interest(ctx, fn, a)
@@ -702,50 +754,56 @@ class ConcurrentCfgState:
     # -- drive to completion --------------------------------------------------
 
     def run(self) -> tuple[Cfg, EngineStats]:
-        stats = EngineStats(workers=self.workers)
-        t0 = time.perf_counter()
-        self._running = True
-        self.pool.start()
+        # every engine object stays live until run returns, so a
+        # collection during construction would find nothing to free
+        with _COLLECTOR_PAUSE:
+            stats = EngineStats(workers=self.workers)
+            t0 = time.perf_counter()
+            self._running = True
+            self.pool.start()
 
-        seeds = self.symbols.seeds
-        step = max(1, (len(seeds) + self.workers - 1) // self.workers)
-        for i in range(0, len(seeds), step):
-            chunk = seeds[i : i + step]
-            self.pool.spawn(
-                lambda ctx, c=chunk: [self.attempt_create_function(a, ctx) for a in c]
+            seeds = self.symbols.seeds
+            step = max(1, (len(seeds) + self.workers - 1) // self.workers)
+            for i in range(0, len(seeds), step):
+                chunk = seeds[i : i + step]
+                self.pool.spawn(
+                    lambda ctx, c=chunk: [self.attempt_create_function(a, ctx) for a in c]
+                )
+            t1 = time.perf_counter()
+            stats.init_seconds = t1 - t0
+
+            first_quiescence = True
+            while True:
+                self.pool.wait_idle()
+                if first_quiescence:
+                    stats.waiters_live_at_quiescence = self._count_live_waiters()
+                    first_quiescence = False
+                if self._global_table_sweep():
+                    continue
+                if any(
+                    rec.status is ReturnStatus.UNSET for rec in self.functions.values()
+                ):
+                    self.resolve_status_cycles()
+                    continue
+                break
+            self.pool.shutdown()
+            t2 = time.perf_counter()
+            stats.traversal_seconds = t2 - t1
+
+            self._merge_ctx_stats(stats)
+            stats.tables_clamped = log_clamped_tables(self.registry, self.image)
+            cfg = self.export_cfg()
+            stats.raw_edge_count = len(cfg.edges)
+            t3 = time.perf_counter()
+            stats.export_seconds = t3 - t2
+            final, fstats = finalize_details(cfg, self.image, self.registry)
+            stats.finalize_flips = fstats.flips
+            stats.finalize_iterations = fstats.iterations
+            stats.finalize_seconds = time.perf_counter() - t3
+            stats.call_fallthrough_edges = sum(
+                1 for e in final.edges if e.kind == _CALL_FALLTHROUGH
             )
-        t1 = time.perf_counter()
-        stats.init_seconds = t1 - t0
-
-        first_quiescence = True
-        while True:
-            self.pool.wait_idle()
-            if first_quiescence:
-                stats.waiters_live_at_quiescence = self._count_live_waiters()
-                first_quiescence = False
-            if self._global_table_sweep():
-                continue
-            if any(
-                rec.status is ReturnStatus.UNSET for rec in self.functions.values()
-            ):
-                self.resolve_status_cycles()
-                continue
-            break
-        self.pool.shutdown()
-        t2 = time.perf_counter()
-        stats.traversal_seconds = t2 - t1
-
-        self._merge_ctx_stats(stats)
-        cfg = self.export_cfg()
-        stats.raw_edge_count = len(cfg.edges)
-        final, fstats = finalize_details(cfg, self.image, self.registry)
-        stats.finalize_flips = fstats.flips
-        stats.finalize_iterations = fstats.iterations
-        stats.finalize_seconds = time.perf_counter() - t2
-        stats.call_fallthrough_edges = sum(
-            1 for e in final.edges if e.kind is EdgeKind.CALL_FALLTHROUGH
-        )
-        return final, stats
+            return final, stats
 
     def _merge_ctx_stats(self, stats: EngineStats) -> None:
         for ctx in self.pool.ctxs:
@@ -783,13 +841,13 @@ class ConcurrentCfgState:
             elif b.term == _SYNTH_HALT:
                 term = Instruction(self.image.text_end, Opcode.HALT, 1)
             else:
-                op = Opcode(b.term)
+                op = _OPCODES[b.term]
                 term = Instruction(b.end - LENGTHS[op], op, LENGTHS[op], b.ta, b.tb)
             blocks[s] = Block(b.start, b.end, term)
         edges = set()
         for b in self.blocks_by_start.values():
             for t, k in b.out:
-                edges.add(Edge(b.start, t, EdgeKind(k)))
+                edges.add(Edge(b.start, t, EDGE_KINDS[k]))
         candidates = {c for c in self.candidates if c not in self.blocks_by_start}
         entries = {
             a: FunctionEntry(a, rec.name, rec.status, rec.seed)
@@ -817,13 +875,17 @@ def resolve_status_cycles(state: ConcurrentCfgState) -> None:
 def construct(image: Image, workers: int, debug: bool = False) -> Cfg:
     """Build the finalized CFG with `workers` cooperating workers. Output
     is identical to `serial_construct` for every worker count."""
-    cfg, _ = ConcurrentCfgState(image, workers, debug).run()
-    return cfg
+    return construct_details(image, workers, debug)[0]
 
 
 def construct_details(
     image: Image, workers: int, debug: bool = False
 ) -> tuple[Cfg, EngineStats, TableRegistry]:
-    state = ConcurrentCfgState(image, workers, debug)
-    cfg, stats = state.run()
-    return cfg, stats, state.registry
+    # the pause outlasts the engine's state, so the first collection
+    # after it walks the finished graph alone
+    with _COLLECTOR_PAUSE:
+        state = ConcurrentCfgState(image, workers, debug)
+        cfg, stats = state.run()
+        registry = state.registry
+        del state
+    return cfg, stats, registry

@@ -100,7 +100,7 @@ def op_ber(g: Cfg, image: Image, t: int) -> Cfg:
 
     if not image.text_base <= t < image.text_end:
         raise OutOfRangeError(t)
-    end, kind, a, b_op = scan_block(image.text, image.text_base, t)
+    end, kind, a, b_op, *_ = scan_block(image.text, image.text_base, t)
     if kind == -1:
         term = Instruction(image.text_end, Opcode.HALT, 1)
     else:

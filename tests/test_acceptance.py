@@ -171,7 +171,7 @@ class _AlgebraSampler:
         g = op_ber(g, img, entry)
         g = op_dec(g, g.blocks[entry])
         for t in sorted(g.candidates):
-            _, kind, _, _ = scan_block(img.text, img.text_base, t)
+            kind = scan_block(img.text, img.text_base, t)[1]
             if kind == int(Opcode.IJMP_TABLE):
                 g = op_ber(g, img, t)
                 break

@@ -248,3 +248,61 @@ def test_exports_are_deterministic():
     assert to_dot(g) == to_dot(g)
     assert to_json_dict(g) == to_json_dict(g)
     assert '"0x4"' in to_dot(g)
+
+
+def test_violations_pinned_in_order():
+    # every violation kind at once, several per edge and several edges;
+    # the list (order included) is what the sorted-walk validate returned
+    def blk(start, end, kind, target=0):
+        length = 1 if kind is Opcode.RET else 5
+        return Block(start, end, Instruction(end - length, kind, length, target))
+
+    g = Cfg()
+    g.blocks = {
+        0x40: blk(0x40, 0x41, Opcode.RET),
+        0x10: blk(0x10, 0x15, Opcode.CALL, 0x40),
+        0x20: blk(0x20, 0x21, Opcode.RET),
+        0x30: blk(0x30, 0x35, Opcode.JMP_DIRECT, 0x99),
+        0x50: Block(0x50, 0x50, None),
+        0x60: blk(0x61, 0x62, Opcode.RET),
+        0x70: blk(0x70, 0x41, Opcode.RET),
+        0x61: blk(0x61, 0x63, Opcode.RET),
+    }
+    g.candidates = {0x99, 0x20, 0x15}
+    g.edges = {
+        Edge(0x30, 0x77, EdgeKind.TAIL_CALL),
+        Edge(0x20, 0x40, EdgeKind.CALL),
+        Edge(0x20, 0x40, EdgeKind.DIRECT),
+        Edge(0x10, 0x16, EdgeKind.CALL_FALLTHROUGH),
+        Edge(0x10, 0x40, EdgeKind.CALL),
+        Edge(0x10, 0x15, EdgeKind.CALL_FALLTHROUGH),
+        Edge(0x5, 0x10, EdgeKind.DIRECT),
+        Edge(0x20, 0x88, EdgeKind.TAIL_CALL),
+        Edge(0x30, 0x99, EdgeKind.DIRECT),
+        Edge(0x40, 0x10, EdgeKind.COND_TAKEN),
+        Edge(0x10, 0x30, EdgeKind.DIRECT),
+    }
+    g.entries = {
+        0x10: FunctionEntry(0x10, "f", ReturnStatus.RETURN, True),
+        0x90: _entry(0x90, seed=False),
+        0x41: _entry(0x40, status=ReturnStatus.NORETURN),
+    }
+    assert [str(v) for v in validate(g)] == [
+        "empty-block(0x50, 0x50): start must precede end",
+        "block-key-mismatch(0x60, 0x61): block keyed by wrong start",
+        "empty-block(0x70, 0x41): start must precede end",
+        "duplicate-block-start(0x61): 2 blocks start here",
+        "duplicate-block-end(0x41): 2 blocks end here",
+        "candidate-shadows-block(0x20): candidate at a block start",
+        "dangling-edge-source(0x5, 0x10): no source block",
+        "dangling-edge-target(0x10, 0x16): no target block or candidate",
+        "bad-call-fallthrough(0x10, 0x16): fall-through target must be the source block end",
+        "bad-edge-kind(0x10, 0x30): DIRECT from 4 block",
+        "bad-edge-kind(0x20, 0x40): DIRECT from 5 block",
+        "bad-edge-kind(0x20, 0x40): CALL edge from 5 block",
+        "dangling-edge-target(0x20, 0x88): no target block or candidate",
+        "bad-edge-kind(0x20, 0x88): TAIL_CALL from 5 block",
+        "dangling-edge-target(0x30, 0x77): no target block or candidate",
+        "entry-key-mismatch(0x41, 0x40): entry keyed by wrong address",
+        "entry-not-in-graph(0x90): no block or candidate at entry",
+    ]

@@ -52,7 +52,7 @@ class TestAnalyze:
         )
         assert code == 0
         assert out.startswith("summary functions=")
-        assert "traversal" in err
+        assert "traversal" in err and "export" in err
 
     def test_json_format_includes_registry_dump(self, corpus, capsys, tmp_path):
         image_path, _ = corpus
@@ -77,6 +77,17 @@ class TestAnalyze:
         code, _, err = _run(capsys, "analyze", p)
         assert code == 1
         assert "malformed" in err
+
+    def test_undecodable_symbol_name_exits_1(self, tmp_path, capsys):
+        from pcfg.image import Image, SymbolKind, make_symbol, pack_image
+
+        img = Image(0x1000, b"\x05", 0x2000, b"", (make_symbol(0x1000, "f", SymbolKind.FUNC),))
+        p = tmp_path / "badname.pcfg"
+        p.write_bytes(pack_image(img)[:-1] + b"\xff")
+        code, _, err = _run(capsys, "analyze", p)
+        assert code == 1
+        assert "malformed image" in err
+        assert "Traceback" not in err
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code, _, _ = _run(capsys, "analyze", tmp_path / "nope.pcfg")

@@ -1,3 +1,7 @@
+import random
+
+import pytest
+
 from pcfg.cfg import (
     Block,
     Cfg,
@@ -118,6 +122,34 @@ class TestBoundaries:
         for fb in assign_function_boundaries(cfg):
             if fb.entry != target:
                 assert target not in fb.blocks
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_incremental_update_matches_full_walk(self, seed):
+        # flip branch kinds both ways and drop heuristic entries, as a
+        # tail-call correction round does; only the boundaries holding a
+        # flipped edge's source are walked again
+        img, _ = generate(ScenarioSpec.make("big-random", seed=seed, functions=60))
+        g, _, _ = construct_details(img, 1)
+        prior = assign_function_boundaries(g)
+        rng = random.Random(seed)
+        branches = sorted(
+            e for e in g.edges if e.kind in (EdgeKind.DIRECT, EdgeKind.TAIL_CALL)
+        )
+        flipped = rng.sample(branches, len(branches) // 3)
+        out = g.clone()
+        for e in flipped:
+            out.edges.discard(e)
+            new = EdgeKind.DIRECT if e.kind is EdgeKind.TAIL_CALL else EdgeKind.TAIL_CALL
+            out.edges.add(Edge(e.source, e.target, new))
+        heuristic = sorted(a for a, f in g.entries.items() if not f.seed)
+        for addr in rng.sample(heuristic, min(2, len(heuristic))):
+            del out.entries[addr]
+        full = assign_function_boundaries(out)
+        assert [(b.entry, b.blocks) for b in full] != [(b.entry, b.blocks) for b in prior]
+        incremental = assign_function_boundaries(out, prior, [e.source for e in flipped])
+        assert [(b.entry, b.blocks) for b in incremental] == [
+            (b.entry, b.blocks) for b in full
+        ]
 
     def test_isolated_entry_singleton_boundary(self):
         g = Cfg(blocks={4: _ret_block(4)}, entries={4: _entry(4)})

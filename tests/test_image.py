@@ -62,6 +62,14 @@ def test_function_symbol_outside_text_rejected():
         load_image(pack_image(img))
 
 
+def test_undecodable_symbol_name_rejected():
+    img = Image(0x1000, b"\x05", 0x2000, b"", (make_symbol(0x1000, "f", SymbolKind.FUNC),))
+    raw = pack_image(img)
+    assert raw.endswith(b"f")
+    with pytest.raises(MalformedImageError, match="UTF-8"):
+        load_image(raw[:-1] + b"\xff")
+
+
 def test_symbol_name_derivation():
     s = make_symbol(0x10, "frob_impl$1a2b", SymbolKind.FUNC)
     assert s.pretty == "frob_impl"

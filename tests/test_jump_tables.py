@@ -1,3 +1,4 @@
+import logging
 import struct
 import threading
 
@@ -11,7 +12,7 @@ from pcfg.jumptables import (
     read_table_targets,
     update_descriptor,
 )
-from pcfg.parallel import ConcurrentCfgState
+from pcfg.parallel import ConcurrentCfgState, construct_details
 from pcfg.workload import ScenarioSpec, generate
 
 from conftest import asm_image
@@ -135,3 +136,33 @@ def test_engine_refresh_reaches_fixed_point():
     assert desc.effective_bound == truth.jump_table_sizes[desc.base]
     assert not state.refresh_descriptor(desc)  # already at the fixed point
     assert len(desc.targets) == 5
+
+
+def test_clamped_tables_logged_once_each_and_counted(caplog):
+    # one table based outside the data section, one reading past its end;
+    # both are refreshed several times during traversal
+    img = asm_image(
+        0x0,
+        [(Opcode.IJMP_TABLE, 0x9000, 4), (Opcode.IJMP_TABLE, 0x100000, 5), (Opcode.RET,)],
+        symbols=[(0x0, "outside$1", False), (0x7, "short$1", False)],
+        data=struct.pack("<II", 0xE, 0xE),
+    )
+    counts = []
+    for workers in (1, 2):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="pcfg.jumptables"):
+            _, stats, _ = construct_details(img, workers)
+        assert [r.getMessage() for r in caplog.records] == [
+            "table base 0x9000 outside data section",
+            "table at 0x100000: 5 entries requested, 2 available",
+        ]
+        counts.append(stats.tables_clamped)
+    assert counts == [2, 2]
+
+
+def test_unclamped_tables_log_nothing(caplog):
+    img, _ = generate(ScenarioSpec.make("jump-table", seed=1, entries=5))
+    with caplog.at_level(logging.WARNING, logger="pcfg.jumptables"):
+        _, stats, _ = construct_details(img, 1)
+    assert caplog.records == []
+    assert stats.tables_clamped == 0

@@ -1,11 +1,19 @@
+import gc
+import sys
 import threading
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pcfg import parallel
 from pcfg._kernels import scan_block
-from pcfg.cfg import EdgeKind, ReturnStatus, canonical_serialize
+from pcfg.cfg import Block, EdgeKind, ReturnStatus, canonical_serialize
 from pcfg.errors import AlreadySetError
+from pcfg.image import Image
 from pcfg.isa import Opcode
+from pcfg.jumptables import last_bound_hint
 from pcfg.parallel import (
     ConcurrentCfgState,
     construct,
@@ -14,7 +22,7 @@ from pcfg.parallel import (
     traverse_function,
     update_return_status,
 )
-from pcfg.serial import serial_construct
+from pcfg.serial import _has_teardown, serial_construct
 from pcfg.workload import ScenarioSpec, generate
 
 from conftest import asm_image
@@ -23,8 +31,8 @@ from conftest import asm_image
 def _claim_and_scan(state, addr):
     assert state.attempt_create_block(addr)
     blk = state.blocks_by_start[addr]
-    end, kind, a, b = scan_block(state.image.text, state.image.text_base, addr)
-    blk.end, blk.term, blk.ta, blk.tb = end, kind, a, b
+    scan = scan_block(state.image.text, state.image.text_base, addr)
+    blk.end, blk.term, blk.ta, blk.tb, blk.teardown, blk.hint_at, blk.hint = scan
     return blk
 
 
@@ -97,19 +105,19 @@ class TestEndRegistrationAndSplit:
         img = asm_image(0x4, [(Opcode.ALU,), (Opcode.ALU,), (Opcode.JMP_DIRECT, 0x4)])
         state = ConcurrentCfgState(img, 1)
         b1 = _claim_and_scan(state, 0x4)
-        won, edges = state.register_block_end(b1, None)
-        assert won
-        assert [(e.target, e.kind) for e in edges] == [(0x4, EdgeKind.DIRECT)]
+        assert state.register_block_end(b1, None)
+        assert list(b1.out) == [(0x4, int(EdgeKind.DIRECT))]
         b2 = _claim_and_scan(state, 0x7)
-        won2, edges2 = state.register_block_end(b2, None)
-        assert not won2 and edges2 == []
+        assert not state.register_block_end(b2, None)
+        assert list(b2.out) == []
+        assert list(b1.out) == [(0x4, int(EdgeKind.DIRECT))]
 
     def test_two_way_split(self, paper_layout):
         state = ConcurrentCfgState(paper_layout, 1)
         b1 = _claim_and_scan(state, 0x4)
-        assert state.register_block_end(b1, None)[0]
+        assert state.register_block_end(b1, None)
         b2 = _claim_and_scan(state, 0xA)
-        won, _ = state.register_block_end(b2, None)
+        won = state.register_block_end(b2, None)
         assert not won
         state.split_chain(b2)
         assert (b2.start, b2.end) == (0xA, 0xD)
@@ -126,13 +134,13 @@ class TestEndRegistrationAndSplit:
         )
         state = ConcurrentCfgState(img, 1)
         first = _claim_and_scan(state, 0x4)
-        assert state.register_block_end(first, None)[0]
+        assert state.register_block_end(first, None)
         mid = _claim_and_scan(state, 0xD)
-        won, _ = state.register_block_end(mid, None)
+        won = state.register_block_end(mid, None)
         assert not won
         state.split_chain(mid)
         last = _claim_and_scan(state, 0xA)
-        won, _ = state.register_block_end(last, None)
+        won = state.register_block_end(last, None)
         assert not won
         state.split_chain(last)
         spans = {(b.start, b.end) for b in state.blocks_by_start.values()}
@@ -146,10 +154,36 @@ class TestEndRegistrationAndSplit:
     def test_same_start_registration_is_noop(self, paper_layout):
         state = ConcurrentCfgState(paper_layout, 1)
         b1 = _claim_and_scan(state, 0x4)
-        assert state.register_block_end(b1, None)[0]
-        won, edges = state.register_block_end(b1, None)
-        assert won and edges == []
+        assert state.register_block_end(b1, None)
+        out_before = dict(b1.out)
+        assert state.register_block_end(b1, None)
+        assert b1.out == out_before
         assert state.blocks_by_end[0xD].block is b1
+
+
+class TestScanFacts:
+    """The scan's teardown and last-hint report, against the decode walks
+    the serial oracle and `last_bound_hint` make over the same range."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(0, 0x0B) | st.integers(0, 0xFF), min_size=1, max_size=40),
+        st.data(),
+    )
+    def test_report_matches_decode_walk(self, raw, data):
+        text = bytes(raw)
+        img = Image(0x100, text, 0x10000, b"", ())
+        start = data.draw(st.integers(0x100, img.text_end - 1))
+        state = ConcurrentCfgState(img, 1)
+        blk = _claim_and_scan(state, start)
+        end = blk.end
+        assert blk.teardown == _has_teardown(img, Block(start, end))
+        assert blk.hint == last_bound_hint(img, start, end)
+        assert state._last_hint(blk) == blk.hint
+        # a split may cut the block short anywhere, before its last hint
+        # or after it
+        blk.end = data.draw(st.integers(start + 1, end))
+        assert state._last_hint(blk) == last_bound_hint(img, start, blk.end)
 
 
 class TestTraverseFunction:
@@ -310,6 +344,141 @@ class TestInstrumentation:
         base = canonical_serialize(construct(img, 1))
         cfg, stats, _ = construct_details(img, 1)
         assert canonical_serialize(cfg) == base
+
+
+def test_stage_times_fit_in_construct_wall_time():
+    img, _ = generate(ScenarioSpec.make("big-random", seed=6, functions=200))
+    t0 = time.perf_counter()
+    _, stats, _ = construct_details(img, 2)
+    wall = time.perf_counter() - t0
+    stages = (
+        stats.init_seconds
+        + stats.traversal_seconds
+        + stats.export_seconds
+        + stats.finalize_seconds
+    )
+    assert stats.export_seconds > 0
+    assert stages <= wall
+
+
+@pytest.fixture
+def collector():
+    """Puts the cyclic collector back as the test found it."""
+    was = gc.isenabled()
+    yield
+    if was:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+class TestCollectorPause:
+    def _image(self):
+        return generate(ScenarioSpec.make("big-random", seed=8, functions=30))[0]
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_prior_state_restored(self, collector, monkeypatch, enabled):
+        inside = []
+        real = parallel.finalize_details
+
+        def spy(*args):
+            inside.append(gc.isenabled())
+            return real(*args)
+
+        monkeypatch.setattr(parallel, "finalize_details", spy)
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        construct(self._image(), 2)
+        assert inside == [False]
+        assert gc.isenabled() is enabled
+
+    def test_engine_state_is_freed_without_a_collection(self, collector):
+        # the pause only pays off if reference counting frees the state
+        gc.enable()
+        img = self._image()
+        gc.collect()
+        for workers in (1, 2):
+            construct(img, workers)
+        assert gc.collect() == 0
+
+    def test_restored_after_an_error_in_run(self, collector, monkeypatch):
+        def boom(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(parallel, "finalize_details", boom)
+        gc.enable()
+        with pytest.raises(RuntimeError, match="boom"):
+            construct(self._image(), 1)
+        assert gc.isenabled()
+
+    def test_overlapping_constructs_in_two_threads(self, collector, monkeypatch):
+        # both constructs reach finalization; the first then finishes
+        # while the second is still inside, which must keep the pause
+        img = self._image()
+        both_inside = threading.Barrier(2, timeout=30)
+        first_done = threading.Event()
+        seen_by_second = []
+        real = parallel.finalize_details
+
+        def spy(*args):
+            both_inside.wait()
+            if threading.current_thread().name == "second":
+                assert first_done.wait(timeout=30)
+                seen_by_second.append(gc.isenabled())
+            return real(*args)
+
+        def first():
+            construct(img, 1)
+            first_done.set()
+
+        monkeypatch.setattr(parallel, "finalize_details", spy)
+        gc.enable()
+        threads = [
+            threading.Thread(target=first, name="first"),
+            threading.Thread(target=construct, args=(img, 1), name="second"),
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert seen_by_second == [False]
+        assert gc.isenabled()
+
+
+    def test_many_overlapping_constructs(self, collector, monkeypatch):
+        # more threads than cores entering and leaving the pause with a
+        # short switch interval: a lost update of the depth count would
+        # switch the collector on while a construct still runs, or leave
+        # it off after the last one
+        img = self._image()
+        inside = []
+        real = parallel.finalize_details
+
+        def spy(*args):
+            inside.append(gc.isenabled())
+            return real(*args)
+
+        def worker():
+            for _ in range(3):
+                construct(img, 1)
+
+        monkeypatch.setattr(parallel, "finalize_details", spy)
+        gc.enable()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert inside == [False] * 12
+        assert gc.isenabled()
 
 
 def test_worker_count_validated(paper_layout):
