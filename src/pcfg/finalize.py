@@ -24,7 +24,7 @@ Each edge flips at most once per finalization, which bounds the loop.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import islice
@@ -182,37 +182,33 @@ def correct_tail_calls(
     g: Cfg, boundaries: list[FunctionBoundary], ledger: FlipLedger
 ) -> tuple[Cfg, bool]:
     """One pass of the three correction rules against a snapshot of the
-    graph; returns the updated graph and whether anything flipped."""
-    # the natural tuple order of edges is the canonical one
-    edges = sorted(g.edges)
-    incoming: dict[int, list[Edge]] = {}
-    for e in edges:
-        incoming.setdefault(e.target, []).append(e)
-    member: dict[int, set[int]] = {}
-    bmap: dict[int, set[int]] = {}
+    graph; returns the updated graph and whether anything flipped. Every
+    edge is judged against the snapshot and the flips are applied after
+    the pass, so the order edges are judged in does not matter."""
+    in_degree = Counter(e.target for e in g.edges)
+    callish_in = Counter(e.target for e in g.edges if e.kind in _CALLISH)
+    # rule 2 looks up only tail-call sources: the boundaries holding each
+    tail_sources = {e.source for e in g.edges if e.kind is _TAIL_CALL}
+    holders: dict[int, list[set[int]]] = {}
     for fb in boundaries:
-        bmap[fb.entry] = fb.blocks
-        for blk in fb.blocks:
-            member.setdefault(blk, set()).add(fb.entry)
+        for src in tail_sources & fb.blocks:
+            holders.setdefault(src, []).append(fb.blocks)
 
     flips: list[tuple[Edge, EdgeKind]] = []
     drop_entries: list[int] = []
-    for e in edges:
-        if not ledger.can_flip(e.source, e.target):
-            continue
-        if e.kind is _DIRECT:
-            if any(o.kind in _CALLISH for o in incoming.get(e.target, ()) if o != e):
+    for e in g.edges:
+        source, target, kind = e
+        if kind is _DIRECT:
+            if callish_in[target] and ledger.can_flip(source, target):
                 flips.append((e, _TAIL_CALL))
-        elif e.kind is _TAIL_CALL:
-            if any(
-                e.target in bmap[f] for f in sorted(member.get(e.source, ()))
-            ):
+        elif kind is _TAIL_CALL and ledger.can_flip(source, target):
+            if any(target in blocks for blocks in holders.get(source, ())):
                 flips.append((e, _DIRECT))
-            elif incoming.get(e.target, []) == [e]:
+            elif in_degree[target] == 1:
                 flips.append((e, _DIRECT))
-                entry = g.entries.get(e.target)
+                entry = g.entries.get(target)
                 if entry is not None and not entry.seed:
-                    drop_entries.append(e.target)
+                    drop_entries.append(target)
 
     if not flips:
         return g, False

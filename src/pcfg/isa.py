@@ -62,6 +62,11 @@ TARGET_OPS: frozenset[Opcode] = frozenset(
     {Opcode.JMP_DIRECT, Opcode.JCC_DIRECT, Opcode.CALL}
 )
 
+#: The opcode per raw byte value, None where no opcode is defined.
+_BY_BYTE: list[Opcode | None] = [None] * 256
+for _kind in Opcode:
+    _BY_BYTE[_kind] = _kind
+
 _U32 = struct.Struct("<I")
 _U16 = struct.Struct("<H")
 
@@ -116,10 +121,8 @@ def decode_at(text: bytes, text_base: int, addr: int) -> Instruction:
     complete defined instruction decode as a one-byte NOP.
     """
     off = addr - text_base
-    op = text[off]
-    try:
-        kind = Opcode(op)
-    except ValueError:
+    kind = _BY_BYTE[text[off]]
+    if kind is None:
         return Instruction(addr, Opcode.NOP, 1)
     length = LENGTHS[kind]
     if off + length > len(text):

@@ -1,16 +1,25 @@
 """Single-threaded CFG operations and the serial reference constructor.
 
 The six operations are pure: each takes a whole graph value and returns
-a new one. `serial_construct` drives them from the symbol table seeds
-with a deterministic FIFO worklist and is the correctness oracle the
-concurrent engine is checked against. Clarity over speed throughout;
-quadratic scans are fine at the input sizes this module sees.
+a new one, or the graph itself when it has nothing to change. Five of
+them are a clone plus one in-place step over an `_IndexedCfg`, the
+graph together with its edges by source and by target, its blocks by
+end and its sorted block starts; edge removal stays a whole-graph
+reachability pass. `serial_construct` applies the same steps to one
+indexed graph of its own, driven from the symbol table seeds by a
+deterministic FIFO worklist, so each step costs what it touches rather
+than the whole graph, and construction grows about linearly with the
+image. It is the correctness oracle the concurrent engine is checked
+against, so it imports nothing from the engine (`pcfg.parallel`).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from collections import deque
+from collections.abc import Callable
 from dataclasses import replace
+from functools import partial
 
 from .cfg import (
     Block,
@@ -46,31 +55,106 @@ from .symtab import symbol_facts
 _DIRECT_TERMS = (Opcode.JMP_DIRECT, Opcode.JCC_DIRECT, Opcode.CALL)
 _INDIRECT_TERMS = (Opcode.IJMP_TABLE, Opcode.IJMP_OPAQUE)
 
-
-def _outgoing(g: Cfg, start: int) -> list[Edge]:
-    return sorted(
-        (e for e in g.edges if e.source == start),
-        key=lambda e: (e.target, int(e.kind)),
-    )
+#: Reads the last bound hint of a block range [start, end).
+HintReader = Callable[[int, int], int | None]
 
 
-def _block_by_end(g: Cfg, end: int) -> Block | None:
-    for b in g.blocks.values():
-        if b.end == end:
-            return b
-    return None
+class _IndexedCfg:
+    """A graph plus the lookups the steps make, kept in step with it:
+    edges by source and by target, each block's start by its end, and
+    the sorted block starts. Blocks and edges change only through
+    `put_block`, `add_edge` and `drop_edge`; candidates and entries are
+    not indexed and are changed on `g` directly. Blocks never overlap in
+    a graph the operations build, so a block end names one block and the
+    nearest start below an address names the only block that can hold it."""
+
+    def __init__(self, g: Cfg):
+        self.g = g
+        self.out: dict[int, set[Edge]] = {}
+        self.inc: dict[int, set[Edge]] = {}
+        for e in g.edges:
+            self.out.setdefault(e.source, set()).add(e)
+            self.inc.setdefault(e.target, set()).add(e)
+        self.start_by_end = {b.end: b.start for b in g.blocks.values()}
+        self.starts = sorted(g.blocks)
+
+    def put_block(self, b: Block) -> None:
+        old = self.g.blocks.get(b.start)
+        if old is None:
+            insort(self.starts, b.start)
+        elif self.start_by_end.get(old.end) == b.start:
+            del self.start_by_end[old.end]
+        self.g.blocks[b.start] = b
+        self.start_by_end[b.end] = b.start
+
+    def add_edge(self, e: Edge) -> bool:
+        """Add `e`; returns whether it was not there yet."""
+        if e in self.g.edges:
+            return False
+        self.g.edges.add(e)
+        self.out.setdefault(e.source, set()).add(e)
+        self.inc.setdefault(e.target, set()).add(e)
+        return True
+
+    def drop_edge(self, e: Edge) -> None:
+        self.g.edges.remove(e)
+        for by, key in ((self.out, e.source), (self.inc, e.target)):
+            bucket = by[key]
+            bucket.remove(e)
+            if not bucket:
+                del by[key]
+
+    def outgoing(self, start: int) -> list[Edge]:
+        """The edges leaving `start`, by target and kind."""
+        return sorted(self.out.get(start, ()))
+
+    def block_by_end(self, end: int) -> Block | None:
+        start = self.start_by_end.get(end)
+        return None if start is None else self.g.blocks[start]
 
 
-def _split(out: Cfg, b: Block, t: int) -> None:
+def _split(ix: _IndexedCfg, b: Block, t: int) -> None:
     """Split block `b` at `t`: the prefix keeps the start and incoming
     edges, the suffix takes the terminator and outgoing edges, and a
     fall-through edge links the two."""
-    out.blocks[b.start] = Block(b.start, t, None)
-    out.blocks[t] = Block(t, b.end, b.terminator)
-    for e in [e for e in out.edges if e.source == b.start]:
-        out.edges.discard(e)
-        out.edges.add(Edge(t, e.target, e.kind))
-    out.edges.add(Edge(b.start, t, EdgeKind.COND_FALLTHROUGH))
+    ix.put_block(Block(b.start, t, None))
+    ix.put_block(Block(t, b.end, b.terminator))
+    for e in list(ix.out.get(b.start, ())):
+        ix.drop_edge(e)
+        ix.add_edge(Edge(t, e.target, e.kind))
+    ix.add_edge(Edge(b.start, t, EdgeKind.COND_FALLTHROUGH))
+
+
+def _ber(ix: _IndexedCfg, image: Image, t: int) -> None:
+    """The step of `op_ber`."""
+    g = ix.g
+    if t not in g.candidates:
+        raise NotACandidateError(f"0x{t:x} is not a candidate")
+    g.candidates.discard(t)
+
+    below = bisect_left(ix.starts, t)
+    if below:
+        b = g.blocks[ix.starts[below - 1]]
+        if t < b.end:
+            _split(ix, b, t)
+            return
+
+    above = bisect_right(ix.starts, t)
+    nxt = ix.starts[above] if above < len(ix.starts) else None
+    if nxt is not None and not contains_cfi(image, t, nxt):
+        ix.put_block(Block(t, nxt, None))
+        ix.add_edge(Edge(t, nxt, EdgeKind.COND_FALLTHROUGH))
+        return
+
+    if not image.text_base <= t < image.text_end:
+        raise OutOfRangeError(t)
+    end, kind, a, b_op, *_ = scan_block(image.text, image.text_base, t)
+    if kind == -1:
+        term = Instruction(image.text_end, Opcode.HALT, 1)
+    else:
+        op = Opcode(kind)
+        term = Instruction(end - LENGTHS[op], op, LENGTHS[op], a, b_op)
+    ix.put_block(Block(t, end, term))
 
 
 def op_ber(g: Cfg, image: Image, t: int) -> Cfg:
@@ -82,134 +166,128 @@ def op_ber(g: Cfg, image: Image, t: int) -> Cfg:
     that runs off the end of text yields a block ending at text end with
     a synthesized halt terminator.
     """
-    if t not in g.candidates:
-        raise NotACandidateError(f"0x{t:x} is not a candidate")
     out = g.clone()
-    out.candidates.discard(t)
-
-    for b in out.blocks.values():
-        if b.start < t < b.end:
-            _split(out, b, t)
-            return out
-
-    nxt = min((s for s in out.blocks if s > t), default=None)
-    if nxt is not None and not contains_cfi(image, t, nxt):
-        out.blocks[t] = Block(t, nxt, None)
-        out.edges.add(Edge(t, nxt, EdgeKind.COND_FALLTHROUGH))
-        return out
-
-    if not image.text_base <= t < image.text_end:
-        raise OutOfRangeError(t)
-    end, kind, a, b_op, *_ = scan_block(image.text, image.text_base, t)
-    if kind == -1:
-        term = Instruction(image.text_end, Opcode.HALT, 1)
-    else:
-        op = Opcode(kind)
-        term = Instruction(end - LENGTHS[op], op, LENGTHS[op], a, b_op)
-    out.blocks[t] = Block(t, end, term)
+    _ber(_IndexedCfg(out), image, t)
     return out
 
 
-def _link(out: Cfg, target: int) -> None:
-    if target not in out.blocks:
-        out.candidates.add(target)
+def _link(g: Cfg, target: int) -> None:
+    if target not in g.blocks:
+        g.candidates.add(target)
 
 
-def op_dec(g: Cfg, a: Block) -> Cfg:
-    """Direct edge creation from a block's terminating jump, conditional
-    jump, or call. Targets without a block become candidates."""
-    blk = g.blocks.get(a.start)
+def _dec(ix: _IndexedCfg, a: Block) -> list[Edge]:
+    """The step of `op_dec`; returns the edges it created, by target and
+    kind."""
+    blk = ix.g.blocks.get(a.start)
     if blk is None:
         raise InternalError(f"no block at 0x{a.start:x}")
     term = blk.terminator
     if term is None or term.kind not in _DIRECT_TERMS:
         raise NotDirectTerminatorError(f"block at 0x{a.start:x}")
-    out = g.clone()
     if term.kind is Opcode.JMP_DIRECT:
-        out.edges.add(Edge(blk.start, term.a, EdgeKind.DIRECT))
-        _link(out, term.a)
+        wanted = [(term.a, EdgeKind.DIRECT)]
     elif term.kind is Opcode.JCC_DIRECT:
-        out.edges.add(Edge(blk.start, term.a, EdgeKind.COND_TAKEN))
-        _link(out, term.a)
-        out.edges.add(Edge(blk.start, blk.end, EdgeKind.COND_FALLTHROUGH))
-        _link(out, blk.end)
+        wanted = [(term.a, EdgeKind.COND_TAKEN), (blk.end, EdgeKind.COND_FALLTHROUGH)]
     else:
-        out.edges.add(Edge(blk.start, term.a, EdgeKind.CALL))
-        _link(out, term.a)
+        wanted = [(term.a, EdgeKind.CALL)]
+    created = []
+    for target, kind in wanted:
+        e = Edge(blk.start, target, kind)
+        if ix.add_edge(e):
+            created.append(e)
+        _link(ix.g, target)
+    return sorted(created)
+
+
+def op_dec(g: Cfg, a: Block) -> Cfg:
+    """Direct edge creation from a block's terminating jump, conditional
+    jump, or call. Targets without a block become candidates."""
+    out = g.clone()
+    _dec(_IndexedCfg(out), a)
     return out
 
 
-def op_cfec(g: Cfg, call_edge: Edge, callee_status: ReturnStatus) -> Cfg:
-    """Call fall-through edge creation, gated on the callee's status."""
+def _cfec(ix: _IndexedCfg, call_edge: Edge, callee_status: ReturnStatus) -> bool:
+    """The step of `op_cfec`; returns False when it leaves the graph as
+    it was."""
     if call_edge.kind is not EdgeKind.CALL:
         raise InternalError("op_cfec requires a call edge")
     if callee_status is ReturnStatus.UNSET:
         raise CalleeUnsetError(f"callee 0x{call_edge.target:x} unresolved")
     if callee_status is ReturnStatus.NORETURN:
-        return g
-    src = g.blocks.get(call_edge.source)
+        return False
+    src = ix.g.blocks.get(call_edge.source)
     if src is None:
         raise InternalError(f"no source block at 0x{call_edge.source:x}")
+    ix.add_edge(Edge(src.start, src.end, EdgeKind.CALL_FALLTHROUGH))
+    _link(ix.g, src.end)
+    return True
+
+
+def op_cfec(g: Cfg, call_edge: Edge, callee_status: ReturnStatus) -> Cfg:
+    """Call fall-through edge creation, gated on the callee's status."""
     out = g.clone()
-    out.edges.add(Edge(src.start, src.end, EdgeKind.CALL_FALLTHROUGH))
-    _link(out, src.end)
-    return out
+    return out if _cfec(_IndexedCfg(out), call_edge, callee_status) else g
 
 
-def _intra_pred_blocks(g: Cfg, start: int) -> list[Block]:
-    preds = []
-    for e in g.edges:
-        if e.target == start and e.kind in INTRA_EDGE_KINDS and e.source in g.blocks:
-            preds.append(g.blocks[e.source])
-    return sorted(preds, key=lambda b: b.start)
-
-
-def resolve_indirect_targets(g: Cfg, image: Image, blk: Block) -> tuple[int, list[int], bool]:
+def resolve_indirect_targets(
+    ix: _IndexedCfg, image: Image, blk: Block, hint: HintReader
+) -> tuple[int, list[int], bool]:
     """Effective bound, targets, and clamp flag for a table jump block,
-    given the currently-known intra-procedural predecessors."""
-    term = blk.terminator
+    given the currently-known intra-procedural predecessors, whose bound
+    hints `hint` reads."""
+    g = ix.g
     hints = []
-    for p in _intra_pred_blocks(g, blk.start):
-        h = last_bound_hint(image, p.start, p.end)
-        if h is not None:
-            hints.append(h)
-    bound = effective_bound(term.b, hints)
-    targets, clamped = read_table_targets(image, term.a, bound)
+    for e in ix.inc.get(blk.start, ()):
+        if e.kind in INTRA_EDGE_KINDS and e.source in g.blocks:
+            h = hint(e.source, g.blocks[e.source].end)
+            if h is not None:
+                hints.append(h)
+    bound = effective_bound(blk.terminator.b, hints)
+    targets, clamped = read_table_targets(image, blk.terminator.a, bound)
     return bound, targets, clamped
 
 
-def op_iec(g: Cfg, image: Image, a: Block) -> Cfg:
-    """Indirect edge creation: resolve table targets and append edges.
-    An opaque indirect jump contributes nothing."""
-    blk = g.blocks.get(a.start)
+def _iec(ix: _IndexedCfg, image: Image, a: Block, hint: HintReader) -> bool:
+    """The step of `op_iec`; returns False when it leaves the graph as it
+    was."""
+    blk = ix.g.blocks.get(a.start)
     if blk is None:
         raise InternalError(f"no block at 0x{a.start:x}")
     term = blk.terminator
     if term is None or term.kind not in _INDIRECT_TERMS:
         raise NotIndirectTerminatorError(f"block at 0x{a.start:x}")
     if term.kind is Opcode.IJMP_OPAQUE:
-        return g
-    _, targets, _ = resolve_indirect_targets(g, image, blk)
-    out = g.clone()
+        return False
+    _, targets, _ = resolve_indirect_targets(ix, image, blk, hint)
     for t in targets:
-        out.edges.add(Edge(blk.start, t, EdgeKind.INDIRECT))
-        _link(out, t)
-    return out
+        ix.add_edge(Edge(blk.start, t, EdgeKind.INDIRECT))
+        _link(ix.g, t)
+    return True
 
 
-def _reaches(g: Cfg, source: int, goal: int, exclude: Edge | None) -> bool:
+def op_iec(g: Cfg, image: Image, a: Block) -> Cfg:
+    """Indirect edge creation: resolve table targets and append edges.
+    An opaque indirect jump contributes nothing."""
+    out = g.clone()
+    return out if _iec(_IndexedCfg(out), image, a, partial(last_bound_hint, image)) else g
+
+
+def _reaches(ix: _IndexedCfg, source: int, goal: int, exclude: Edge | None) -> bool:
     """Whether `goal` is reachable from `source` over intra-procedural
     edges, optionally ignoring one edge (compared by endpoints)."""
+    blocks = ix.g.blocks
     seen = {source}
     work = deque([source])
     while work:
         cur = work.popleft()
         if cur == goal:
             return True
-        if cur not in g.blocks:
+        if cur not in blocks:
             continue
-        for e in g.edges:
-            if e.source != cur or e.kind not in INTRA_EDGE_KINDS:
+        for e in ix.out.get(cur, ()):
+            if e.kind not in INTRA_EDGE_KINDS:
                 continue
             if exclude is not None and e.source == exclude.source and e.target == exclude.target:
                 continue
@@ -229,11 +307,49 @@ def _has_teardown(image: Image, blk: Block) -> bool:
     return False
 
 
-def _relabel(g: Cfg, e: Edge, kind: EdgeKind) -> Cfg:
-    out = g.clone()
-    out.edges.discard(e)
-    out.edges.add(Edge(e.source, e.target, kind))
-    return out
+def _relabel(ix: _IndexedCfg, e: Edge, kind: EdgeKind) -> None:
+    ix.drop_edge(e)
+    ix.add_edge(Edge(e.source, e.target, kind))
+
+
+def _label_entry(g: Cfg, addr: int) -> None:
+    if addr not in g.entries:
+        g.entries[addr] = FunctionEntry(addr, None, ReturnStatus.UNSET, seed=False)
+
+
+def _fei(
+    ix: _IndexedCfg, image: Image, e: Edge, context_entry: int | None = None
+) -> bool:
+    """The step of `op_fei`; returns False when it leaves the graph as it
+    was."""
+    g = ix.g
+    if e not in g.edges:
+        raise EdgeNotFoundError(f"0x{e.source:x} -> 0x{e.target:x}")
+    if e.kind is EdgeKind.CALL:
+        if e.target not in g.entries:
+            _label_entry(g, e.target)
+            return True
+        return False
+    if e.kind is not EdgeKind.DIRECT:
+        return False
+
+    if e.target in g.entries:
+        _relabel(ix, e, EdgeKind.TAIL_CALL)
+        return True
+
+    if context_entry is not None:
+        contexts = [context_entry] if context_entry in g.entries else []
+    else:
+        contexts = [f for f in sorted(g.entries) if _reaches(ix, f, e.source, exclude=e)]
+    for f in contexts:
+        if _reaches(ix, f, e.target, exclude=e):
+            return False
+
+    if _has_teardown(image, g.blocks[e.source]):
+        _relabel(ix, e, EdgeKind.TAIL_CALL)
+        _label_entry(g, e.target)
+        return True
+    return False
 
 
 def op_fei(g: Cfg, image: Image, e: Edge, context_entry: int | None = None) -> Cfg:
@@ -247,38 +363,8 @@ def op_fei(g: Cfg, image: Image, e: Edge, context_entry: int | None = None) -> C
     function under analysis; when omitted it is inferred as any entry
     that reaches the edge source.
     """
-    if e not in g.edges:
-        raise EdgeNotFoundError(f"0x{e.source:x} -> 0x{e.target:x}")
-    if e.kind is EdgeKind.CALL:
-        if e.target not in g.entries:
-            out = g.clone()
-            out.entries[e.target] = FunctionEntry(
-                e.target, None, ReturnStatus.UNSET, seed=False
-            )
-            return out
-        return g
-    if e.kind is not EdgeKind.DIRECT:
-        return g
-
-    if e.target in g.entries:
-        return _relabel(g, e, EdgeKind.TAIL_CALL)
-
-    if context_entry is not None:
-        contexts = [context_entry] if context_entry in g.entries else []
-    else:
-        contexts = [f for f in sorted(g.entries) if _reaches(g, f, e.source, exclude=e)]
-    for f in contexts:
-        if _reaches(g, f, e.target, exclude=e):
-            return g
-
-    if _has_teardown(image, g.blocks[e.source]):
-        out = _relabel(g, e, EdgeKind.TAIL_CALL)
-        if e.target not in out.entries:
-            out.entries[e.target] = FunctionEntry(
-                e.target, None, ReturnStatus.UNSET, seed=False
-            )
-        return out
-    return g
+    out = g.clone()
+    return out if _fei(_IndexedCfg(out), image, e, context_entry) else g
 
 
 def op_er(g: Cfg, e: Edge) -> Cfg:
@@ -312,11 +398,13 @@ def op_er(g: Cfg, e: Edge) -> Cfg:
 
 
 class _SerialDriver:
-    """Deterministic FIFO construction over the pure operations."""
+    """Deterministic FIFO construction: the operations' steps applied in
+    place to one indexed graph."""
 
     def __init__(self, image: Image):
         self.image = image
         self.g = Cfg()
+        self.ix = _IndexedCfg(self.g)
         self.registry = TableRegistry()
         self.queue: deque[tuple[int, int]] = deque()
         self.visited: dict[int, set[int]] = {}
@@ -325,6 +413,14 @@ class _SerialDriver:
         self.ft_waiters: dict[int, dict[int, set[int]]] = {}
         # callee entry -> functions whose branch tail-calls it
         self.tail_waiters: dict[int, set[int]] = {}
+        # (start, end) -> last bound hint in that range of the image
+        self.hints: dict[tuple[int, int], int | None] = {}
+
+    def _hint(self, start: int, end: int) -> int | None:
+        key = (start, end)
+        if key not in self.hints:
+            self.hints[key] = last_bound_hint(self.image, start, end)
+        return self.hints[key]
 
     # -- status handling ------------------------------------------------
 
@@ -339,10 +435,10 @@ class _SerialDriver:
         tails = self.tail_waiters.pop(addr, set())
         if status is ReturnStatus.RETURN:
             for call_end in sorted(ft):
-                src = _block_by_end(self.g, call_end)
+                src = self.ix.block_by_end(call_end)
                 if src is None:
                     raise InternalError(f"no call block ending at 0x{call_end:x}")
-                self.g = op_cfec(self.g, Edge(src.start, addr, EdgeKind.CALL), status)
+                _cfec(self.ix, Edge(src.start, addr, EdgeKind.CALL), status)
                 for fn in sorted(ft[call_end]):
                     self.queue.append((fn, call_end))
             for fn in sorted(tails):
@@ -370,7 +466,7 @@ class _SerialDriver:
     def _process_call_site(self, fn: int, blk: Block, callee: int) -> None:
         status = self.g.entries[callee].status
         if status is ReturnStatus.RETURN:
-            self.g = op_cfec(self.g, Edge(blk.start, callee, EdgeKind.CALL), status)
+            _cfec(self.ix, Edge(blk.start, callee, EdgeKind.CALL), status)
             self.queue.append((fn, blk.end))
         elif status is ReturnStatus.UNSET:
             self.ft_waiters.setdefault(callee, {}).setdefault(blk.end, set()).add(fn)
@@ -379,16 +475,16 @@ class _SerialDriver:
 
     def _refresh_block_table(self, blk: Block) -> set[int]:
         desc = self.registry.get(blk.terminator.a)
-        bound, _, _ = resolve_indirect_targets(self.g, self.image, blk)
+        bound, _, _ = resolve_indirect_targets(self.ix, self.image, blk, self._hint)
         new = update_descriptor(desc, self.image, bound)
         if new:
-            self.g = op_iec(self.g, self.image, blk)
+            _iec(self.ix, self.image, blk, self._hint)
         return new
 
     def _table_sweep(self) -> bool:
         changed = False
         for desc in self.registry.sorted_descriptors():
-            blk = _block_by_end(self.g, desc.jump_end)
+            blk = self.ix.block_by_end(desc.jump_end)
             if blk is None:
                 raise InternalError(f"no block ends at 0x{desc.jump_end:x}")
             new = self._refresh_block_table(blk)
@@ -408,14 +504,14 @@ class _SerialDriver:
             return
         seen.add(t)
         if t in self.g.candidates:
-            self.g = op_ber(self.g, self.image, t)
+            _ber(self.ix, self.image, t)
         elif t not in self.g.blocks:
             raise InternalError(f"0x{t:x} is neither candidate nor block start")
         blk = self.g.blocks[t]
         term = blk.terminator
 
         if term is None:
-            for e in _outgoing(self.g, t):
+            for e in self.ix.outgoing(t):
                 self.queue.append((fn, e.target))
             return
 
@@ -423,16 +519,10 @@ class _SerialDriver:
         if kind in (Opcode.JMP_DIRECT, Opcode.JCC_DIRECT):
             if blk.end not in self.dec_done:
                 self.dec_done.add(blk.end)
-                before = set(self.g.edges)
-                self.g = op_dec(self.g, blk)
-                created = sorted(
-                    self.g.edges - before, key=lambda e: (e.target, int(e.kind))
-                )
-                for e in created:
+                for e in _dec(self.ix, blk):
                     if e.kind is EdgeKind.DIRECT:
-                        self.g = op_fei(self.g, self.image, e, context_entry=fn)
-            blk = self.g.blocks[t]
-            for e in _outgoing(self.g, t):
+                        _fei(self.ix, self.image, e, context_entry=fn)
+            for e in self.ix.outgoing(t):
                 if e.kind is EdgeKind.TAIL_CALL:
                     self._tail_interest(fn, e.target)
                 elif e.kind in (
@@ -445,10 +535,8 @@ class _SerialDriver:
             callee = term.a
             if blk.end not in self.dec_done:
                 self.dec_done.add(blk.end)
-                self.g = op_dec(self.g, blk)
-                self.g = op_fei(
-                    self.g, self.image, Edge(blk.start, callee, EdgeKind.CALL)
-                )
+                _dec(self.ix, blk)
+                _fei(self.ix, self.image, Edge(blk.start, callee, EdgeKind.CALL))
                 self._ensure_traversal(callee)
             self._process_call_site(fn, blk, callee)
         elif kind is Opcode.RET:
@@ -459,13 +547,13 @@ class _SerialDriver:
             if blk.end not in self.dec_done:
                 self.dec_done.add(blk.end)
                 self._refresh_block_table(blk)
-            for e in _outgoing(self.g, t):
+            for e in self.ix.outgoing(t):
                 if e.kind is EdgeKind.INDIRECT:
                     self.queue.append((fn, e.target))
         elif kind is Opcode.IJMP_OPAQUE:
             if blk.end not in self.dec_done:
                 self.dec_done.add(blk.end)
-                self.g = op_iec(self.g, self.image, blk)
+                _iec(self.ix, self.image, blk, self._hint)
         # HALT and the synthesized end-of-text terminator have no successors
 
     def _seed(self) -> None:

@@ -307,6 +307,15 @@ class TestOracleEquivalence:
                 got = canonical_serialize(construct(img, workers))
                 assert got == want, f"{spec.family} diverged at {workers} workers"
 
+    def test_big_random_at_scale(self):
+        # the oracle grows about linearly, so equivalence is checked on an
+        # image far past the corpus's sizes
+        img, _ = generate(ScenarioSpec.make("big-random", 11, functions=10000))
+        want = canonical_serialize(serial_construct(img))
+        for workers in (1, 2):
+            got = canonical_serialize(construct(img, workers))
+            assert got == want, f"diverged at {workers} workers"
+
     def test_repeated_runs_identical(self):
         img, _ = generate(ScenarioSpec.make("big-random", 5, functions=80))
         outputs = {canonical_serialize(construct(img, 4)) for _ in range(5)}

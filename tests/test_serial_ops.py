@@ -1,7 +1,11 @@
 import random
+from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pcfg import finalize as finalize_module
 from pcfg.cfg import (
     Block,
     Cfg,
@@ -13,6 +17,7 @@ from pcfg.cfg import (
 )
 from pcfg.errors import (
     CalleeUnsetError,
+    PcfgError,
     EdgeNotFoundError,
     NotACandidateError,
     NotDirectTerminatorError,
@@ -21,6 +26,8 @@ from pcfg.errors import (
 from pcfg.image import Image
 from pcfg.isa import Opcode
 from pcfg.serial import (
+    _IndexedCfg,
+    _SerialDriver,
     op_ber,
     op_cfec,
     op_dec,
@@ -453,3 +460,101 @@ class TestSerialConstruct:
         kinds_a = sorted(e.kind for e in ga.edges)
         kinds_b = sorted(e.kind for e in gb.edges)
         assert kinds_a != kinds_b
+
+
+_PURITY_IMAGES = [
+    generate(ScenarioSpec.make("big-random", s, functions=8))[0] for s in range(4)
+] + [generate(ScenarioSpec.make("jump-table", s, entries=4))[0] for s in range(2)]
+
+
+def _terminated_by(g, kinds):
+    return sorted(
+        (b for b in g.blocks.values() if b.terminator and b.terminator.kind in kinds),
+        key=lambda b: b.start,
+    )
+
+
+class TestStepsOverIndexedGraph:
+    """The public operations stay pure, and the driver that applies
+    their in-place steps keeps its index in step with its graph."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(range(len(_PURITY_IMAGES))),
+        st.lists(st.integers(0, 1000), max_size=14),
+        st.integers(0, 1000),
+    )
+    def test_ops_leave_their_input_unchanged(self, which, picks, pick):
+        img = _PURITY_IMAGES[which]
+        seeds = sorted({s.offset for s in img.func_symbols()})
+        g = Cfg(candidates=set(seeds), entries={a: _entry(a) for a in seeds})
+        direct = (Opcode.JMP_DIRECT, Opcode.JCC_DIRECT, Opcode.CALL)
+        for p in picks:
+            blocks = _terminated_by(g, direct)
+            if g.candidates and (p % 2 or not blocks):
+                g = op_ber(g, img, sorted(g.candidates)[p % len(g.candidates)])
+            elif blocks:
+                g = op_dec(g, blocks[p % len(blocks)])
+        tables = _terminated_by(g, (Opcode.IJMP_TABLE, Opcode.IJMP_OPAQUE))
+        for blk in tables:
+            g = op_iec(g, img, blk)
+        calls = [partial(op_ber, g, img, t) for t in sorted(g.candidates)]
+        calls += [partial(op_dec, g, b) for b in _terminated_by(g, direct)]
+        calls += [partial(op_iec, g, img, b) for b in tables]
+        entries = sorted(g.entries)
+        for e in sorted(g.edges):
+            calls.append(partial(op_fei, g, img, e))
+            calls.append(partial(op_fei, g, img, e, entries[pick % len(entries)]))
+            calls.append(partial(op_er, g, e))
+            if e.kind is EdgeKind.CALL:
+                calls.append(partial(op_cfec, g, e, ReturnStatus.RETURN))
+                calls.append(partial(op_cfec, g, e, ReturnStatus.NORETURN))
+        for call in calls:
+            before = g.clone()
+            try:
+                call()
+            except PcfgError:
+                pass
+            assert g == before
+
+    def test_driver_index_matches_its_graph(self):
+        specs = [
+            ScenarioSpec.make(family, seed)
+            for family in (
+                "shared-code",
+                "noreturn-chain",
+                "tailcall-ambiguous",
+                "jump-table",
+                "jump-table-overapprox",
+                "multi-entry",
+                "outlined-cold",
+                "opaque-jump",
+            )
+            for seed in (1, 2)
+        ] + [ScenarioSpec.make("big-random", 4, functions=300)]
+        for spec in specs:
+            driver = _SerialDriver(generate(spec)[0])
+            driver.run()
+            assert driver.ix.g is driver.g
+            assert vars(driver.ix) == vars(_IndexedCfg(driver.g)), spec.family
+
+    def test_driver_traversal_never_clones(self, monkeypatch):
+        img, _ = generate(ScenarioSpec.make("big-random", 2, functions=2000))
+        clones = []
+        real_clone = Cfg.clone
+
+        def counted(self):
+            clones.append(self)
+            return real_clone(self)
+
+        seen_by_finalize = []
+
+        def no_finalize(g, image, registry):
+            seen_by_finalize.append(len(clones))
+            return g
+
+        monkeypatch.setattr(Cfg, "clone", counted)
+        monkeypatch.setattr(finalize_module, "finalize", no_finalize)
+        graph = _SerialDriver(img).run()
+        assert seen_by_finalize == [0]
+        assert len(graph.blocks) > 2000

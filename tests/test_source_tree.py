@@ -1,6 +1,8 @@
-"""The library takes no settings from the environment and ships one
-scan kernel, in Python source only."""
+"""The library takes no settings from the environment, ships one scan
+kernel, in Python source only, and keeps the serial oracle independent
+of the engine it checks."""
 
+import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pcfg"
@@ -22,3 +24,19 @@ def test_no_native_or_generated_sources():
         if p.suffix in (".c", ".pyx", ".so")
     ]
     assert found == []
+
+
+def test_serial_oracle_imports_nothing_from_the_engine():
+    tree = ast.parse((SRC / "serial.py").read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = "pcfg." + module if module else "pcfg"
+            imported.append(module)
+            imported += [f"{module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    engine = [m for m in imported if m == "pcfg.parallel" or m.startswith("pcfg.parallel.")]
+    assert imported and engine == []
