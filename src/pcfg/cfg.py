@@ -53,12 +53,6 @@ INTRA_EDGE_KINDS: frozenset[EdgeKind] = frozenset(
     }
 )
 
-#: Edge kinds that mark their target as entered from another function.
-INTER_EDGE_KINDS: frozenset[EdgeKind] = frozenset(
-    {EdgeKind.CALL, EdgeKind.TAIL_CALL}
-)
-
-
 @dataclass(frozen=True)
 class Block:
     """Address range [start, end). `terminator` is the decoded control

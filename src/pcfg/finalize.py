@@ -4,9 +4,10 @@ Removes over-approximated jump-table edges by trimming tables whose
 effective extent overlaps the next table, then alternates function
 boundary assignment with tail-call correction until a fixed point, then
 prunes heuristic function entries with no incoming inter-procedural
-edge. No new CFG elements are added. Every rule runs over canonically
-sorted elements, so the result is independent of how the traversal
-phase was scheduled.
+edge. No new CFG elements are added. Finalization rewrites the graph it
+is handed, which its caller owns. Every rule either walks elements in
+a canonical order or judges them all against the same graph, so the
+result is independent of how the traversal phase was scheduled.
 
 Tail-call correction applies three rules to each branch edge, lowest
 rule wins, judged against a per-iteration snapshot:
@@ -26,8 +27,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from collections.abc import Iterable
-from dataclasses import dataclass, field
-from itertools import islice
+from dataclasses import dataclass
 
 from .cfg import (
     Cfg,
@@ -37,7 +37,6 @@ from .cfg import (
     validate,
 )
 from .errors import InternalError, InvalidGraphError
-from .image import Image
 from .jumptables import TableRegistry
 
 _CALLISH = (EdgeKind.CALL, EdgeKind.TAIL_CALL)
@@ -53,41 +52,16 @@ class FunctionBoundary:
 
 
 @dataclass
-class FlipLedger:
-    counts: dict[tuple[int, int], int] = field(default_factory=dict)
-
-    def can_flip(self, source: int, target: int) -> bool:
-        return self.counts.get((source, target), 0) < 1
-
-    def record(self, source: int, target: int) -> None:
-        self.counts[(source, target)] = self.counts.get((source, target), 0) + 1
-
-    @property
-    def total_flips(self) -> int:
-        return sum(self.counts.values())
-
-
-@dataclass
 class FinalizeStats:
-    tables_trimmed: int = 0
-    trim_removed_edges: int = 0
     flips: int = 0
     iterations: int = 0
-    pruned_entries: int = 0
-    removed_blocks: int = 0
 
 
-def trim_overlapping_tables(g: Cfg, registry: TableRegistry) -> Cfg:
-    g, _ = _trim_details(g, registry, FinalizeStats())
-    return g
-
-
-def _remove_edges(g: Cfg, drop: set[Edge]) -> Cfg:
-    """Remove a batch of edges with one reachability pass. Edge removals
-    commute, so this equals applying them one at a time in any order."""
-    kept = g.edges - drop
+def _drop_unreachable(g: Cfg) -> bool:
+    """Drop every block and candidate no entry reaches, and every edge
+    that loses an end with them; returns whether anything was dropped."""
     adj: dict[int, list[int]] = {}
-    for e in kept:
+    for e in g.edges:
         adj.setdefault(e.source, []).append(e.target)
     seen = set(g.entries)
     work = deque(g.entries)
@@ -99,17 +73,25 @@ def _remove_edges(g: Cfg, drop: set[Edge]) -> Cfg:
             if tgt not in seen:
                 seen.add(tgt)
                 work.append(tgt)
-    blocks = {s: b for s, b in g.blocks.items() if s in seen}
-    candidates = {c for c in g.candidates if c in seen}
-    edges = {
+    dead = [s for s in g.blocks if s not in seen]
+    lost = g.candidates - seen
+    if not (dead or lost):
+        return False
+    for s in dead:
+        del g.blocks[s]
+    g.candidates -= lost
+    g.edges = {
         e
-        for e in kept
-        if e.source in blocks and (e.target in blocks or e.target in candidates)
+        for e in g.edges
+        if e.source in g.blocks and (e.target in g.blocks or e.target in g.candidates)
     }
-    return Cfg(blocks, candidates, edges, dict(g.entries))
+    return True
 
 
-def _trim_details(g: Cfg, registry: TableRegistry, stats: FinalizeStats) -> tuple[Cfg, FinalizeStats]:
+def trim_overlapping_tables(g: Cfg, registry: TableRegistry) -> None:
+    """Cut each table whose effective extent overlaps the next table's
+    base back to that base, drop the indirect edges only the cut entries
+    produced, and sweep away the code they alone reached."""
     ends = {b.end: b.start for b in g.blocks.values()}
     descs = registry.sorted_descriptors()
     drop: set[Edge] = set()
@@ -126,17 +108,12 @@ def _trim_details(g: Cfg, registry: TableRegistry, stats: FinalizeStats) -> tupl
         new_bound = (nxt.base - desc.base) // 4
         kept = {t for t in desc.index_targets[:new_bound] if t is not None}
         cut = {t for t in desc.index_targets[new_bound:] if t is not None} - kept
-        if cut:
-            stats.tables_trimmed += 1
-        for t in sorted(cut):
-            e = Edge(owner, t, EdgeKind.INDIRECT)
-            if e in g.edges:
-                drop.add(e)
-                stats.trim_removed_edges += 1
+        drop.update(Edge(owner, t, EdgeKind.INDIRECT) for t in cut)
         desc.final_bound = new_bound
+    drop &= g.edges
     if drop:
-        g = _remove_edges(g, drop)
-    return g, stats
+        g.edges -= drop
+        _drop_unreachable(g)
 
 
 def assign_function_boundaries(
@@ -179,12 +156,14 @@ def assign_function_boundaries(
 
 
 def correct_tail_calls(
-    g: Cfg, boundaries: list[FunctionBoundary], ledger: FlipLedger
-) -> tuple[Cfg, bool]:
-    """One pass of the three correction rules against a snapshot of the
-    graph; returns the updated graph and whether anything flipped. Every
-    edge is judged against the snapshot and the flips are applied after
-    the pass, so the order edges are judged in does not matter."""
+    g: Cfg, boundaries: list[FunctionBoundary], flipped: set[tuple[int, int]]
+) -> list[int]:
+    """One pass of the three correction rules, applied to `g` in place.
+    `flipped` holds the (source, target) of every edge flipped earlier
+    in this finalization, none of which flips again; the pass adds the
+    edges it flips and returns their sources. Every edge is judged
+    against the graph as the pass found it and the flips are applied
+    after the pass, so the order edges are judged in does not matter."""
     in_degree = Counter(e.target for e in g.edges)
     callish_in = Counter(e.target for e in g.edges if e.kind in _CALLISH)
     # rule 2 looks up only tail-call sources: the boundaries holding each
@@ -199,9 +178,9 @@ def correct_tail_calls(
     for e in g.edges:
         source, target, kind = e
         if kind is _DIRECT:
-            if callish_in[target] and ledger.can_flip(source, target):
+            if callish_in[target] and (source, target) not in flipped:
                 flips.append((e, _TAIL_CALL))
-        elif kind is _TAIL_CALL and ledger.can_flip(source, target):
+        elif kind is _TAIL_CALL and (source, target) not in flipped:
             if any(target in blocks for blocks in holders.get(source, ())):
                 flips.append((e, _DIRECT))
             elif in_degree[target] == 1:
@@ -210,91 +189,47 @@ def correct_tail_calls(
                 if entry is not None and not entry.seed:
                     drop_entries.append(target)
 
-    if not flips:
-        return g, False
-    out = g.clone()
     for e, kind in flips:
-        out.edges.discard(e)
-        out.edges.add(Edge(e.source, e.target, kind))
-        ledger.record(e.source, e.target)
+        g.edges.discard(e)
+        g.edges.add(Edge(e.source, e.target, kind))
+        flipped.add((e.source, e.target))
     for addr in drop_entries:
-        out.entries.pop(addr, None)
-    return out, True
+        g.entries.pop(addr, None)
+    return [e.source for e, _ in flips]
 
 
-def _prune(g: Cfg, stats: FinalizeStats) -> Cfg:
+def _prune(g: Cfg) -> None:
+    """Drop heuristic entries no call-like edge reaches, and the code
+    only they reached, until neither changes."""
     while True:
-        changed = False
         callish_targets = {e.target for e in g.edges if e.kind in _CALLISH}
-        drop = sorted(
-            a for a, f in g.entries.items() if not f.seed and a not in callish_targets
-        )
-        if drop:
-            g = g.clone()
-            for a in drop:
-                del g.entries[a]
-            stats.pruned_entries += len(drop)
-            changed = True
-
-        adj: dict[int, list[int]] = {}
-        for e in g.edges:
-            adj.setdefault(e.source, []).append(e.target)
-        seen = set(g.entries)
-        work = deque(g.entries)
-        while work:
-            cur = work.popleft()
-            if cur not in g.blocks:
-                continue
-            for tgt in adj.get(cur, ()):
-                if tgt not in seen:
-                    seen.add(tgt)
-                    work.append(tgt)
-        dead = [s for s in g.blocks if s not in seen]
-        if dead:
-            g = g.clone()
-            for s in dead:
-                del g.blocks[s]
-            g.candidates = {c for c in g.candidates if c in seen}
-            g.edges = {
-                e
-                for e in g.edges
-                if e.source in g.blocks
-                and (e.target in g.blocks or e.target in g.candidates)
-            }
-            stats.removed_blocks += len(dead)
-            changed = True
-        if not changed:
-            return g
+        drop = [a for a, f in g.entries.items() if not f.seed and a not in callish_targets]
+        for a in drop:
+            del g.entries[a]
+        swept = _drop_unreachable(g)
+        if not (drop or swept):
+            return
 
 
-def finalize(g: Cfg, image: Image, registry: TableRegistry) -> Cfg:
-    return finalize_details(g, image, registry)[0]
-
-
-def finalize_details(
-    g: Cfg, image: Image, registry: TableRegistry
-) -> tuple[Cfg, FinalizeStats]:
-    """Run the full finalization pipeline; idempotent on its own output."""
-    del image  # descriptors already carry their resolved entries
+def finalize_details(g: Cfg, registry: TableRegistry) -> FinalizeStats:
+    """Run the full finalization pipeline over `g` in place; idempotent
+    on its own output."""
     stats = FinalizeStats()
-    g, stats = _trim_details(g, registry, stats)
-    ledger = FlipLedger()
+    trim_overlapping_tables(g, registry)
+    flipped: set[tuple[int, int]] = set()
     edge_budget = len(g.edges)
     boundaries = assign_function_boundaries(g)
     while True:
         stats.iterations += 1
-        recorded = len(ledger.counts)
-        g, changed = correct_tail_calls(g, boundaries, ledger)
-        if not changed:
+        sources = correct_tail_calls(g, boundaries, flipped)
+        if not sources:
             break
         if stats.iterations > edge_budget + 2:
             raise InternalError("tail-call correction failed to converge")
-        # the ledger records each flipped edge once, in flip order
-        flipped = [source for source, _ in islice(ledger.counts, recorded, None)]
-        boundaries = assign_function_boundaries(g, boundaries, flipped)
-    stats.flips = ledger.total_flips
-    g = _prune(g, stats)
+        boundaries = assign_function_boundaries(g, boundaries, sources)
+    stats.flips = len(flipped)
+    _prune(g)
     violations = validate(g)
     if violations:
         raise InvalidGraphError(violations)
-    return g, stats
+    return stats

@@ -150,13 +150,3 @@ def log_clamped_tables(registry: TableRegistry, image: Image) -> int:
             )
     return len(clamped)
 
-
-def refresh_tables(state, image: Image, function) -> bool:
-    """Re-run target resolution for every table jump this function has
-    encountered; returns whether any table gained targets."""
-    del image
-    changed = False
-    for desc in sorted(function.table_descs, key=lambda d: d.base):
-        if state.refresh_descriptor(desc):
-            changed = True
-    return changed

@@ -53,7 +53,6 @@ from .jumptables import (
     effective_bound,
     last_bound_hint,
     log_clamped_tables,
-    refresh_tables,
     update_descriptor,
 )
 from .symtab import symbol_facts
@@ -152,7 +151,6 @@ class _FuncRecord:
         "status",
         "ft_waiters",
         "tail_fns",
-        "waiter_peak",
     )
 
     def __init__(self, entry: int, name: str | None, seed: bool, status: ReturnStatus):
@@ -168,7 +166,6 @@ class _FuncRecord:
         self.status = status
         self.ft_waiters: dict[int, set[int]] = {}  # call-site end -> waiting functions
         self.tail_fns: set[int] = set()  # functions tail-calling here
-        self.waiter_peak = 0
 
 
 class _WorkerCtx:
@@ -232,7 +229,6 @@ class EngineStats:
     block_start_lookups: int = 0
     branch_targets_processed: int = 0
     waiters_registered: int = 0
-    waiter_peak: int = 0
     waiters_live_at_quiescence: int = -1
     call_fallthrough_edges: int = 0
     finalize_flips: int = 0
@@ -380,7 +376,7 @@ class ConcurrentCfgState:
         return True
 
     def register_block_end(
-        self, block: _EngineBlock, fn: _FuncRecord | None, ctx: _WorkerCtx | None = None
+        self, block: _EngineBlock, fn: _FuncRecord, ctx: _WorkerCtx | None = None
     ) -> bool:
         """Single-winner end registration. The winner creates the block's
         outgoing edges while holding the entry lock; losers get False and
@@ -459,7 +455,7 @@ class ConcurrentCfgState:
         if target not in self.blocks_by_start:
             self.candidates.setdefault(target, None)
 
-    def _create_edges_locked(self, block: _EngineBlock, fn: _FuncRecord | None, ctx) -> None:
+    def _create_edges_locked(self, block: _EngineBlock, fn: _FuncRecord, ctx) -> None:
         term = block.term
         if term == _JMP:
             tail = self._classify_branch(fn, block.start, block.ta, block.teardown)
@@ -476,16 +472,8 @@ class ConcurrentCfgState:
         re-checks the callee status right after registering."""
         entry = self.blocks_by_end.setdefault(call_end, _EndEntry())
         with entry.lock:
-            blk = entry.block
-            if blk is None:
-                return
-            key = (call_end, _CALL_FALLTHROUGH)
-            if key in blk.out:
-                return
-            blk.out[key] = None
-            self.incoming.setdefault(call_end, []).append((blk.end, _CALL_FALLTHROUGH))
-            if call_end not in self.blocks_by_start:
-                self.candidates.setdefault(call_end, None)
+            if entry.block is not None:
+                self._add_edge_locked(entry.block, call_end, _CALL_FALLTHROUGH)
 
     # -- tail call classification -------------------------------------------
 
@@ -509,23 +497,14 @@ class ConcurrentCfgState:
                     work.append(tgt)
         return goal in seen
 
-    def _classify_branch(
-        self, fn: _FuncRecord | None, src: int, target: int, teardown: bool
-    ) -> bool:
+    def _classify_branch(self, fn: _FuncRecord, src: int, target: int, teardown: bool) -> bool:
         """Tail-call heuristics in order: branch to a known entry; branch
         to a block already reachable inside this function; frame teardown
         before the branch (`teardown`, from the scan of the source block)."""
         if target in self.functions:
             return True
-        if fn is not None:
-            if self._reaches_intra(fn.entry, target, (src, target)):
-                return False
-        else:
-            for f in sorted(self.functions):
-                if self._reaches_intra(f, src, (src, target)) and self._reaches_intra(
-                    f, target, (src, target)
-                ):
-                    return False
+        if self._reaches_intra(fn.entry, target, (src, target)):
+            return False
         return teardown
 
     # -- return status ---------------------------------------------------------
@@ -656,7 +635,8 @@ class ConcurrentCfgState:
                             break
                         addr = rec.pending.popleft()
                     self._process(ctx, rec, addr)
-                refresh_tables(self, self.image, rec)
+                for desc in sorted(rec.table_descs, key=lambda d: d.base):
+                    self.refresh_descriptor(desc)
                 with rec.lock:
                     if not rec.pending:
                         rec.active = False
@@ -731,9 +711,6 @@ class ConcurrentCfgState:
             if val is ReturnStatus.UNSET:
                 rec.ft_waiters.setdefault(call_end, set()).add(fn.entry)
                 ctx.waiters_registered += 1
-                n = sum(len(s) for s in rec.ft_waiters.values()) + len(rec.tail_fns)
-                if n > rec.waiter_peak:
-                    rec.waiter_peak = n
         if val is ReturnStatus.RETURN:
             self._ensure_cfec(call_end)
             self._enqueue_addr(fn, call_end)
@@ -745,9 +722,6 @@ class ConcurrentCfgState:
             if val is ReturnStatus.UNSET:
                 rec.tail_fns.add(fn.entry)
                 ctx.waiters_registered += 1
-                n = sum(len(s) for s in rec.ft_waiters.values()) + len(rec.tail_fns)
-                if n > rec.waiter_peak:
-                    rec.waiter_peak = n
         if val is ReturnStatus.RETURN:
             self._set_status(fn.entry, ReturnStatus.RETURN, strict=False)
 
@@ -796,14 +770,14 @@ class ConcurrentCfgState:
             stats.raw_edge_count = len(cfg.edges)
             t3 = time.perf_counter()
             stats.export_seconds = t3 - t2
-            final, fstats = finalize_details(cfg, self.image, self.registry)
+            fstats = finalize_details(cfg, self.registry)
             stats.finalize_flips = fstats.flips
             stats.finalize_iterations = fstats.iterations
             stats.finalize_seconds = time.perf_counter() - t3
             stats.call_fallthrough_edges = sum(
-                1 for e in final.edges if e.kind == _CALL_FALLTHROUGH
+                1 for e in cfg.edges if e.kind == _CALL_FALLTHROUGH
             )
-            return final, stats
+            return cfg, stats
 
     def _merge_ctx_stats(self, stats: EngineStats) -> None:
         for ctx in self.pool.ctxs:
@@ -827,9 +801,6 @@ class ConcurrentCfgState:
             ):
                 for k, v in src.items():
                     dst[k] = dst.get(k, 0) + v
-        stats.waiter_peak = max(
-            (rec.waiter_peak for rec in self.functions.values()), default=0
-        )
 
     # -- export ---------------------------------------------------------------
 
@@ -854,22 +825,6 @@ class ConcurrentCfgState:
             for a, rec in self.functions.items()
         }
         return Cfg(blocks, candidates, edges, entries)
-
-
-# -- module-level operation surface ------------------------------------------
-
-
-def traverse_function(state: ConcurrentCfgState, image: Image, f: _FuncRecord) -> set[int]:
-    del image
-    return state.traverse_function(f, _WorkerCtx())
-
-
-def update_return_status(state: ConcurrentCfgState, entry: int, status: ReturnStatus) -> None:
-    state.update_return_status(entry, status)
-
-
-def resolve_status_cycles(state: ConcurrentCfgState) -> None:
-    state.resolve_status_cycles()
 
 
 def construct(image: Image, workers: int, debug: bool = False) -> Cfg:

@@ -588,9 +588,10 @@ class _SerialDriver:
             raise InternalError(
                 f"unresolved candidates after quiescence: {sorted(self.g.candidates)}"
             )
-        from .finalize import finalize
+        from .finalize import finalize_details
 
-        return finalize(self.g, self.image, self.registry)
+        finalize_details(self.g, self.registry)
+        return self.g
 
 
 def serial_construct(image: Image) -> Cfg:

@@ -13,10 +13,8 @@ from pcfg.cfg import (
     validate,
 )
 from pcfg.finalize import (
-    FlipLedger,
     assign_function_boundaries,
     correct_tail_calls,
-    finalize,
     finalize_details,
     trim_overlapping_tables,
 )
@@ -54,7 +52,8 @@ class TestTrim:
         state = ConcurrentCfgState(img, 1)
         state.run()
         raw = state.export_cfg()
-        trimmed = trim_overlapping_tables(raw.clone(), state.registry)
+        trimmed = raw.clone()
+        trim_overlapping_tables(trimmed, state.registry)
         raw_ind = sum(1 for e in raw.edges if e.kind is EdgeKind.INDIRECT)
         new_ind = sum(1 for e in trimmed.edges if e.kind is EdgeKind.INDIRECT)
         assert new_ind < raw_ind
@@ -172,10 +171,11 @@ class TestTailCallRules:
 
     def test_rule1_direct_branch_to_called_target_flips(self):
         g = self._two_branch_graph(EdgeKind.TAIL_CALL, EdgeKind.DIRECT)
-        ledger = FlipLedger()
-        out, changed = correct_tail_calls(g, assign_function_boundaries(g), ledger)
-        assert changed
-        assert Edge(0x10, 0x20, EdgeKind.TAIL_CALL) in out.edges
+        flipped = set()
+        sources = correct_tail_calls(g, assign_function_boundaries(g), flipped)
+        assert sources == [0x10]
+        assert flipped == {(0x10, 0x20)}
+        assert Edge(0x10, 0x20, EdgeKind.TAIL_CALL) in g.edges
 
     def test_rule2_branch_within_boundary_flips_back(self):
         # entry block conditionally reaches t, and t is also tail-called
@@ -190,10 +190,9 @@ class TestTailCallRules:
             Edge(0x5, 0x20, EdgeKind.TAIL_CALL),
         }
         g.entries = {0x0: _entry(0x0)}
-        ledger = FlipLedger()
-        out, changed = correct_tail_calls(g, assign_function_boundaries(g), ledger)
-        assert changed
-        assert Edge(0x5, 0x20, EdgeKind.DIRECT) in out.edges
+        sources = correct_tail_calls(g, assign_function_boundaries(g), set())
+        assert sources == [0x5]
+        assert Edge(0x5, 0x20, EdgeKind.DIRECT) in g.edges
 
     def test_rule3_sole_incoming_edge_flips_and_drops_heuristic_entry(self):
         g = Cfg()
@@ -201,10 +200,10 @@ class TestTailCallRules:
         g.blocks[0x20] = _ret_block(0x20)
         g.edges = {Edge(0x0, 0x20, EdgeKind.TAIL_CALL)}
         g.entries = {0x0: _entry(0x0), 0x20: _entry(0x20, seed=False)}
-        out, changed = correct_tail_calls(g, assign_function_boundaries(g), FlipLedger())
-        assert changed
-        assert Edge(0x0, 0x20, EdgeKind.DIRECT) in out.edges
-        assert 0x20 not in out.entries
+        sources = correct_tail_calls(g, assign_function_boundaries(g), set())
+        assert sources == [0x0]
+        assert Edge(0x0, 0x20, EdgeKind.DIRECT) in g.edges
+        assert 0x20 not in g.entries
 
     def test_rule3_keeps_seeded_entry(self):
         g = Cfg()
@@ -212,17 +211,16 @@ class TestTailCallRules:
         g.blocks[0x20] = _ret_block(0x20)
         g.edges = {Edge(0x0, 0x20, EdgeKind.TAIL_CALL)}
         g.entries = {0x0: _entry(0x0), 0x20: _entry(0x20, seed=True)}
-        out, changed = correct_tail_calls(g, assign_function_boundaries(g), FlipLedger())
-        assert changed
-        assert 0x20 in out.entries
+        sources = correct_tail_calls(g, assign_function_boundaries(g), set())
+        assert sources == [0x0]
+        assert 0x20 in g.entries
 
     def test_ledger_blocks_second_flip(self):
         g = self._two_branch_graph(EdgeKind.TAIL_CALL, EdgeKind.DIRECT)
-        ledger = FlipLedger()
-        ledger.record(0x10, 0x20)
-        out, changed = correct_tail_calls(g, assign_function_boundaries(g), ledger)
-        assert not changed
-        assert Edge(0x10, 0x20, EdgeKind.DIRECT) in out.edges
+        flipped = {(0x10, 0x20)}
+        assert correct_tail_calls(g, assign_function_boundaries(g), flipped) == []
+        assert flipped == {(0x10, 0x20)}
+        assert Edge(0x10, 0x20, EdgeKind.DIRECT) in g.edges
 
 
 class TestFinalize:
@@ -235,8 +233,9 @@ class TestFinalize:
         ):
             img, _ = generate(ScenarioSpec.make(family, 6, **params))
             cfg, registry = serial_construct_details(img)
-            again = finalize(cfg, img, registry)
-            assert canonical_serialize(again) == canonical_serialize(cfg)
+            before = canonical_serialize(cfg)
+            finalize_details(cfg, registry)
+            assert canonical_serialize(cfg) == before
 
     def test_never_adds_elements(self):
         img, _ = generate(ScenarioSpec.make("jump-table-overapprox", seed=7, extra=2))
@@ -245,7 +244,8 @@ class TestFinalize:
         state = ConcurrentCfgState(img, 2)
         pre, _ = state.run()  # already finalized; rebuild the raw graph
         raw = state.export_cfg()
-        final, _ = finalize_details(raw.clone(), img, state.registry)
+        final = raw.clone()
+        finalize_details(final, state.registry)
         assert set(final.blocks) <= set(raw.blocks)
         assert final.edges <= raw.edges | {
             Edge(e.source, e.target, EdgeKind.TAIL_CALL) for e in raw.edges
@@ -261,9 +261,28 @@ class TestFinalize:
         state = ConcurrentCfgState(img, 2)
         state.run()
         raw = state.export_cfg()
-        final, stats = finalize_details(raw, img, state.registry)
-        assert stats.flips <= len(raw.edges)
+        raw_edges = len(raw.edges)
+        stats = finalize_details(raw, state.registry)
+        assert stats.flips <= raw_edges
         assert stats.iterations <= stats.flips + 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_construct_never_clones(self, monkeypatch, workers):
+        # finalization trims a table and flips an edge on this image, yet
+        # rewrites the exported graph instead of copying it
+        img, _ = generate(ScenarioSpec.make("big-random", seed=1, functions=300))
+        clones = []
+        real_clone = Cfg.clone
+
+        def counted(g):
+            clones.append(g)
+            return real_clone(g)
+
+        monkeypatch.setattr(Cfg, "clone", counted)
+        _, stats, registry = construct_details(img, workers)
+        assert stats.finalize_flips > 0
+        assert any(d.final_bound < d.effective_bound for d in registry.sorted_descriptors())
+        assert clones == []
 
     def test_outlined_cold_folds_back(self):
         img, truth = generate(ScenarioSpec.make("outlined-cold", seed=9))
@@ -277,10 +296,10 @@ class TestFinalize:
         g.blocks[0x0] = _ret_block(0x0)
         g.blocks[0x10] = _ret_block(0x10)
         g.entries = {0x0: _entry(0x0, seed=True), 0x10: _entry(0x10, seed=False)}
-        out = finalize(g, None, TableRegistry())
-        assert 0x0 in out.entries
-        assert 0x10 not in out.entries
-        assert 0x10 not in out.blocks
+        finalize_details(g, TableRegistry())
+        assert 0x0 in g.entries
+        assert 0x10 not in g.entries
+        assert 0x10 not in g.blocks
 
     def test_output_validates(self):
         img, _ = generate(ScenarioSpec.make("big-random", seed=10, functions=60))

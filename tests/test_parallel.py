@@ -14,14 +14,7 @@ from pcfg.errors import AlreadySetError
 from pcfg.image import Image
 from pcfg.isa import Opcode
 from pcfg.jumptables import last_bound_hint
-from pcfg.parallel import (
-    ConcurrentCfgState,
-    construct,
-    construct_details,
-    resolve_status_cycles,
-    traverse_function,
-    update_return_status,
-)
+from pcfg.parallel import ConcurrentCfgState, construct, construct_details
 from pcfg.serial import _has_teardown, serial_construct
 from pcfg.workload import ScenarioSpec, generate
 
@@ -34,6 +27,14 @@ def _claim_and_scan(state, addr):
     scan = scan_block(state.image.text, state.image.text_base, addr)
     blk.end, blk.term, blk.ta, blk.tb, blk.teardown, blk.hint_at, blk.hint = scan
     return blk
+
+
+def _owner(state, entry=0x0):
+    """The record of a function at `entry` (below these images' text, so
+    its walk reaches no block): the branch heuristics then see only the
+    block's own teardown, as when nothing has been walked yet."""
+    assert state.attempt_create_function(entry)
+    return state.functions[entry]
 
 
 class TestBlockCreation:
@@ -104,20 +105,22 @@ class TestEndRegistrationAndSplit:
     def test_winner_creates_edges_loser_gets_none(self):
         img = asm_image(0x4, [(Opcode.ALU,), (Opcode.ALU,), (Opcode.JMP_DIRECT, 0x4)])
         state = ConcurrentCfgState(img, 1)
+        fn = _owner(state)
         b1 = _claim_and_scan(state, 0x4)
-        assert state.register_block_end(b1, None)
+        assert state.register_block_end(b1, fn)
         assert list(b1.out) == [(0x4, int(EdgeKind.DIRECT))]
         b2 = _claim_and_scan(state, 0x7)
-        assert not state.register_block_end(b2, None)
+        assert not state.register_block_end(b2, fn)
         assert list(b2.out) == []
         assert list(b1.out) == [(0x4, int(EdgeKind.DIRECT))]
 
     def test_two_way_split(self, paper_layout):
         state = ConcurrentCfgState(paper_layout, 1)
+        fn = _owner(state)
         b1 = _claim_and_scan(state, 0x4)
-        assert state.register_block_end(b1, None)
+        assert state.register_block_end(b1, fn)
         b2 = _claim_and_scan(state, 0xA)
-        won = state.register_block_end(b2, None)
+        won = state.register_block_end(b2, fn)
         assert not won
         state.split_chain(b2)
         assert (b2.start, b2.end) == (0xA, 0xD)
@@ -133,14 +136,15 @@ class TestEndRegistrationAndSplit:
             0x4, [(Opcode.ALU,), (Opcode.ALU,), (Opcode.ALU,), (Opcode.JMP_DIRECT, 0x4)]
         )
         state = ConcurrentCfgState(img, 1)
+        fn = _owner(state)
         first = _claim_and_scan(state, 0x4)
-        assert state.register_block_end(first, None)
+        assert state.register_block_end(first, fn)
         mid = _claim_and_scan(state, 0xD)
-        won = state.register_block_end(mid, None)
+        won = state.register_block_end(mid, fn)
         assert not won
         state.split_chain(mid)
         last = _claim_and_scan(state, 0xA)
-        won = state.register_block_end(last, None)
+        won = state.register_block_end(last, fn)
         assert not won
         state.split_chain(last)
         spans = {(b.start, b.end) for b in state.blocks_by_start.values()}
@@ -153,10 +157,11 @@ class TestEndRegistrationAndSplit:
 
     def test_same_start_registration_is_noop(self, paper_layout):
         state = ConcurrentCfgState(paper_layout, 1)
+        fn = _owner(state)
         b1 = _claim_and_scan(state, 0x4)
-        assert state.register_block_end(b1, None)
+        assert state.register_block_end(b1, fn)
         out_before = dict(b1.out)
-        assert state.register_block_end(b1, None)
+        assert state.register_block_end(b1, fn)
         assert b1.out == out_before
         assert state.blocks_by_end[0xD].block is b1
 
@@ -196,13 +201,13 @@ class TestTraverseFunction:
         )
         state = ConcurrentCfgState(img, 1)
         state.attempt_create_function(0x0)
-        new = traverse_function(state, img, state.functions[0x0])
+        new = state.traverse_function(state.functions[0x0], parallel._WorkerCtx())
         assert new == {0xA}
-        new2 = traverse_function(state, img, state.functions[0xA])
+        new2 = state.traverse_function(state.functions[0xA], parallel._WorkerCtx())
         assert new2 == set()
         assert state.functions[0xA].status is ReturnStatus.RETURN
         # the drain re-queued the fall-through; resume the caller
-        assert traverse_function(state, img, state.functions[0x0]) == set()
+        assert state.traverse_function(state.functions[0x0], parallel._WorkerCtx()) == set()
         assert state.functions[0x0].status is ReturnStatus.RETURN
         blk = state.blocks_by_end[0x5].block
         assert (0x5, int(EdgeKind.CALL_FALLTHROUGH)) in blk.out
@@ -223,11 +228,11 @@ class TestReturnStatus:
     def test_double_set_raises(self, paper_layout):
         state = ConcurrentCfgState(paper_layout, 1)
         state.attempt_create_function(0x4)
-        update_return_status(state, 0x4, ReturnStatus.RETURN)
+        state.update_return_status(0x4, ReturnStatus.RETURN)
         with pytest.raises(AlreadySetError):
-            update_return_status(state, 0x4, ReturnStatus.RETURN)
+            state.update_return_status(0x4, ReturnStatus.RETURN)
         with pytest.raises(AlreadySetError):
-            update_return_status(state, 0x4, ReturnStatus.NORETURN)
+            state.update_return_status(0x4, ReturnStatus.NORETURN)
 
     def test_eager_notification_drains_waiters_before_quiescence(self):
         img, truth = generate(
@@ -286,8 +291,8 @@ class TestReturnStatus:
         state = ConcurrentCfgState(paper_layout, 1)
         state.attempt_create_function(0x4)
         state.attempt_create_function(0xA)
-        update_return_status(state, 0xA, ReturnStatus.RETURN)
-        resolve_status_cycles(state)
+        state.update_return_status(0xA, ReturnStatus.RETURN)
+        state.resolve_status_cycles()
         assert state.functions[0x4].status is ReturnStatus.NORETURN
         assert state.functions[0xA].status is ReturnStatus.RETURN
 

@@ -517,7 +517,7 @@ class TestStepsOverIndexedGraph:
                 pass
             assert g == before
 
-    def test_driver_index_matches_its_graph(self):
+    def test_driver_index_matches_its_graph(self, monkeypatch):
         specs = [
             ScenarioSpec.make(family, seed)
             for family in (
@@ -532,11 +532,23 @@ class TestStepsOverIndexedGraph:
             )
             for seed in (1, 2)
         ] + [ScenarioSpec.make("big-random", 4, functions=300)]
+        # finalization rewrites the graph without updating the index,
+        # which nothing reads after traversal: compare the two as
+        # traversal hands the graph over
+        real_finalize = finalize_module.finalize_details
+        checked = []
+
+        def check_index(g, registry):
+            assert driver.ix.g is g
+            assert vars(driver.ix) == vars(_IndexedCfg(g)), spec.family
+            checked.append(spec)
+            return real_finalize(g, registry)
+
+        monkeypatch.setattr(finalize_module, "finalize_details", check_index)
         for spec in specs:
             driver = _SerialDriver(generate(spec)[0])
-            driver.run()
-            assert driver.ix.g is driver.g
-            assert vars(driver.ix) == vars(_IndexedCfg(driver.g)), spec.family
+            assert driver.run() is driver.g
+        assert checked == specs
 
     def test_driver_traversal_never_clones(self, monkeypatch):
         img, _ = generate(ScenarioSpec.make("big-random", 2, functions=2000))
@@ -547,14 +559,7 @@ class TestStepsOverIndexedGraph:
             clones.append(self)
             return real_clone(self)
 
-        seen_by_finalize = []
-
-        def no_finalize(g, image, registry):
-            seen_by_finalize.append(len(clones))
-            return g
-
         monkeypatch.setattr(Cfg, "clone", counted)
-        monkeypatch.setattr(finalize_module, "finalize", no_finalize)
-        graph = _SerialDriver(img).run()
-        assert seen_by_finalize == [0]
+        graph = serial_construct(img)
+        assert clones == []
         assert len(graph.blocks) > 2000
