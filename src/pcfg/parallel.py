@@ -27,11 +27,10 @@ call labels and heuristic entry labels).
 
 from __future__ import annotations
 
-import gc
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cfg import (
     EDGE_KINDS,
@@ -43,8 +42,9 @@ from .cfg import (
     INTRA_EDGE_KINDS,
     ReturnStatus,
 )
+from ._collector import COLLECTOR_PAUSE
 from ._kernels import ScanResult, scan_block
-from .errors import AlreadySetError
+from .errors import AlreadySetError, InternalError
 from .finalize import finalize_details
 from .image import Image
 from .isa import LENGTHS, Instruction, Opcode
@@ -81,33 +81,6 @@ _HALT = int(Opcode.HALT)
 
 #: Opcode members indexed by their value
 _OPCODES = {int(op): op for op in Opcode}
-
-
-class _CollectorPause:
-    """Keeps the cyclic garbage collector off while any construction runs
-    in any thread, and turns it back on only if it was on when the first
-    of them began."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._depth = 0
-        self._restore = False
-
-    def __enter__(self) -> None:
-        with self._lock:
-            if self._depth == 0:
-                self._restore = gc.isenabled()
-                gc.disable()
-            self._depth += 1
-
-    def __exit__(self, *exc) -> None:
-        with self._lock:
-            self._depth -= 1
-            if self._depth == 0 and self._restore:
-                gc.enable()
-
-
-_COLLECTOR_PAUSE = _CollectorPause()
 
 
 class _EngineBlock:
@@ -175,8 +148,6 @@ class _WorkerCtx:
         "scans",
         "cfis",
         "cache_hits",
-        "lookups",
-        "targets",
         "blocks_created",
         "claim_losses",
         "end_wins",
@@ -185,19 +156,12 @@ class _WorkerCtx:
         "fns_created",
         "fn_losses",
         "waiters_registered",
-        "per_start",
-        "per_end",
-        "per_entry",
-        "split_chains",
-        "discovered",
     )
 
     def __init__(self):
         self.scans: dict[int, ScanResult] = {}
         self.cfis = 0
         self.cache_hits = 0
-        self.lookups = 0
-        self.targets = 0
         self.blocks_created = 0
         self.claim_losses = 0
         self.end_wins = 0
@@ -206,37 +170,25 @@ class _WorkerCtx:
         self.fns_created = 0
         self.fn_losses = 0
         self.waiters_registered = 0
-        self.per_start: dict[int, int] = {}
-        self.per_end: dict[int, int] = {}
-        self.per_entry: dict[int, int] = {}
-        self.split_chains: list[tuple[int, ...]] = []
-        self.discovered: set[int] | None = None
 
 
 @dataclass
 class EngineStats:
-    workers: int = 0
     blocks_created: int = 0
     block_claim_losses: int = 0
     end_registrations: int = 0
     end_registration_losses: int = 0
     splits_performed: int = 0
-    split_chains: list[tuple[int, ...]] = field(default_factory=list)
     functions_created: int = 0
     function_claim_losses: int = 0
     cfis_decoded: int = 0
     scan_cache_hits: int = 0
-    block_start_lookups: int = 0
-    branch_targets_processed: int = 0
     waiters_registered: int = 0
     waiters_live_at_quiescence: int = -1
     call_fallthrough_edges: int = 0
     finalize_flips: int = 0
     finalize_iterations: int = 0
     raw_edge_count: int = 0
-    per_start_creations: dict[int, int] = field(default_factory=dict)
-    per_end_registrations: dict[int, int] = field(default_factory=dict)
-    per_entry_creations: dict[int, int] = field(default_factory=dict)
     tables_clamped: int = 0
     init_seconds: float = 0.0
     traversal_seconds: float = 0.0
@@ -316,15 +268,13 @@ class _TaskPool:
 class ConcurrentCfgState:
     """Shared construction state plus the engine operating on it."""
 
-    def __init__(self, image: Image, workers: int, debug: bool = False):
+    def __init__(self, image: Image, workers: int):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.image = image
         self.workers = workers
-        self.debug = debug
         self.blocks_by_start: dict[int, _EngineBlock] = {}
         self.blocks_by_end: dict[int, _EndEntry] = {}
-        self.candidates: dict[int, None] = {}
         self.functions: dict[int, _FuncRecord] = {}
         self.incoming: dict[int, list[tuple[int, int]]] = {}
         self.registry = TableRegistry()
@@ -334,50 +284,34 @@ class ConcurrentCfgState:
 
     # -- invariant primitives ---------------------------------------------
 
-    def attempt_create_block(self, addr: int, ctx: _WorkerCtx | None = None) -> bool:
+    def attempt_create_block(self, addr: int, ctx: _WorkerCtx) -> bool:
         """Single-winner claim of the block starting at `addr`. True means
         the caller owns parsing of that block."""
         blk = _EngineBlock(addr)
-        if ctx:
-            ctx.lookups += 1
-        won = self.blocks_by_start.setdefault(addr, blk) is blk
-        if won:
-            self.candidates.pop(addr, None)
-            if ctx:
-                ctx.blocks_created += 1
-                if self.debug:
-                    ctx.per_start[addr] = ctx.per_start.get(addr, 0) + 1
-        elif ctx:
-            ctx.claim_losses += 1
-        return won
+        if self.blocks_by_start.setdefault(addr, blk) is blk:
+            ctx.blocks_created += 1
+            return True
+        ctx.claim_losses += 1
+        return False
 
-    def attempt_create_function(self, addr: int, ctx: _WorkerCtx | None = None) -> bool:
+    def attempt_create_function(self, addr: int, ctx: _WorkerCtx) -> bool:
         """Single-winner creation of the function record at `addr`; the
         winner's traversal is queued immediately."""
         if addr in self.functions:
-            if ctx:
-                ctx.fn_losses += 1
+            ctx.fn_losses += 1
             return False
         syms = self.symbols
         status = ReturnStatus.NORETURN if addr in syms.noreturn else ReturnStatus.UNSET
         # every seed has a name, so the name map doubles as the seed set
         rec = _FuncRecord(addr, syms.names.get(addr), addr in syms.names, status)
         if self.functions.setdefault(addr, rec) is not rec:
-            if ctx:
-                ctx.fn_losses += 1
+            ctx.fn_losses += 1
             return False
-        if ctx:
-            ctx.fns_created += 1
-            if self.debug:
-                ctx.per_entry[addr] = ctx.per_entry.get(addr, 0) + 1
-            if ctx.discovered is not None:
-                ctx.discovered.add(addr)
+        ctx.fns_created += 1
         self._enqueue_work(rec, (addr,))
         return True
 
-    def register_block_end(
-        self, block: _EngineBlock, fn: _FuncRecord, ctx: _WorkerCtx | None = None
-    ) -> bool:
+    def register_block_end(self, block: _EngineBlock, fn: _FuncRecord, ctx: _WorkerCtx) -> bool:
         """Single-winner end registration. The winner creates the block's
         outgoing edges while holding the entry lock; losers get False and
         must run the split loop."""
@@ -385,52 +319,46 @@ class ConcurrentCfgState:
         with entry.lock:
             if entry.block is None:
                 entry.block = block
-                if ctx:
-                    ctx.end_wins += 1
-                    if self.debug:
-                        ctx.per_end[block.end] = ctx.per_end.get(block.end, 0) + 1
-                self._create_edges_locked(block, fn, ctx)
+                ctx.end_wins += 1
+                self._create_edges_locked(block, fn)
                 return True
             if entry.block is block or entry.block.start == block.start:
                 return True
-            if ctx:
-                ctx.end_losses += 1
+            ctx.end_losses += 1
             return False
 
-    def split_chain(self, block: _EngineBlock, ctx: _WorkerCtx | None = None) -> None:
+    def split_chain(self, block: _EngineBlock, ctx: _WorkerCtx) -> None:
         """Eager block split: resolve overlapping blocks that reached the
         same end. Each iteration re-registers a truncated prefix at a
-        strictly smaller end address, so the loop converges."""
+        strictly smaller end address, so the loop converges; a step that
+        would not shorten the end raises `InternalError`."""
         cur = block
-        chain: list[int] = []
         while True:
-            chain.append(cur.end)
-            entry = self.blocks_by_end.setdefault(cur.end, _EndEntry())
+            end = cur.end
+            entry = self.blocks_by_end.setdefault(end, _EndEntry())
             with entry.lock:
                 reg = entry.block
                 if reg is None:
                     entry.block = cur
-                    if ctx:
-                        ctx.end_wins += 1
-                        if self.debug:
-                            ctx.per_end[cur.end] = ctx.per_end.get(cur.end, 0) + 1
-                    break
+                    ctx.end_wins += 1
+                    return
                 if reg is cur or reg.start == cur.start:
-                    break
+                    return
+                # the later start keeps the end; the other block ends there
+                cut = max(reg.start, cur.start)
+                if cut >= end:
+                    raise InternalError(
+                        f"0x{end:x}: splitting at 0x{cut:x} does not shorten the block"
+                    )
                 if reg.start > cur.start:
-                    self._truncate(cur, reg.start)
-                    if ctx:
-                        ctx.splits += 1
+                    self._truncate(cur, cut)
                 else:
                     cur.out.update(reg.out)
                     cur.term, cur.ta, cur.tb = reg.term, reg.ta, reg.tb
                     entry.block = cur
-                    self._truncate(reg, cur.start)
-                    if ctx:
-                        ctx.splits += 1
+                    self._truncate(reg, cut)
                     cur = reg
-        if ctx and self.debug and len(chain) > 1:
-            ctx.split_chains.append(tuple(chain))
+                ctx.splits += 1
 
     def _truncate(self, b: _EngineBlock, new_end: int) -> None:
         # a truncated block keeps only the fall-through into its successor
@@ -443,28 +371,23 @@ class ConcurrentCfgState:
 
     # -- edges ---------------------------------------------------------------
 
-    def _add_edge_locked(self, block: _EngineBlock, target: int, kind: int, ctx=None) -> None:
+    def _add_edge_locked(self, block: _EngineBlock, target: int, kind: int) -> None:
         key = (target, kind)
         if key in block.out:
             return
         block.out[key] = None
         self.incoming.setdefault(target, []).append((block.end, kind))
-        if ctx:
-            ctx.targets += 1
-            ctx.lookups += 1
-        if target not in self.blocks_by_start:
-            self.candidates.setdefault(target, None)
 
-    def _create_edges_locked(self, block: _EngineBlock, fn: _FuncRecord, ctx) -> None:
+    def _create_edges_locked(self, block: _EngineBlock, fn: _FuncRecord) -> None:
         term = block.term
         if term == _JMP:
             tail = self._classify_branch(fn, block.start, block.ta, block.teardown)
-            self._add_edge_locked(block, block.ta, _TAIL_CALL if tail else _DIRECT, ctx)
+            self._add_edge_locked(block, block.ta, _TAIL_CALL if tail else _DIRECT)
         elif term == _JCC:
-            self._add_edge_locked(block, block.ta, _COND_TAKEN, ctx)
-            self._add_edge_locked(block, block.end, _COND_FALLTHROUGH, ctx)
+            self._add_edge_locked(block, block.ta, _COND_TAKEN)
+            self._add_edge_locked(block, block.end, _COND_FALLTHROUGH)
         elif term == _CALL:
-            self._add_edge_locked(block, block.ta, _CALL_EDGE, ctx)
+            self._add_edge_locked(block, block.ta, _CALL_EDGE)
 
     def _ensure_cfec(self, call_end: int) -> None:
         """Idempotently create the call fall-through edge at a call site.
@@ -509,12 +432,10 @@ class ConcurrentCfgState:
 
     # -- return status ---------------------------------------------------------
 
-    def update_return_status(self, entry: int, status: ReturnStatus) -> None:
-        """Single-assignment status write with eager caller notification."""
-        self._set_status(entry, status, strict=True)
-
     def _set_status(self, entry: int, status: ReturnStatus, strict: bool) -> None:
-        """A non-strict write (a `ret`, or a tail-call propagation) only
+        """Single-assignment status write with eager caller notification:
+        a strict write of a set status raises `AlreadySetError`, and a
+        non-strict write (a `ret`, or a tail-call propagation) only
         fills an unset status, so a known-noreturn flag wins over a `ret`
         found in the flagged function, as in the serial oracle."""
         rec = self.functions[entry]
@@ -621,28 +542,22 @@ class ConcurrentCfgState:
                 rec.active = True
                 self.pool.spawn(lambda ctx, r=rec: self.traverse_function(r, ctx))
 
-    def traverse_function(self, rec: _FuncRecord, ctx: _WorkerCtx) -> set[int]:
+    def traverse_function(self, rec: _FuncRecord, ctx: _WorkerCtx) -> None:
         """Drain one function's worklist, driving its jump tables to a
-        fixed point before going idle; returns newly discovered entries."""
-        outer = ctx.discovered
-        discovered: set[int] = set()
-        ctx.discovered = discovered
-        try:
+        fixed point before going idle."""
+        while True:
             while True:
-                while True:
-                    with rec.lock:
-                        if not rec.pending:
-                            break
-                        addr = rec.pending.popleft()
-                    self._process(ctx, rec, addr)
-                for desc in sorted(rec.table_descs, key=lambda d: d.base):
-                    self.refresh_descriptor(desc)
                 with rec.lock:
                     if not rec.pending:
-                        rec.active = False
-                        return discovered
-        finally:
-            ctx.discovered = outer
+                        break
+                    addr = rec.pending.popleft()
+                self._process(ctx, rec, addr)
+            for desc in sorted(rec.table_descs, key=lambda d: d.base):
+                self.refresh_descriptor(desc)
+            with rec.lock:
+                if not rec.pending:
+                    rec.active = False
+                    return
 
     # -- per-address dispatch ----------------------------------------------------
 
@@ -650,7 +565,6 @@ class ConcurrentCfgState:
         if addr in fn.visited:
             return
         fn.visited.add(addr)
-        ctx.targets += 1
 
         cached = ctx.scans.get(addr)
         if cached is not None:
@@ -730,8 +644,8 @@ class ConcurrentCfgState:
     def run(self) -> tuple[Cfg, EngineStats]:
         # every engine object stays live until run returns, so a
         # collection during construction would find nothing to free
-        with _COLLECTOR_PAUSE:
-            stats = EngineStats(workers=self.workers)
+        with COLLECTOR_PAUSE:
+            stats = EngineStats()
             t0 = time.perf_counter()
             self._running = True
             self.pool.start()
@@ -786,21 +700,11 @@ class ConcurrentCfgState:
             stats.end_registrations += ctx.end_wins
             stats.end_registration_losses += ctx.end_losses
             stats.splits_performed += ctx.splits
-            stats.split_chains.extend(ctx.split_chains)
             stats.functions_created += ctx.fns_created
             stats.function_claim_losses += ctx.fn_losses
             stats.cfis_decoded += ctx.cfis
             stats.scan_cache_hits += ctx.cache_hits
-            stats.block_start_lookups += ctx.lookups
-            stats.branch_targets_processed += ctx.targets
             stats.waiters_registered += ctx.waiters_registered
-            for src, dst in (
-                (ctx.per_start, stats.per_start_creations),
-                (ctx.per_end, stats.per_end_registrations),
-                (ctx.per_entry, stats.per_entry_creations),
-            ):
-                for k, v in src.items():
-                    dst[k] = dst.get(k, 0) + v
 
     # -- export ---------------------------------------------------------------
 
@@ -815,11 +719,15 @@ class ConcurrentCfgState:
                 op = _OPCODES[b.term]
                 term = Instruction(b.end - LENGTHS[op], op, LENGTHS[op], b.ta, b.tb)
             blocks[s] = Block(b.start, b.end, term)
+        # a target no block starts at is a candidate: only a split drops
+        # out-edges, and what it drops leads to a block start
         edges = set()
+        candidates = set()
         for b in self.blocks_by_start.values():
             for t, k in b.out:
                 edges.add(Edge(b.start, t, EDGE_KINDS[k]))
-        candidates = {c for c in self.candidates if c not in self.blocks_by_start}
+                if t not in blocks:
+                    candidates.add(t)
         entries = {
             a: FunctionEntry(a, rec.name, rec.status, rec.seed)
             for a, rec in self.functions.items()
@@ -827,19 +735,17 @@ class ConcurrentCfgState:
         return Cfg(blocks, candidates, edges, entries)
 
 
-def construct(image: Image, workers: int, debug: bool = False) -> Cfg:
+def construct(image: Image, workers: int) -> Cfg:
     """Build the finalized CFG with `workers` cooperating workers. Output
     is identical to `serial_construct` for every worker count."""
-    return construct_details(image, workers, debug)[0]
+    return construct_details(image, workers)[0]
 
 
-def construct_details(
-    image: Image, workers: int, debug: bool = False
-) -> tuple[Cfg, EngineStats, TableRegistry]:
+def construct_details(image: Image, workers: int) -> tuple[Cfg, EngineStats, TableRegistry]:
     # the pause outlasts the engine's state, so the first collection
     # after it walks the finished graph alone
-    with _COLLECTOR_PAUSE:
-        state = ConcurrentCfgState(image, workers, debug)
+    with COLLECTOR_PAUSE:
+        state = ConcurrentCfgState(image, workers)
         cfg, stats = state.run()
         registry = state.registry
         del state

@@ -10,7 +10,8 @@ indexed graph of its own, driven from the symbol table seeds by a
 deterministic FIFO worklist, so each step costs what it touches rather
 than the whole graph, and construction grows about linearly with the
 image. It is the correctness oracle the concurrent engine is checked
-against, so it imports nothing from the engine (`pcfg.parallel`).
+against, so it imports nothing from the engine (`pcfg.parallel`). Like
+the engine, it runs with the cyclic collector paused (`pcfg._collector`).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .cfg import (
     INTRA_EDGE_KINDS,
     ReturnStatus,
 )
+from ._collector import COLLECTOR_PAUSE
 from ._kernels import scan_block
 from .errors import (
     AlreadySetError,
@@ -597,10 +599,15 @@ class _SerialDriver:
 def serial_construct(image: Image) -> Cfg:
     """Build the finalized CFG single-threaded. This is the oracle the
     concurrent constructor is compared against byte-for-byte."""
-    return _SerialDriver(image).run()
+    return serial_construct_details(image)[0]
 
 
 def serial_construct_details(image: Image) -> tuple[Cfg, TableRegistry]:
-    driver = _SerialDriver(image)
-    cfg = driver.run()
-    return cfg, driver.registry
+    # the pause outlasts the driver, so the first collection after it
+    # walks the finished graph alone
+    with COLLECTOR_PAUSE:
+        driver = _SerialDriver(image)
+        cfg = driver.run()
+        registry = driver.registry
+        del driver
+    return cfg, registry

@@ -1,9 +1,14 @@
-"""The library takes no settings from the environment, ships one scan
-kernel, in Python source only, and keeps the serial oracle independent
-of the engine it checks."""
+"""The library takes no settings from the environment and no setting but
+the worker count, ships one scan kernel, in Python source only, and
+keeps the serial oracle independent of the engine it checks."""
 
 import ast
+import inspect
 from pathlib import Path
+
+import pytest
+
+from pcfg.parallel import ConcurrentCfgState, construct, construct_details
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pcfg"
 
@@ -15,6 +20,11 @@ def test_library_reads_no_environment():
         if "os.environ" in p.read_text() or "getenv" in p.read_text()
     ]
     assert readers == []
+
+
+@pytest.mark.parametrize("entry", [construct, construct_details, ConcurrentCfgState])
+def test_worker_count_is_the_only_setting(entry):
+    assert list(inspect.signature(entry).parameters) == ["image", "workers"]
 
 
 def test_no_native_or_generated_sources():
