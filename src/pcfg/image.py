@@ -14,7 +14,7 @@ import struct
 from dataclasses import dataclass
 from enum import Enum
 
-from ._kernels import contains_cfi_scan
+from ._kernels import scan_block
 from .errors import MalformedImageError, OutOfRangeError
 from .isa import Instruction, decode_at
 
@@ -164,4 +164,5 @@ def contains_cfi(image: Image, lo: int, hi: int) -> bool:
         return False
     if not (image.text_base <= lo and hi <= image.text_end):
         raise OutOfRangeError(lo if lo < image.text_base else hi)
-    return contains_cfi_scan(image.text, image.text_base, lo, hi)
+    end, kind, *_ = scan_block(image.text, image.text_base, lo, hi)
+    return kind != -1 and end <= hi

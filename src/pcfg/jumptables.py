@@ -18,8 +18,8 @@ import logging
 import threading
 from dataclasses import dataclass, field
 
+from ._kernels import scan_block
 from .image import Image
-from .isa import Opcode, decode_at
 
 logger = logging.getLogger(__name__)
 
@@ -51,15 +51,9 @@ def read_table_targets(image: Image, base: int, bound: int) -> tuple[list[int], 
 
 
 def last_bound_hint(image: Image, start: int, end: int) -> int | None:
-    """Immediate of the last bound-hint instruction in [start, end)."""
-    addr = start
-    hint = None
-    while addr < end:
-        ins = decode_at(image.text, image.text_base, addr)
-        if ins.kind is Opcode.BOUND_HINT:
-            hint = ins.a
-        addr += ins.length
-    return hint
+    """Immediate of the last bound-hint instruction in the block range
+    [start, end): the hint a scan from `start` stopped at `end` reports."""
+    return scan_block(image.text, image.text_base, start, end)[6]
 
 
 def effective_bound(declared: int, hints) -> int:

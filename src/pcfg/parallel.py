@@ -6,8 +6,7 @@ start address (single-winner insertion), one block per end address
 thread that registered the end, losers of end registration resolve the
 overlap with an eager block-split loop, and one function per entry
 address. Linear parsing runs with no global lookups between control
-flow instructions; a per-worker cache of scan results skips re-decoding
-ranges the worker has already walked.
+flow instructions.
 
 Return statuses resolve eagerly in one direction only: the first return
 instruction found anywhere in a function marks it returning immediately
@@ -43,8 +42,8 @@ from .cfg import (
     ReturnStatus,
 )
 from ._collector import COLLECTOR_PAUSE
-from ._kernels import ScanResult, scan_block
-from .errors import AlreadySetError, InternalError
+from ._kernels import scan_block
+from .errors import AlreadySetError, InternalError, OutOfRangeError
 from .finalize import finalize_details
 from .image import Image
 from .isa import LENGTHS, Instruction, Opcode
@@ -60,8 +59,6 @@ from .symtab import symbol_facts
 _INTRA_INTS = frozenset(int(k) for k in INTRA_EDGE_KINDS)
 _NO_TERM = -2
 _SYNTH_HALT = -1
-# a `hint_at` no block end reaches: the block's hint must be walked
-_HINT_UNKNOWN = 1 << 64
 
 _DIRECT = int(EdgeKind.DIRECT)
 _COND_TAKEN = int(EdgeKind.COND_TAKEN)
@@ -94,8 +91,9 @@ class _EngineBlock:
         self.tb = 0
         # what the scan that set `end` saw in [start, end): a frame
         # teardown, and the address and immediate of the last bound hint
+        # (-1 and None when it saw none)
         self.teardown = False
-        self.hint_at = _HINT_UNKNOWN
+        self.hint_at = -1
         self.hint: int | None = None
         # (target, kind) -> None; append-only during traversal except for
         # moves performed under the end-entry lock
@@ -142,12 +140,10 @@ class _FuncRecord:
 
 
 class _WorkerCtx:
-    """Per-worker scratch: counters and the thread-local scan cache."""
+    """Per-worker counters, merged into `EngineStats` when a run ends."""
 
     __slots__ = (
-        "scans",
         "cfis",
-        "cache_hits",
         "blocks_created",
         "claim_losses",
         "end_wins",
@@ -159,9 +155,7 @@ class _WorkerCtx:
     )
 
     def __init__(self):
-        self.scans: dict[int, ScanResult] = {}
         self.cfis = 0
-        self.cache_hits = 0
         self.blocks_created = 0
         self.claim_losses = 0
         self.end_wins = 0
@@ -182,7 +176,6 @@ class EngineStats:
     functions_created: int = 0
     function_claim_losses: int = 0
     cfis_decoded: int = 0
-    scan_cache_hits: int = 0
     waiters_registered: int = 0
     waiters_live_at_quiescence: int = -1
     call_fallthrough_edges: int = 0
@@ -514,8 +507,8 @@ class ConcurrentCfgState:
 
     def _last_hint(self, b: _EngineBlock) -> int | None:
         """`last_bound_hint` over the block's current range, read from its
-        scan unless a split cut the block short before its recorded hint
-        (or the scan walked nothing), in which case the range is walked."""
+        scan unless a split cut the block short before its recorded hint,
+        in which case the shorter range is scanned again."""
         end = b.end
         if b.hint_at < end:
             return b.hint
@@ -562,34 +555,28 @@ class ConcurrentCfgState:
     # -- per-address dispatch ----------------------------------------------------
 
     def _process(self, ctx: _WorkerCtx, fn: _FuncRecord, addr: int) -> None:
+        if not self.image.text_base <= addr < self.image.text_end:
+            raise OutOfRangeError(addr)
         if addr in fn.visited:
             return
         fn.visited.add(addr)
 
-        cached = ctx.scans.get(addr)
-        if cached is not None:
-            ctx.cache_hits += 1
-            end, kind, a, b, teardown, _, _ = cached
-        else:
-            claimed = self.attempt_create_block(addr, ctx)
-            scan = scan_block(self.image.text, self.image.text_base, addr)
-            ctx.cfis += 1
-            ctx.scans[addr] = scan
-            end, kind, a, b, teardown, hint_at, hint = scan
-            if claimed:
-                blk = self.blocks_by_start[addr]
-                blk.end = end
-                blk.term = kind if kind != -1 else _SYNTH_HALT
-                blk.ta = a
-                blk.tb = b
-                blk.teardown = teardown
-                # below the text the scan walks nothing, so the hint
-                # stays unknown and `_last_hint` walks the range
-                if addr >= self.image.text_base:
-                    blk.hint_at = hint_at
-                    blk.hint = hint
-                if not self.register_block_end(blk, fn, ctx):
-                    self.split_chain(blk, ctx)
+        claimed = self.attempt_create_block(addr, ctx)
+        end, kind, a, b, teardown, hint_at, hint = scan_block(
+            self.image.text, self.image.text_base, addr
+        )
+        ctx.cfis += 1
+        if claimed:
+            blk = self.blocks_by_start[addr]
+            blk.end = end
+            blk.term = kind if kind != -1 else _SYNTH_HALT
+            blk.ta = a
+            blk.tb = b
+            blk.teardown = teardown
+            blk.hint_at = hint_at
+            blk.hint = hint
+            if not self.register_block_end(blk, fn, ctx):
+                self.split_chain(blk, ctx)
 
         if kind == _JMP:
             tail = self._classify_branch(fn, addr, a, teardown)
@@ -614,8 +601,7 @@ class ConcurrentCfgState:
                 known = sorted(desc.targets)
             for t in known:
                 self._enqueue_addr(fn, t)
-            if cached is None:
-                self.refresh_descriptor(desc)
+            self.refresh_descriptor(desc)
         # opaque jumps, halts, and running off text end have no successors
 
     def _process_call_site(self, ctx: _WorkerCtx, fn: _FuncRecord, call_end: int, callee: int) -> None:
@@ -703,7 +689,6 @@ class ConcurrentCfgState:
             stats.functions_created += ctx.fns_created
             stats.function_claim_losses += ctx.fn_losses
             stats.cfis_decoded += ctx.cfis
-            stats.scan_cache_hits += ctx.cache_hits
             stats.waiters_registered += ctx.waiters_registered
 
     # -- export ---------------------------------------------------------------

@@ -1,17 +1,20 @@
 """Single-threaded CFG operations and the serial reference constructor.
 
 The six operations are pure: each takes a whole graph value and returns
-a new one, or the graph itself when it has nothing to change. Five of
-them are a clone plus one in-place step over an `_IndexedCfg`, the
+a new one, or the graph itself when it has nothing to change. Each is
+a clone plus one in-place step: five step over an `_IndexedCfg`, the
 graph together with its edges by source and by target, its blocks by
-end and its sorted block starts; edge removal stays a whole-graph
-reachability pass. `serial_construct` applies the same steps to one
-indexed graph of its own, driven from the symbol table seeds by a
-deterministic FIFO worklist, so each step costs what it touches rather
-than the whole graph, and construction grows about linearly with the
-image. It is the correctness oracle the concurrent engine is checked
-against, so it imports nothing from the engine (`pcfg.parallel`). Like
-the engine, it runs with the cyclic collector paused (`pcfg._collector`).
+end and its sorted block starts, and edge removal's step is
+finalization's unreachable-code sweep. Every fact the steps read from
+the image's bytes (block ends, terminators, frame teardown, bound
+hints) is one field of a `scan_block` call. `serial_construct` applies
+the same steps to one indexed graph of its own, driven from the symbol
+table seeds by a deterministic FIFO worklist, so each step costs what
+it touches rather than the whole graph, and construction grows about
+linearly with the image. It is the correctness oracle the concurrent
+engine is checked against, so it imports nothing from the engine
+(`pcfg.parallel`). Like the engine, it runs with the cyclic collector
+paused (`pcfg._collector`).
 """
 
 from __future__ import annotations
@@ -43,8 +46,9 @@ from .errors import (
     NotIndirectTerminatorError,
     OutOfRangeError,
 )
-from .image import Image, contains_cfi
-from .isa import LENGTHS, Instruction, Opcode, decode_at
+from .finalize import _drop_unreachable
+from .image import Image
+from .isa import LENGTHS, Instruction, Opcode
 from .jumptables import (
     TableRegistry,
     effective_bound,
@@ -133,6 +137,8 @@ def _ber(ix: _IndexedCfg, image: Image, t: int) -> None:
     if t not in g.candidates:
         raise NotACandidateError(f"0x{t:x} is not a candidate")
     g.candidates.discard(t)
+    if not image.text_base <= t < image.text_end:
+        raise OutOfRangeError(t)
 
     below = bisect_left(ix.starts, t)
     if below:
@@ -143,14 +149,12 @@ def _ber(ix: _IndexedCfg, image: Image, t: int) -> None:
 
     above = bisect_right(ix.starts, t)
     nxt = ix.starts[above] if above < len(ix.starts) else None
-    if nxt is not None and not contains_cfi(image, t, nxt):
+    end, kind, a, b_op, *_ = scan_block(image.text, image.text_base, t, nxt)
+    # no control flow instruction starts and ends within [t, nxt)
+    if nxt is not None and (kind == -1 or end > nxt):
         ix.put_block(Block(t, nxt, None))
         ix.add_edge(Edge(t, nxt, EdgeKind.COND_FALLTHROUGH))
         return
-
-    if not image.text_base <= t < image.text_end:
-        raise OutOfRangeError(t)
-    end, kind, a, b_op, *_ = scan_block(image.text, image.text_base, t)
     if kind == -1:
         term = Instruction(image.text_end, Opcode.HALT, 1)
     else:
@@ -300,13 +304,7 @@ def _reaches(ix: _IndexedCfg, source: int, goal: int, exclude: Edge | None) -> b
 
 
 def _has_teardown(image: Image, blk: Block) -> bool:
-    addr = blk.start
-    while addr < blk.end:
-        ins = decode_at(image.text, image.text_base, addr)
-        if ins.kind is Opcode.FRAME_TEARDOWN:
-            return True
-        addr += ins.length
-    return False
+    return scan_block(image.text, image.text_base, blk.start, blk.end)[4]
 
 
 def _relabel(ix: _IndexedCfg, e: Edge, kind: EdgeKind) -> None:
@@ -374,29 +372,10 @@ def op_er(g: Cfg, e: Edge) -> Cfg:
     no longer reachable from any function entry."""
     if e not in g.edges:
         raise EdgeNotFoundError(f"0x{e.source:x} -> 0x{e.target:x}")
-    kept = g.edges - {e}
-    adj: dict[int, list[int]] = {}
-    for ed in kept:
-        adj.setdefault(ed.source, []).append(ed.target)
-    seen: set[int] = set()
-    work = deque(g.entries.keys())
-    seen.update(g.entries.keys())
-    while work:
-        cur = work.popleft()
-        if cur not in g.blocks:
-            continue
-        for tgt in adj.get(cur, ()):
-            if tgt not in seen:
-                seen.add(tgt)
-                work.append(tgt)
-    blocks = {s: b for s, b in g.blocks.items() if s in seen}
-    candidates = {c for c in g.candidates if c in seen}
-    edges = {
-        ed
-        for ed in kept
-        if ed.source in blocks and (ed.target in blocks or ed.target in candidates)
-    }
-    return Cfg(blocks, candidates, edges, dict(g.entries))
+    out = g.clone()
+    out.edges.discard(e)
+    _drop_unreachable(out)
+    return out
 
 
 class _SerialDriver:

@@ -1,10 +1,13 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcfg._kernels import scan_block
 from pcfg.errors import OutOfRangeError
 from pcfg.image import Image, decode
 from pcfg.isa import CONTROL_FLOW, LENGTHS, Opcode, decode_at, encode, is_control_flow
+
+from conftest import decode_walk
 
 
 def _image(text: bytes, base: int = 0x100) -> Image:
@@ -100,3 +103,24 @@ def test_decode_out_of_range():
         decode(img, img.text_end)
     with pytest.raises(OutOfRangeError):
         decode(img, img.text_base - 1)
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.integers(0, 0x0B) | st.integers(0, 0xFF), min_size=1, max_size=40),
+    st.data(),
+)
+def test_scan_block_matches_bounded_decode_walk(raw, data):
+    text = bytes(raw)
+    base = 0x100
+    text_end = base + len(text)
+    addr = data.draw(st.integers(base, text_end - 1))
+    stop = data.draw(st.none() | st.integers(addr, text_end + 8))
+    end, kind, a, b, teardown, hint_at, hint = scan_block(text, base, addr, stop)
+    bound = text_end if stop is None else min(stop, text_end)
+    cfi, w_teardown, w_hint_at, w_hint = decode_walk(text, base, addr, bound)
+    if cfi is None:
+        assert (end, kind, a, b) == (bound, -1, 0, 0)
+    else:
+        assert (end, kind, a, b) == (cfi.end, cfi.kind, cfi.a, cfi.b)
+    assert (teardown, hint_at, hint) == (w_teardown, w_hint_at, w_hint)

@@ -9,16 +9,15 @@ from hypothesis import strategies as st
 
 from pcfg import finalize, parallel
 from pcfg._kernels import scan_block
-from pcfg.cfg import Block, EdgeKind, ReturnStatus, canonical_serialize
-from pcfg.errors import AlreadySetError, InternalError, PcfgError
+from pcfg.cfg import EdgeKind, ReturnStatus, canonical_serialize
+from pcfg.errors import AlreadySetError, InternalError, OutOfRangeError
 from pcfg.image import Image, SymbolKind, make_symbol
 from pcfg.isa import Opcode
-from pcfg.jumptables import last_bound_hint
 from pcfg.parallel import ConcurrentCfgState, construct, construct_details
-from pcfg.serial import _has_teardown, serial_construct
+from pcfg.serial import serial_construct
 from pcfg.workload import ScenarioSpec, generate
 
-from conftest import asm_image
+from conftest import asm_image, decode_walk
 
 
 def _ctx():
@@ -205,8 +204,8 @@ class TestEndRegistrationAndSplit:
 
 
 class TestScanFacts:
-    """The scan's teardown and last-hint report, against the decode walks
-    the serial oracle and `last_bound_hint` make over the same range."""
+    """The scan's teardown and last-hint report, against a `decode_at`
+    walk over the same range."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -220,13 +219,13 @@ class TestScanFacts:
         state = ConcurrentCfgState(img, 1)
         blk = _claim_and_scan(state, start)
         end = blk.end
-        assert blk.teardown == _has_teardown(img, Block(start, end))
-        assert blk.hint == last_bound_hint(img, start, end)
+        _, teardown, _, hint = decode_walk(text, 0x100, start, end)
+        assert (blk.teardown, blk.hint) == (teardown, hint)
         assert state._last_hint(blk) == blk.hint
         # a split may cut the block short anywhere, before its last hint
         # or after it
         blk.end = data.draw(st.integers(start + 1, end))
-        assert state._last_hint(blk) == last_bound_hint(img, start, blk.end)
+        assert state._last_hint(blk) == decode_walk(text, 0x100, start, blk.end)[3]
 
 
 class TestTraverseFunction:
@@ -389,11 +388,14 @@ class TestInstrumentation:
         _, _, stats = self._stress()
         assert stats.splits_performed > 0
 
-    def test_scan_cache_only_skips_decoding(self):
-        img, _ = generate(ScenarioSpec.make("shared-code", 1, sharers=8))
-        base = canonical_serialize(construct(img, 1))
+    def test_every_visit_claims_and_scans(self):
+        img, _ = generate(ScenarioSpec.make("big-random", 1, functions=200))
         cfg, stats, _ = construct_details(img, 1)
-        assert canonical_serialize(cfg) == base
+        assert canonical_serialize(cfg) == canonical_serialize(serial_construct(img))
+        assert stats.cfis_decoded == stats.blocks_created + stats.block_claim_losses
+        # blocks shared by functions are visited once per function, so a
+        # single worker loses claims to itself
+        assert stats.block_claim_losses > 0
 
 
 def test_stage_times_fit_in_construct_wall_time():
@@ -563,8 +565,11 @@ _FALLTHROUGH_TO_TEXT_END = Image(
 @pytest.mark.parametrize("workers", [1, 2])
 def test_fallthrough_to_text_end_raises_instead_of_hanging(workers):
     exc = _raised_within(10, lambda: construct(_FALLTHROUGH_TO_TEXT_END, workers))
-    # any typed error: the oracle raises OutOfRangeError here
-    assert isinstance(exc, PcfgError)
+    # the oracle's error, for the fall-through address
+    assert isinstance(exc, OutOfRangeError)
+    assert exc.addr == _FALLTHROUGH_TO_TEXT_END.text_end
+    with pytest.raises(OutOfRangeError):
+        serial_construct(_FALLTHROUGH_TO_TEXT_END)
 
 
 def test_worker_count_validated(paper_layout):

@@ -86,6 +86,19 @@ class TestBlockEndResolution:
         assert out.blocks[0x4].terminator is None
         assert Edge(0x4, 0xA, EdgeKind.COND_FALLTHROUGH) in out.edges
 
+    def test_early_end_when_first_cfi_straddles_next_block(self):
+        # alu [0, 3), jmp [3, 8), ret [8, 9); the block at 5 decodes the
+        # jmp's zero operand bytes as nops
+        img = asm_image(0x0, [(Opcode.ALU,), (Opcode.JMP_DIRECT, 0x0), (Opcode.RET,)])
+        g = Cfg(candidates={0x5}, entries={0x5: _entry(0x5)})
+        g = op_ber(g, img, 0x5)
+        assert (g.blocks[0x5].end, g.blocks[0x5].terminator.kind) == (0x9, Opcode.RET)
+        g.candidates.add(0x0)
+        out = op_ber(g, img, 0x0)
+        # the jmp starts before 5 but ends after it, so it ends no block
+        assert out.blocks[0x0] == Block(0x0, 0x5, None)
+        assert Edge(0x0, 0x5, EdgeKind.COND_FALLTHROUGH) in out.edges
+
     def test_not_a_candidate(self, paper_layout):
         with pytest.raises(NotACandidateError):
             op_ber(Cfg(), paper_layout, 0x4)

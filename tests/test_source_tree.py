@@ -1,6 +1,7 @@
 """The library takes no settings from the environment and no setting but
-the worker count, ships one scan kernel, in Python source only, and
-keeps the serial oracle independent of the engine it checks."""
+the worker count, ships one scan kernel, in Python source only, decodes
+byte ranges only through that kernel, and keeps the serial oracle
+independent of the engine it checks."""
 
 import ast
 import inspect
@@ -50,3 +51,17 @@ def test_serial_oracle_imports_nothing_from_the_engine():
             imported += [alias.name for alias in node.names]
     engine = [m for m in imported if m == "pcfg.parallel" or m.startswith("pcfg.parallel.")]
     assert imported and engine == []
+
+
+def test_scan_block_is_the_only_range_decoder():
+    # `decode_at` decodes one instruction for `image.decode`; every walk
+    # over a byte range is a `scan_block` call
+    users = [
+        str(p.relative_to(SRC))
+        for p in sorted(SRC.rglob("*.py"))
+        if "decode_at" in p.read_text()
+    ]
+    assert users == ["image.py", "isa.py"]
+    tree = ast.parse((SRC / "_kernels" / "__init__.py").read_text())
+    defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    assert defined == {"scan_block"}
