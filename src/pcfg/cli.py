@@ -53,9 +53,7 @@ def cmd_analyze(image_path: str, threads: int, fmt: str, out: str | None) -> int
         file=sys.stderr,
     )
     trimmed = sum(
-        1
-        for d in registry.sorted_descriptors()
-        if d.final_bound is not None and d.final_bound < d.effective_bound
+        1 for d in registry.sorted_descriptors() if d.settled_bound < d.effective_bound
     )
     noreturn = sum(
         1 for f in cfg.entries.values() if f.status is ReturnStatus.NORETURN

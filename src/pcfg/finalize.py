@@ -97,8 +97,6 @@ def trim_overlapping_tables(g: Cfg, registry: TableRegistry) -> None:
     drop: set[Edge] = set()
     for i, desc in enumerate(descs):
         owner = ends.get(desc.jump_end)
-        if owner is not None:
-            desc.owner_block = owner
         nxt = descs[i + 1] if i + 1 < len(descs) else None
         extent = desc.base + 4 * desc.effective_bound
         if nxt is None or extent <= nxt.base or owner is None:

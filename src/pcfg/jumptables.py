@@ -67,7 +67,6 @@ class TableDescriptor:
     jump_end: int  # end address of the indirect jump; stable across splits
     effective_bound: int = 0
     final_bound: int | None = None
-    owner_block: int | None = None
     targets: set[int] = field(default_factory=set)
     #: resolved target per table index (None where skipped); lets
     #: finalization trim by index without touching the image again
@@ -75,6 +74,11 @@ class TableDescriptor:
     interested: set[int] = field(default_factory=set)  # function entries
     clamped: bool = False
     lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+
+    @property
+    def settled_bound(self) -> int:
+        """The bound finalization settled on, else the effective one."""
+        return self.final_bound if self.final_bound is not None else self.effective_bound
 
 
 def update_descriptor(desc: TableDescriptor, image: Image, bound: int) -> set[int]:
@@ -115,13 +119,12 @@ class TableRegistry:
         """Registry summary sorted by base, for the JSON export."""
         out = []
         for d in self.sorted_descriptors():
-            final = d.final_bound if d.final_bound is not None else d.effective_bound
             out.append(
                 {
                     "base": f"0x{d.base:x}",
                     "declared_bound": d.declared_bound,
                     "effective_bound": d.effective_bound,
-                    "final_bound": final,
+                    "final_bound": d.settled_bound,
                 }
             )
         return out

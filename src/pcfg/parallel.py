@@ -3,10 +3,10 @@
 Workers cooperate over shared state under five guarantees: one block per
 start address (single-winner insertion), one block per end address
 (single-winner end registration), outgoing edges created only by the
-thread that registered the end, losers of end registration resolve the
-overlap with an eager block-split loop, and one function per entry
-address. Linear parsing runs with no global lookups between control
-flow instructions.
+thread that registered the end, an eager block split inside the one end
+registration loop whenever two blocks reach the same end, and one
+function per entry address. Linear parsing runs with no global lookups
+between control flow instructions.
 
 Return statuses resolve eagerly in one direction only: the first return
 instruction found anywhere in a function marks it returning immediately
@@ -15,8 +15,12 @@ for the callee's traversal to finish. Functions that never prove they
 return stay unresolved until global quiescence, where the remaining
 ones (mutual-call cycles included) are all marked non-returning at
 once. A branch classified as a tail call makes the branching function
-wait on its target the same way a caller waits on a callee, which keeps
-statuses independent of which thread classified the branch first.
+wait on its target the same way a caller waits on a callee, in the same
+waiter set, which keeps statuses independent of which thread classified
+the branch first.
+
+A worker's error ends the run: every worker is joined before `run`
+raises it.
 
 The finalized graph is required to match the single-threaded reference
 constructor byte-for-byte under any worker count and schedule; the
@@ -59,6 +63,9 @@ from .symtab import symbol_facts
 _INTRA_INTS = frozenset(int(k) for k in INTRA_EDGE_KINDS)
 _NO_TERM = -2
 _SYNTH_HALT = -1
+#: the site of a tail-call waiter; a call-site waiter's site is the
+#: call block's end
+_TAIL_SITE = -1
 
 _DIRECT = int(EdgeKind.DIRECT)
 _COND_TAKEN = int(EdgeKind.COND_TAKEN)
@@ -120,8 +127,7 @@ class _FuncRecord:
         "table_descs",
         "status_lock",
         "status",
-        "ft_waiters",
-        "tail_fns",
+        "waiters",
     )
 
     def __init__(self, entry: int, name: str | None, seed: bool, status: ReturnStatus):
@@ -135,35 +141,28 @@ class _FuncRecord:
         self.table_descs: set = set()
         self.status_lock = threading.Lock()
         self.status = status
-        self.ft_waiters: dict[int, set[int]] = {}  # call-site end -> waiting functions
-        self.tail_fns: set[int] = set()  # functions tail-calling here
+        # (waiting function, call-site end or _TAIL_SITE)
+        self.waiters: set[tuple[int, int]] = set()
 
 
 class _WorkerCtx:
-    """Per-worker counters, merged into `EngineStats` when a run ends."""
+    """Per-worker counters, each named after the `EngineStats` field it
+    is summed into when a run ends."""
 
     __slots__ = (
-        "cfis",
         "blocks_created",
-        "claim_losses",
-        "end_wins",
-        "end_losses",
-        "splits",
-        "fns_created",
-        "fn_losses",
+        "block_claim_losses",
+        "end_registrations",
+        "end_registration_losses",
+        "splits_performed",
+        "functions_created",
+        "function_claim_losses",
         "waiters_registered",
     )
 
     def __init__(self):
-        self.cfis = 0
-        self.blocks_created = 0
-        self.claim_losses = 0
-        self.end_wins = 0
-        self.end_losses = 0
-        self.splits = 0
-        self.fns_created = 0
-        self.fn_losses = 0
-        self.waiters_registered = 0
+        for name in self.__slots__:
+            setattr(self, name, 0)
 
 
 @dataclass
@@ -175,10 +174,7 @@ class EngineStats:
     splits_performed: int = 0
     functions_created: int = 0
     function_claim_losses: int = 0
-    cfis_decoded: int = 0
     waiters_registered: int = 0
-    waiters_live_at_quiescence: int = -1
-    call_fallthrough_edges: int = 0
     finalize_flips: int = 0
     finalize_iterations: int = 0
     raw_edge_count: int = 0
@@ -284,60 +280,58 @@ class ConcurrentCfgState:
         if self.blocks_by_start.setdefault(addr, blk) is blk:
             ctx.blocks_created += 1
             return True
-        ctx.claim_losses += 1
+        ctx.block_claim_losses += 1
         return False
 
     def attempt_create_function(self, addr: int, ctx: _WorkerCtx) -> bool:
         """Single-winner creation of the function record at `addr`; the
         winner's traversal is queued immediately."""
         if addr in self.functions:
-            ctx.fn_losses += 1
+            ctx.function_claim_losses += 1
             return False
         syms = self.symbols
         status = ReturnStatus.NORETURN if addr in syms.noreturn else ReturnStatus.UNSET
         # every seed has a name, so the name map doubles as the seed set
         rec = _FuncRecord(addr, syms.names.get(addr), addr in syms.names, status)
         if self.functions.setdefault(addr, rec) is not rec:
-            ctx.fn_losses += 1
+            ctx.function_claim_losses += 1
             return False
-        ctx.fns_created += 1
+        ctx.functions_created += 1
         self._enqueue_work(rec, (addr,))
         return True
 
-    def register_block_end(self, block: _EngineBlock, fn: _FuncRecord, ctx: _WorkerCtx) -> bool:
-        """Single-winner end registration. The winner creates the block's
-        outgoing edges while holding the entry lock; losers get False and
-        must run the split loop."""
-        entry = self.blocks_by_end.setdefault(block.end, _EndEntry())
-        with entry.lock:
-            if entry.block is None:
-                entry.block = block
-                ctx.end_wins += 1
-                self._create_edges_locked(block, fn)
-                return True
-            if entry.block is block or entry.block.start == block.start:
-                return True
-            ctx.end_losses += 1
-            return False
+    def _end_entry(self, end: int) -> _EndEntry:
+        # look up first: building an entry builds its lock
+        entry = self.blocks_by_end.get(end)
+        if entry is None:
+            entry = self.blocks_by_end.setdefault(end, _EndEntry())
+        return entry
 
-    def split_chain(self, block: _EngineBlock, ctx: _WorkerCtx) -> None:
-        """Eager block split: resolve overlapping blocks that reached the
-        same end. Each iteration re-registers a truncated prefix at a
-        strictly smaller end address, so the loop converges; a step that
-        would not shorten the end raises `InternalError`."""
+    def register_block_end(self, block: _EngineBlock, fn: _FuncRecord, ctx: _WorkerCtx) -> None:
+        """Single-winner end registration with the eager block split. The
+        first block at an end creates its outgoing edges while holding
+        the entry lock (a block cut short has none to create). A block
+        that finds another at its end splits with it: the later start
+        keeps the end and the other block is cut to end there, then
+        registered at that strictly smaller end, so the loop converges; a
+        cut that would not shorten the end raises `InternalError`."""
         cur = block
+        lost = False
         while True:
             end = cur.end
-            entry = self.blocks_by_end.setdefault(end, _EndEntry())
+            entry = self._end_entry(end)
             with entry.lock:
                 reg = entry.block
                 if reg is None:
                     entry.block = cur
-                    ctx.end_wins += 1
+                    ctx.end_registrations += 1
+                    self._create_edges_locked(cur, fn)
                     return
                 if reg is cur or reg.start == cur.start:
                     return
-                # the later start keeps the end; the other block ends there
+                if not lost:
+                    lost = True
+                    ctx.end_registration_losses += 1
                 cut = max(reg.start, cur.start)
                 if cut >= end:
                     raise InternalError(
@@ -351,7 +345,7 @@ class ConcurrentCfgState:
                     entry.block = cur
                     self._truncate(reg, cut)
                     cur = reg
-                ctx.splits += 1
+                ctx.splits_performed += 1
 
     def _truncate(self, b: _EngineBlock, new_end: int) -> None:
         # a truncated block keeps only the fall-through into its successor
@@ -386,7 +380,7 @@ class ConcurrentCfgState:
         """Idempotently create the call fall-through edge at a call site.
         Skipped while the call block's end is unregistered; the registrant
         re-checks the callee status right after registering."""
-        entry = self.blocks_by_end.setdefault(call_end, _EndEntry())
+        entry = self._end_entry(call_end)
         with entry.lock:
             if entry.block is not None:
                 self._add_edge_locked(entry.block, call_end, _CALL_FALLTHROUGH)
@@ -439,17 +433,32 @@ class ConcurrentCfgState:
                     return
                 raise AlreadySetError(f"0x{entry:x}: {cur.value} -> {status.value}")
             rec.status = status
-            ft = rec.ft_waiters
-            rec.ft_waiters = {}
-            tails = rec.tail_fns
-            rec.tail_fns = set()
+            waiters = rec.waiters
+            rec.waiters = set()
         if status is ReturnStatus.RETURN:
-            for call_end in sorted(ft):
-                self._ensure_cfec(call_end)
-                for fn_addr in sorted(ft[call_end]):
-                    self._enqueue_addr(self.functions[fn_addr], call_end)
-            for fn_addr in sorted(tails):
-                self._set_status(fn_addr, ReturnStatus.RETURN, strict=False)
+            for fn_addr, site in sorted(waiters):
+                self._callee_returns(fn_addr, site)
+
+    def _await_status(self, ctx: _WorkerCtx, fn: _FuncRecord, target: int, site: int) -> None:
+        """`fn` waits on `target`'s return status at `site`, a call-site
+        end or `_TAIL_SITE`: it joins the target's waiters while the
+        status is unset, and acts at once on a target that returns."""
+        rec = self.functions[target]
+        with rec.status_lock:
+            val = rec.status
+            if val is ReturnStatus.UNSET:
+                rec.waiters.add((fn.entry, site))
+                ctx.waiters_registered += 1
+        if val is ReturnStatus.RETURN:
+            self._callee_returns(fn.entry, site)
+
+    def _callee_returns(self, fn_addr: int, site: int) -> None:
+        # a tail call returns where its target does; a call falls through
+        if site == _TAIL_SITE:
+            self._set_status(fn_addr, ReturnStatus.RETURN, strict=False)
+        else:
+            self._ensure_cfec(site)
+            self._enqueue_addr(self.functions[fn_addr], site)
 
     def resolve_status_cycles(self) -> None:
         """At quiescence, every still-unresolved function (cyclic call
@@ -458,20 +467,13 @@ class ConcurrentCfgState:
             if self.functions[addr].status is ReturnStatus.UNSET:
                 self._set_status(addr, ReturnStatus.NORETURN, strict=True)
 
-    def _count_live_waiters(self) -> int:
-        n = 0
-        for rec in self.functions.values():
-            with rec.status_lock:
-                n += sum(len(s) for s in rec.ft_waiters.values()) + len(rec.tail_fns)
-        return n
-
     # -- jump tables ---------------------------------------------------------
 
     def refresh_descriptor(self, desc) -> bool:
         """Re-resolve one table against the currently-known predecessor
         set; append any new edges and queue the new targets for every
         interested function. Monotone: the target set never shrinks."""
-        entry = self.blocks_by_end.setdefault(desc.jump_end, _EndEntry())
+        entry = self._end_entry(desc.jump_end)
         with entry.lock:
             owner = entry.block
             if owner is None:
@@ -565,7 +567,6 @@ class ConcurrentCfgState:
         end, kind, a, b, teardown, hint_at, hint = scan_block(
             self.image.text, self.image.text_base, addr
         )
-        ctx.cfis += 1
         if claimed:
             blk = self.blocks_by_start[addr]
             blk.end = end
@@ -575,14 +576,13 @@ class ConcurrentCfgState:
             blk.teardown = teardown
             blk.hint_at = hint_at
             blk.hint = hint
-            if not self.register_block_end(blk, fn, ctx):
-                self.split_chain(blk, ctx)
+            self.register_block_end(blk, fn, ctx)
 
         if kind == _JMP:
             tail = self._classify_branch(fn, addr, a, teardown)
             if tail:
                 self.attempt_create_function(a, ctx)
-                self._tail_interest(ctx, fn, a)
+                self._await_status(ctx, fn, a, _TAIL_SITE)
             else:
                 self._enqueue_addr(fn, a)
         elif kind == _JCC:
@@ -590,7 +590,7 @@ class ConcurrentCfgState:
             self._enqueue_addr(fn, end)
         elif kind == _CALL:
             self.attempt_create_function(a, ctx)
-            self._process_call_site(ctx, fn, end, a)
+            self._await_status(ctx, fn, a, end)
         elif kind == _RET:
             self._set_status(fn.entry, ReturnStatus.RETURN, strict=False)
         elif kind == _TABLE:
@@ -604,27 +604,6 @@ class ConcurrentCfgState:
             self.refresh_descriptor(desc)
         # opaque jumps, halts, and running off text end have no successors
 
-    def _process_call_site(self, ctx: _WorkerCtx, fn: _FuncRecord, call_end: int, callee: int) -> None:
-        rec = self.functions[callee]
-        with rec.status_lock:
-            val = rec.status
-            if val is ReturnStatus.UNSET:
-                rec.ft_waiters.setdefault(call_end, set()).add(fn.entry)
-                ctx.waiters_registered += 1
-        if val is ReturnStatus.RETURN:
-            self._ensure_cfec(call_end)
-            self._enqueue_addr(fn, call_end)
-
-    def _tail_interest(self, ctx: _WorkerCtx, fn: _FuncRecord, target: int) -> None:
-        rec = self.functions[target]
-        with rec.status_lock:
-            val = rec.status
-            if val is ReturnStatus.UNSET:
-                rec.tail_fns.add(fn.entry)
-                ctx.waiters_registered += 1
-        if val is ReturnStatus.RETURN:
-            self._set_status(fn.entry, ReturnStatus.RETURN, strict=False)
-
     # -- drive to completion --------------------------------------------------
 
     def run(self) -> tuple[Cfg, EngineStats]:
@@ -635,32 +614,29 @@ class ConcurrentCfgState:
             t0 = time.perf_counter()
             self._running = True
             self.pool.start()
+            try:
+                seeds = self.symbols.seeds
+                step = max(1, (len(seeds) + self.workers - 1) // self.workers)
+                for i in range(0, len(seeds), step):
+                    chunk = seeds[i : i + step]
+                    self.pool.spawn(
+                        lambda ctx, c=chunk: [self.attempt_create_function(a, ctx) for a in c]
+                    )
+                t1 = time.perf_counter()
+                stats.init_seconds = t1 - t0
 
-            seeds = self.symbols.seeds
-            step = max(1, (len(seeds) + self.workers - 1) // self.workers)
-            for i in range(0, len(seeds), step):
-                chunk = seeds[i : i + step]
-                self.pool.spawn(
-                    lambda ctx, c=chunk: [self.attempt_create_function(a, ctx) for a in c]
-                )
-            t1 = time.perf_counter()
-            stats.init_seconds = t1 - t0
-
-            first_quiescence = True
-            while True:
-                self.pool.wait_idle()
-                if first_quiescence:
-                    stats.waiters_live_at_quiescence = self._count_live_waiters()
-                    first_quiescence = False
-                if self._global_table_sweep():
-                    continue
-                if any(
-                    rec.status is ReturnStatus.UNSET for rec in self.functions.values()
-                ):
-                    self.resolve_status_cycles()
-                    continue
-                break
-            self.pool.shutdown()
+                while True:
+                    self.pool.wait_idle()
+                    if self._global_table_sweep():
+                        continue
+                    if any(
+                        rec.status is ReturnStatus.UNSET for rec in self.functions.values()
+                    ):
+                        self.resolve_status_cycles()
+                        continue
+                    break
+            finally:
+                self.pool.shutdown()
             t2 = time.perf_counter()
             stats.traversal_seconds = t2 - t1
 
@@ -674,22 +650,12 @@ class ConcurrentCfgState:
             stats.finalize_flips = fstats.flips
             stats.finalize_iterations = fstats.iterations
             stats.finalize_seconds = time.perf_counter() - t3
-            stats.call_fallthrough_edges = sum(
-                1 for e in cfg.edges if e.kind == _CALL_FALLTHROUGH
-            )
             return cfg, stats
 
     def _merge_ctx_stats(self, stats: EngineStats) -> None:
         for ctx in self.pool.ctxs:
-            stats.blocks_created += ctx.blocks_created
-            stats.block_claim_losses += ctx.claim_losses
-            stats.end_registrations += ctx.end_wins
-            stats.end_registration_losses += ctx.end_losses
-            stats.splits_performed += ctx.splits
-            stats.functions_created += ctx.fns_created
-            stats.function_claim_losses += ctx.fn_losses
-            stats.cfis_decoded += ctx.cfis
-            stats.waiters_registered += ctx.waiters_registered
+            for name in _WorkerCtx.__slots__:
+                setattr(stats, name, getattr(stats, name) + getattr(ctx, name))
 
     # -- export ---------------------------------------------------------------
 

@@ -628,8 +628,7 @@ def extract_facets(g: Cfg, registry: TableRegistry) -> GroundTruth:
             (g.blocks[s].start, g.blocks[s].end) for s in fb.blocks
         )
     for desc in registry.sorted_descriptors():
-        final = desc.final_bound if desc.final_bound is not None else desc.effective_bound
-        truth.jump_table_sizes[desc.base] = final
+        truth.jump_table_sizes[desc.base] = desc.settled_bound
     for blk in g.blocks.values():
         term = blk.terminator
         if term is not None and term.kind is Opcode.CALL:

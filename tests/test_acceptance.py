@@ -353,23 +353,28 @@ def test_criterion_7_scaling_report():
     )
 
 
-def test_criterion_8_eager_notification_liveness():
+def test_criterion_8_eager_notification_liveness(monkeypatch):
     """Every waiter drains before traversal quiescence when the deepest
-    callee of a 32-deep call chain returns early."""
+    callee of a 32-deep call chain returns early: no status is left for
+    the quiescence-time cycle resolution."""
     t0 = time.perf_counter()
     spec = ScenarioSpec.make("noreturn-chain", 7, depth=32, early_ret=1)
     img, truth = generate(spec)
     assert truth.noreturn_call_sites == set()
-    cfg, stats, _ = construct_details(img, 8)
-    ok = (
-        stats.waiters_live_at_quiescence == 0
-        and stats.waiters_registered >= 1
-        and stats.call_fallthrough_edges == 32
+    resolved = []
+    resolve = ConcurrentCfgState.resolve_status_cycles
+    monkeypatch.setattr(
+        ConcurrentCfgState,
+        "resolve_status_cycles",
+        lambda self: resolved.append(self) or resolve(self),
     )
+    cfg, stats, _ = construct_details(img, 8)
+    fallthroughs = sum(1 for e in cfg.edges if e.kind is EdgeKind.CALL_FALLTHROUGH)
+    ok = resolved == [] and stats.waiters_registered >= 1 and fallthroughs == 32
     _report(
         "criterion 8: eager-notification liveness on noreturn-chain(depth=32)",
         ok,
         f"{stats.waiters_registered} waiters registered, "
-        f"{stats.call_fallthrough_edges} fall-through edges, "
+        f"{fallthroughs} fall-through edges, {len(resolved)} cycle resolutions, "
         f"{time.perf_counter() - t0:.1f}s",
     )

@@ -65,7 +65,7 @@ class TestTrim:
             assert desc.final_bound == truth.jump_table_sizes[desc.base]
         # bogus indirect edges were removed along with dangling blocks
         d1 = registry.sorted_descriptors()[0]
-        owner = d1.owner_block
+        (owner,) = (b.start for b in cfg.blocks.values() if b.end == d1.jump_end)
         out = {e.target for e in cfg.edges if e.source == owner and e.kind is EdgeKind.INDIRECT}
         assert len(out) == truth.jump_table_sizes[d1.base]
 

@@ -127,32 +127,37 @@ class TestFunctionCreation:
 
 class TestEndRegistrationAndSplit:
     def test_winner_creates_edges_loser_gets_none(self):
+        # the loser of end 0xf creates no edge: it takes the end and the
+        # winner's jump edge over, and the winner is cut to fall into it
         img = asm_image(0x4, [(Opcode.ALU,), (Opcode.ALU,), (Opcode.JMP_DIRECT, 0x4)])
         state = ConcurrentCfgState(img, 1)
         fn = _owner(state)
         b1 = _claim_and_scan(state, 0x4)
-        assert state.register_block_end(b1, fn, _ctx())
+        state.register_block_end(b1, fn, _ctx())
         assert list(b1.out) == [(0x4, int(EdgeKind.DIRECT))]
         b2 = _claim_and_scan(state, 0x7)
-        assert not state.register_block_end(b2, fn, _ctx())
-        assert list(b2.out) == []
-        assert list(b1.out) == [(0x4, int(EdgeKind.DIRECT))]
+        ctx = _ctx()
+        state.register_block_end(b2, fn, ctx)
+        assert list(b2.out) == [(0x4, int(EdgeKind.DIRECT))]
+        assert list(b1.out) == [(0x7, int(EdgeKind.COND_FALLTHROUGH))]
+        assert state.incoming[0x4] == [(0xF, int(EdgeKind.DIRECT))]
+        assert (ctx.end_registrations, ctx.end_registration_losses) == (1, 1)
 
     def test_two_way_split(self, paper_layout):
         state = ConcurrentCfgState(paper_layout, 1)
         fn = _owner(state)
         b1 = _claim_and_scan(state, 0x4)
-        assert state.register_block_end(b1, fn, _ctx())
+        state.register_block_end(b1, fn, _ctx())
         b2 = _claim_and_scan(state, 0xA)
-        won = state.register_block_end(b2, fn, _ctx())
-        assert not won
-        state.split_chain(b2, _ctx())
+        ctx = _ctx()
+        state.register_block_end(b2, fn, ctx)
         assert (b2.start, b2.end) == (0xA, 0xD)
         assert b2.term == int(Opcode.RET)
         assert (b1.start, b1.end) == (0x4, 0xA)
         assert list(b1.out) == [(0xA, int(EdgeKind.COND_FALLTHROUGH))]
         assert state.blocks_by_end[0xD].block is b2
         assert state.blocks_by_end[0xA].block is b1
+        assert (ctx.end_registration_losses, ctx.splits_performed) == (1, 1)
 
     def test_three_way_split_chain(self):
         # starts 0x4, 0xa, 0xd all scan to the jump ending at 0x12
@@ -162,15 +167,14 @@ class TestEndRegistrationAndSplit:
         state = ConcurrentCfgState(img, 1)
         fn = _owner(state)
         first = _claim_and_scan(state, 0x4)
-        assert state.register_block_end(first, fn, _ctx())
+        state.register_block_end(first, fn, _ctx())
         mid = _claim_and_scan(state, 0xD)
-        won = state.register_block_end(mid, fn, _ctx())
-        assert not won
-        state.split_chain(mid, _ctx())
+        state.register_block_end(mid, fn, _ctx())
         last = _claim_and_scan(state, 0xA)
-        won = state.register_block_end(last, fn, _ctx())
-        assert not won
-        state.split_chain(last, _ctx())
+        # 0xa loses 0x12 to 0xd, then 0xd to 0x4: one loss, two cuts
+        ctx = _ctx()
+        state.register_block_end(last, fn, ctx)
+        assert (ctx.end_registration_losses, ctx.splits_performed) == (1, 2)
         spans = {(b.start, b.end) for b in state.blocks_by_start.values()}
         assert spans == {(0x4, 0xA), (0xA, 0xD), (0xD, 0x12)}
         tail = state.blocks_by_end[0x12].block
@@ -179,28 +183,64 @@ class TestEndRegistrationAndSplit:
             blk = state.blocks_by_start[start]
             assert list(blk.out) == [(end, int(EdgeKind.COND_FALLTHROUGH))]
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 6).flatmap(lambda k: st.permutations(range(k))),
+        st.sampled_from(
+            [(Opcode.JMP_DIRECT, 0x4), (Opcode.JCC_DIRECT, 0x4), (Opcode.CALL, 0x4), (Opcode.RET,)]
+        ),
+    )
+    def test_end_registration_commutes(self, order, terminator):
+        # k blocks, one per instruction start, all scan to the one end
+        k = len(order)
+        img = asm_image(0x4, [(Opcode.ALU,)] * (k - 1) + [terminator])
+        starts = [0x4 + 3 * i for i in range(k)]
+        end = img.text_end
+
+        def registered(order):
+            state = ConcurrentCfgState(img, 1)
+            fn = _owner(state)
+            for i in order:
+                state.register_block_end(_claim_and_scan(state, starts[i]), fn, _ctx())
+            return state
+
+        state = registered(order)
+        spans = {(b.start, b.end) for b in state.blocks_by_start.values()}
+        assert spans == set(zip(starts, starts[1:] + [end]))
+        for start, nxt in zip(starts, starts[1:]):
+            blk = state.blocks_by_start[start]
+            assert list(blk.out) == [(nxt, int(EdgeKind.COND_FALLTHROUGH))]
+        filled = {e: x.block for e, x in state.blocks_by_end.items() if x.block is not None}
+        assert sorted(filled) == starts[1:] + [end]
+        assert all(b.end == e for e, b in filled.items())
+        reference = registered(range(k))
+        assert {b.start: b.out for b in state.blocks_by_start.values()} == {
+            b.start: b.out for b in reference.blocks_by_start.values()
+        }
+
     def test_split_that_does_not_shorten_raises(self, paper_layout):
         # a scan at the text end walks nothing: the block [0xd, 0xd)
         # loses the end 0xd to [0x4, 0xd), and no split can shorten it
         state = ConcurrentCfgState(paper_layout, 1)
         fn = _owner(state)
         b1 = _claim_and_scan(state, 0x4)
-        assert state.register_block_end(b1, fn, _ctx())
+        state.register_block_end(b1, fn, _ctx())
         empty = _claim_and_scan(state, 0xD)
         assert (empty.start, empty.end) == (0xD, 0xD)
-        assert not state.register_block_end(empty, fn, _ctx())
-        exc = _raised_within(10, lambda: state.split_chain(empty, _ctx()))
+        exc = _raised_within(10, lambda: state.register_block_end(empty, fn, _ctx()))
         assert isinstance(exc, InternalError) and "0xd" in str(exc)
 
     def test_same_start_registration_is_noop(self, paper_layout):
         state = ConcurrentCfgState(paper_layout, 1)
         fn = _owner(state)
         b1 = _claim_and_scan(state, 0x4)
-        assert state.register_block_end(b1, fn, _ctx())
+        state.register_block_end(b1, fn, _ctx())
         out_before = dict(b1.out)
-        assert state.register_block_end(b1, fn, _ctx())
+        ctx = _ctx()
+        state.register_block_end(b1, fn, ctx)
         assert b1.out == out_before
         assert state.blocks_by_end[0xD].block is b1
+        assert (ctx.end_registrations, ctx.end_registration_losses) == (0, 0)
 
 
 class TestScanFacts:
@@ -272,14 +312,23 @@ class TestReturnStatus:
         with pytest.raises(AlreadySetError):
             state._set_status(0x4, ReturnStatus.NORETURN, strict=True)
 
-    def test_eager_notification_drains_waiters_before_quiescence(self):
+    def test_eager_notification_drains_waiters_before_quiescence(self, monkeypatch):
+        # a waiter left at quiescence means a function left unset, which
+        # is what the cycle resolution runs for
         img, truth = generate(
             ScenarioSpec.make("noreturn-chain", seed=9, depth=8, early_ret=1)
         )
+        resolved = []
+        resolve = ConcurrentCfgState.resolve_status_cycles
+        monkeypatch.setattr(
+            ConcurrentCfgState,
+            "resolve_status_cycles",
+            lambda self: resolved.append(self) or resolve(self),
+        )
         cfg, stats, _ = construct_details(img, 4)
-        assert stats.waiters_live_at_quiescence == 0
+        assert resolved == []
         assert stats.waiters_registered >= 1
-        assert stats.call_fallthrough_edges == 8
+        assert sum(1 for e in cfg.edges if e.kind is EdgeKind.CALL_FALLTHROUGH) == 8
 
     def test_known_noreturn_symbol_blocks_fallthrough_without_waiting(self):
         img = asm_image(
@@ -383,16 +432,23 @@ class TestInstrumentation:
         assert set(state.blocks_by_start) == set(cfg.blocks)
 
     def test_split_chains_strictly_decrease(self):
-        # `split_chain` raises InternalError on a step that does not
+        # `register_block_end` raises InternalError on a cut that does not
         # shorten the end, so a clean run under contention is the audit
         _, _, stats = self._stress()
         assert stats.splits_performed > 0
 
-    def test_every_visit_claims_and_scans(self):
+    def test_every_visit_claims_and_scans(self, monkeypatch):
         img, _ = generate(ScenarioSpec.make("big-random", 1, functions=200))
+        scans = []
+
+        def counted(*args):
+            scans.append(args)
+            return scan_block(*args)
+
+        monkeypatch.setattr(parallel, "scan_block", counted)
         cfg, stats, _ = construct_details(img, 1)
         assert canonical_serialize(cfg) == canonical_serialize(serial_construct(img))
-        assert stats.cfis_decoded == stats.blocks_created + stats.block_claim_losses
+        assert len(scans) == stats.blocks_created + stats.block_claim_losses
         # blocks shared by functions are visited once per function, so a
         # single worker loses claims to itself
         assert stats.block_claim_losses > 0
@@ -570,6 +626,15 @@ def test_fallthrough_to_text_end_raises_instead_of_hanging(workers):
     assert exc.addr == _FALLTHROUGH_TO_TEXT_END.text_end
     with pytest.raises(OutOfRangeError):
         serial_construct(_FALLTHROUGH_TO_TEXT_END)
+
+
+def test_workers_are_joined_before_the_error_surfaces():
+    # a worker still running after the raise shows in some runs only
+    for _ in range(10):
+        state = ConcurrentCfgState(_FALLTHROUGH_TO_TEXT_END, 4)
+        exc = _raised_within(10, state.run)
+        assert isinstance(exc, OutOfRangeError)
+        assert not any(t.is_alive() for t in state.pool._threads)
 
 
 def test_worker_count_validated(paper_layout):

@@ -1,17 +1,21 @@
 """The library takes no settings from the environment and no setting but
 the worker count, ships one scan kernel, in Python source only, decodes
-byte ranges only through that kernel, and keeps the serial oracle
-independent of the engine it checks."""
+byte ranges only through that kernel, keeps the serial oracle
+independent of the engine it checks, and keeps no engine stat that
+nothing reads."""
 
 import ast
+import dataclasses
 import inspect
+import re
 from pathlib import Path
 
 import pytest
 
-from pcfg.parallel import ConcurrentCfgState, construct, construct_details
+from pcfg.parallel import ConcurrentCfgState, EngineStats, construct, construct_details
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "pcfg"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "pcfg"
 
 
 def test_library_reads_no_environment():
@@ -65,3 +69,13 @@ def test_scan_block_is_the_only_range_decoder():
     tree = ast.parse((SRC / "_kernels" / "__init__.py").read_text())
     defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
     assert defined == {"scan_block"}
+
+
+def test_every_engine_stat_is_read():
+    readers = [SRC / "cli.py", ROOT / "bench" / "run.py"]
+    readers += [p for p in sorted(ROOT.glob("tests/test_*.py")) if p.name != Path(__file__).name]
+    text = "\n".join(p.read_text() for p in readers)
+    unread = [
+        f.name for f in dataclasses.fields(EngineStats) if not re.search(rf"\b{f.name}\b", text)
+    ]
+    assert unread == []
