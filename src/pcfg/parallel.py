@@ -19,8 +19,21 @@ wait on its target the same way a caller waits on a callee, in the same
 waiter set, which keeps statuses independent of which thread classified
 the branch first.
 
-A worker's error ends the run: every worker is joined before `run`
-raises it.
+Work is scheduled as one task per function traversal on a fixed pool of
+threads sharing one C-level `queue.SimpleQueue`. A worker that is
+already running takes the next task before a sleeping one wakes: a put
+wakes at most one sleeper, which then waits for the GIL, so sleepers
+wake about once per GIL switch interval, not once per task. The count
+of unfinished tasks is a list that spawns append to and finished tasks
+pop from, both atomic; a lock around it convoys, because once a worker
+is preempted while holding it every later acquisition blocks and
+switches threads. The thread driving quiescence sleeps on a condition
+no worker waits on, woken only by the worker that finishes the last
+task or records the first error, and never polls.
+
+A worker's error ends the run: tasks spawned or still queued after the
+first error never run, and every worker is joined before `run` raises
+it.
 
 The finalized graph is required to match the single-threaded reference
 constructor byte-for-byte under any worker count and schedule; the
@@ -30,6 +43,7 @@ call labels and heuristic entry labels).
 
 from __future__ import annotations
 
+import queue
 import threading
 import time
 from collections import deque
@@ -186,11 +200,17 @@ class EngineStats:
 
 
 class _TaskPool:
+    """Runs tasks, and the tasks they spawn, on a fixed set of worker
+    threads. A worker's first error is the one `wait_idle` raises; tasks
+    spawned or still queued after it never run."""
+
     def __init__(self, workers: int):
-        self._lock = threading.Lock()
-        self._cv = threading.Condition(self._lock)
-        self._q: deque = deque()
-        self._unfinished = 0
+        self._q: queue.SimpleQueue = queue.SimpleQueue()
+        # one item per spawned task that has not finished: appends and
+        # pops are atomic, so counting takes no lock
+        self._unfinished: list[None] = []
+        # only `wait_idle` sleeps on this condition
+        self._idle = threading.Condition(threading.Lock())
         self._stop = False
         self._error: BaseException | None = None
         self._threads = [
@@ -204,52 +224,52 @@ class _TaskPool:
             t.start()
 
     def spawn(self, task) -> None:
-        with self._cv:
-            if self._stop:
-                return
-            self._unfinished += 1
-            self._q.append(task)
-            self._cv.notify()
+        # a spawn that races the first error still queues its task, and
+        # the worker that takes it drops it
+        if self._stop:
+            return
+        self._unfinished.append(None)
+        self._q.put(task)
 
     def _run(self, idx: int) -> None:
         ctx = self.ctxs[idx]
+        get = self._q.get
+        unfinished = self._unfinished
         while True:
-            with self._cv:
-                while not self._q and not self._stop:
-                    self._cv.wait()
-                if self._stop and not self._q:
-                    return
-                task = self._q.popleft()
+            task = get()
+            if task is None:
+                return
+            if self._stop:
+                continue
             try:
                 task(ctx)
             except BaseException as exc:  # surfaced by wait_idle
-                with self._cv:
+                with self._idle:
                     if self._error is None:
                         self._error = exc
-                    self._stop = True
-                    self._q.clear()
-                    self._unfinished = 0
-                    self._cv.notify_all()
+                        self._stop = True
+                        self._idle.notify()
                 continue
-            with self._cv:
-                self._unfinished -= 1
-                if self._unfinished == 0:
-                    self._cv.notify_all()
+            unfinished.pop()
+            # tasks spawn only while they run, so once the list is empty
+            # only the thread driving quiescence, which is not waiting
+            # then, refills it: the last task's worker sees it empty, and
+            # a second notify is harmless
+            if not unfinished:
+                with self._idle:
+                    self._idle.notify()
 
     def wait_idle(self) -> None:
-        with self._cv:
-            while self._unfinished > 0 and self._error is None:
-                self._cv.wait()
+        with self._idle:
+            while self._unfinished and self._error is None:
+                self._idle.wait()
             if self._error is not None:
-                err = self._error
-                self._stop = True
-                self._cv.notify_all()
-                raise err
+                raise self._error
 
     def shutdown(self) -> None:
-        with self._cv:
-            self._stop = True
-            self._cv.notify_all()
+        self._stop = True
+        for _ in self._threads:
+            self._q.put(None)
         for t in self._threads:
             t.join()
 

@@ -1,4 +1,5 @@
 import gc
+import statistics
 import sys
 import threading
 import time
@@ -635,6 +636,150 @@ def test_workers_are_joined_before_the_error_surfaces():
         exc = _raised_within(10, state.run)
         assert isinstance(exc, OutOfRangeError)
         assert not any(t.is_alive() for t in state.pool._threads)
+
+
+def _within(seconds, fn):
+    """Runs `fn` under `_raised_within` and re-raises what it raised."""
+    exc = _raised_within(seconds, fn)
+    if exc is not None:
+        raise exc
+
+
+class TestTaskPool:
+    """The pool's contract, at one worker, at the box's core count and
+    at more workers than cores."""
+
+    @pytest.fixture(params=[1, 2, 8])
+    def pool(self, request):
+        pool = parallel._TaskPool(request.param)
+        pool.start()
+        yield pool
+        pool.shutdown()
+        assert not any(t.is_alive() for t in pool._threads)
+
+    def test_wait_idle_on_an_empty_pool_returns(self, pool):
+        _within(5, pool.wait_idle)
+
+    def test_spawn_from_outside_wakes_a_sleeping_pool(self, pool):
+        # the quiescence sweep spawns from the driving thread after
+        # every worker went back to sleep
+        ran = []
+
+        def body():
+            pool.spawn(lambda ctx: ran.append(1))
+            pool.wait_idle()
+            time.sleep(0.05)
+            pool.spawn(lambda ctx: ran.append(2))
+            pool.wait_idle()
+
+        _within(10, body)
+        assert ran == [1, 2]
+
+    def test_spawned_tasks_finish_before_wait_idle_returns(self, pool):
+        # a short switch interval interleaves the count's updates: one
+        # lost would make `wait_idle` return early or never
+        leaves = []
+
+        def task(depth):
+            def run(ctx):
+                if depth == 0:
+                    time.sleep(0.001)
+                    leaves.append(ctx)
+                    return
+                pool.spawn(task(depth - 1))
+                pool.spawn(task(depth - 1))
+
+            return run
+
+        def body():
+            for n in range(1, 4):
+                pool.spawn(task(7))
+                pool.wait_idle()
+                assert len(leaves) == n * 2**7
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            _within(30, body)
+        finally:
+            sys.setswitchinterval(interval)
+        assert set(map(id, leaves)) <= set(map(id, pool.ctxs))
+
+    def test_first_error_wins_and_later_spawns_never_run(self, pool):
+        ran = []
+
+        def fail(exc):
+            def run(ctx):
+                raise exc
+
+            return run
+
+        first = ValueError("first")
+
+        def body():
+            pool.spawn(fail(first))
+            with pytest.raises(ValueError) as raised:
+                pool.wait_idle()
+            assert raised.value is first
+            pool.spawn(fail(KeyError("second")))
+            pool.spawn(lambda ctx: ran.append(ctx))
+            with pytest.raises(ValueError) as raised:
+                pool.wait_idle()
+            assert raised.value is first
+            pool.shutdown()
+
+        _within(10, body)
+        assert ran == []
+
+    def test_tasks_queued_before_the_first_error_never_run(self, pool):
+        # every other worker holds a blocker, so the recorder the failing
+        # task queues waits until that task's own worker is free, and by
+        # then the error is recorded
+        gate = threading.Event()
+        ran = []
+        first = ValueError("first")
+
+        def block(ctx):
+            gate.wait(5)
+
+        def fail(ctx):
+            pool.spawn(lambda ctx: ran.append(ctx))
+            raise first
+
+        def body():
+            for _ in range(len(pool.ctxs) - 1):
+                pool.spawn(block)
+            pool.spawn(fail)
+            with pytest.raises(ValueError) as raised:
+                pool.wait_idle()
+            assert raised.value is first
+            gate.set()
+            pool.shutdown()
+
+        try:
+            _within(10, body)
+        finally:
+            gate.set()
+        assert ran == []
+
+
+def test_spawns_do_not_wake_a_thread_each():
+    # a pool that wakes a sleeper per spawn switches threads about once
+    # per task (about 2,200 tasks here); one whose running workers take
+    # new tasks first switches about once per GIL switch interval
+    resource = pytest.importorskip("resource")
+    img, _ = generate(ScenarioSpec.make("big-random", seed=3, functions=2000))
+    medians = {}
+    for workers in (2, 8):
+        deltas = []
+        for _ in range(5):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_nvcsw
+            construct(img, workers)
+            deltas.append(resource.getrusage(resource.RUSAGE_SELF).ru_nvcsw - before)
+        medians[workers] = (statistics.median(deltas), deltas)
+    if not any(any(deltas) for _, deltas in medians.values()):
+        pytest.skip("this platform does not count voluntary context switches")
+    assert all(median < 500 for median, _ in medians.values()), medians
 
 
 def test_worker_count_validated(paper_layout):
