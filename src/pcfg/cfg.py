@@ -5,7 +5,9 @@ block start addresses whose ends are not yet resolved, a set of typed
 edges, and function entry labels. Blocks are half-open address ranges
 [start, end) containing at most one control flow instruction, which, if
 present, is the final instruction of the range and is recorded as the
-block's terminator.
+block's terminator. Blocks, edges and function entries are named
+tuples: immutable, hashable values that are cheap to build. The writers
+validate the graph they are handed.
 """
 
 from __future__ import annotations
@@ -53,8 +55,7 @@ INTRA_EDGE_KINDS: frozenset[EdgeKind] = frozenset(
     }
 )
 
-@dataclass(frozen=True)
-class Block:
+class Block(NamedTuple):
     """Address range [start, end). `terminator` is the decoded control
     flow instruction ending the block, or None for blocks that fall
     through into a successor (split prefixes, early endings)."""
@@ -73,8 +74,7 @@ class Edge(NamedTuple):
     kind: EdgeKind
 
 
-@dataclass(frozen=True)
-class FunctionEntry:
+class FunctionEntry(NamedTuple):
     entry: int
     name: str | None
     status: ReturnStatus
@@ -185,7 +185,8 @@ def validate(g: Cfg) -> list[Violation]:
     return out
 
 
-def _require_valid(g: Cfg) -> None:
+def require_valid(g: Cfg) -> None:
+    """Raise `InvalidGraphError` listing the violations of an invalid graph."""
     violations = validate(g)
     if violations:
         raise InvalidGraphError(violations)
@@ -222,8 +223,8 @@ def partial_order_le(g1: Cfg, g2: Cfg, image: Image) -> bool:
     every function entry label.
     """
     del image  # both graphs must already be over the same image
-    _require_valid(g1)
-    _require_valid(g2)
+    require_valid(g1)
+    require_valid(g2)
 
     cover2 = _coverage(g2.blocks.values())
     for b in g1.blocks.values():
@@ -257,7 +258,7 @@ def partial_order_le(g1: Cfg, g2: Cfg, image: Image) -> bool:
 
 def canonical_serialize(g: Cfg) -> str:
     """Deterministic text form: equal graphs produce identical bytes."""
-    _require_valid(g)
+    require_valid(g)
     lines: list[str] = []
     # a valid graph keys each block by its start, and no two blocks share
     # one, so the sorted keys give the (start, end) order
@@ -284,7 +285,7 @@ def canonical_serialize(g: Cfg) -> str:
 
 def to_dot(g: Cfg) -> str:
     """DOT export in canonical order."""
-    _require_valid(g)
+    require_valid(g)
     lines = ["digraph cfg {", "  node [shape=box fontname=monospace];"]
     for b in sorted(g.blocks.values(), key=lambda b: (b.start, b.end)):
         term = b.terminator.kind.name.lower() if b.terminator else "fall"
@@ -305,7 +306,7 @@ def to_dot(g: Cfg) -> str:
 
 def to_json_dict(g: Cfg) -> dict:
     """JSON-ready dict mirroring the canonical sort order."""
-    _require_valid(g)
+    require_valid(g)
     return {
         "blocks": [
             {

@@ -1,7 +1,11 @@
 """Command line interface: analyze, verify, bench, gen.
 
 Results go to stdout and are byte-stable for fixed inputs; timing and
-progress go to stderr so outputs stay diffable.
+progress go to stderr so outputs stay diffable. Exit codes: 0 success;
+1 a malformed image, a failed verification, diverging bench runs or a
+`gen` spec out of bounds; 2 a missing or unreadable file, bad input or
+bad arguments; 3 (`ANALYSIS_FAILED`) a typed `PcfgError` raised while
+building the graph or while checking or writing it.
 """
 
 from __future__ import annotations
@@ -14,8 +18,8 @@ import sys
 import time
 from pathlib import Path
 
-from .cfg import ReturnStatus, canonical_serialize, to_dot, to_json_dict
-from .errors import MalformedImageError, SpecOutOfBoundsError
+from .cfg import ReturnStatus, canonical_serialize, require_valid, to_dot, to_json_dict
+from .errors import MalformedImageError, PcfgError, SpecOutOfBoundsError
 from .image import load_image
 from .parallel import construct_details
 from .workload import (
@@ -27,6 +31,15 @@ from .workload import (
     generate,
     load_truth,
 )
+
+
+#: Exit code of a command whose construction or output check raised.
+ANALYSIS_FAILED = 3
+
+
+def _analysis_failed(exc: PcfgError) -> int:
+    print(f"error: analysis failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return ANALYSIS_FAILED
 
 
 def _default_threads() -> int:
@@ -46,7 +59,19 @@ def cmd_analyze(image_path: str, threads: int, fmt: str, out: str | None) -> int
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    cfg, stats, registry = construct_details(image, threads)
+    try:
+        cfg, stats, registry = construct_details(image, threads)
+        # the writer validates the graph before anything is printed
+        if fmt == "canon":
+            text = canonical_serialize(cfg)
+        elif fmt == "dot":
+            text = to_dot(cfg)
+        else:
+            text = json.dumps(
+                {"cfg": to_json_dict(cfg), "jump_tables": registry.dump()}, indent=2
+            ) + "\n"
+    except PcfgError as exc:
+        return _analysis_failed(exc)
     print(
         f"init {stats.init_seconds:.3f}s traversal {stats.traversal_seconds:.3f}s "
         f"export {stats.export_seconds:.3f}s finalization {stats.finalize_seconds:.3f}s",
@@ -62,14 +87,6 @@ def cmd_analyze(image_path: str, threads: int, fmt: str, out: str | None) -> int
         f"summary functions={len(cfg.entries)} blocks={len(cfg.blocks)} "
         f"edges={len(cfg.edges)} noreturn={noreturn} tables_trimmed={trimmed}"
     )
-    if fmt == "canon":
-        text = canonical_serialize(cfg)
-    elif fmt == "dot":
-        text = to_dot(cfg)
-    else:
-        text = json.dumps(
-            {"cfg": to_json_dict(cfg), "jump_tables": registry.dump()}, indent=2
-        ) + "\n"
     if out:
         try:
             Path(out).write_text(text)
@@ -88,7 +105,11 @@ def cmd_verify(image_path: str, truth_path: str, threads: int) -> int:
     except (MalformedImageError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: bad input: {exc}", file=sys.stderr)
         return 2
-    cfg, _, registry = construct_details(image, threads)
+    try:
+        cfg, _, registry = construct_details(image, threads)
+        require_valid(cfg)
+    except PcfgError as exc:
+        return _analysis_failed(exc)
     actual = extract_facets(cfg, registry)
     diffs = diff_truth(expected, actual)
     facets = ("functions", "jump_tables", "noreturn_calls", "tail_calls")
@@ -115,10 +136,13 @@ def cmd_bench(image_path: str, threads_list: list[int], repeat: int) -> int:
     for threads in threads_list:
         times = []
         for i in range(repeat):
-            t0 = time.perf_counter()
-            cfg, _, _ = construct_details(image, threads)
-            times.append(time.perf_counter() - t0)
-            canon = canonical_serialize(cfg)
+            try:
+                t0 = time.perf_counter()
+                cfg, _, _ = construct_details(image, threads)
+                times.append(time.perf_counter() - t0)
+                canon = canonical_serialize(cfg)
+            except PcfgError as exc:
+                return _analysis_failed(exc)
             if outputs.setdefault(threads, canon) != canon:
                 print(
                     f"error: run {i} at {threads} threads diverged from its first run",

@@ -9,6 +9,11 @@ is handed, which its caller owns. Every rule either walks elements in
 a canonical order or judges them all against the same graph, so the
 result is independent of how the traversal phase was scheduled.
 
+Every step reads the graph's edges through one `EdgeIndex` (out-edges
+by source, in-edges by target) that finalization builds once from
+`g.edges` and keeps current through each removal and flip, so no step
+rebuilds a view of every edge for itself.
+
 Tail-call correction applies three rules to each branch edge, lowest
 rule wins, judged against a per-iteration snapshot:
 
@@ -21,12 +26,23 @@ rule wins, judged against a per-iteration snapshot:
    the symbol table (outlined blocks fold back into their parent).
 
 Each edge flips at most once per finalization, which bounds the loop.
+
+Unreachable code is swept once over the whole graph, right after the
+trim, and from then on only below what was removed. The local sweep
+is exact: after the full sweep every node is reachable from an entry,
+and a flip changes only an edge's kind, which reachability ignores. So
+when entries (or edges) are removed, a node can lose reachability only
+if every path to it from an entry passed through a removed item. Such
+a node lies in the region below the removed items: their forward
+closure, stopped at the surviving entries. Everything outside the
+region keeps a path that avoids it, and a node inside stays reachable
+exactly when it is reached, within the region, from a node with an
+in-edge from outside the region.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
-from collections.abc import Iterable
+from collections.abc import Collection, Iterable
 from dataclasses import dataclass
 
 from .cfg import (
@@ -34,9 +50,8 @@ from .cfg import (
     Edge,
     EdgeKind,
     INTRA_EDGE_KINDS,
-    validate,
 )
-from .errors import InternalError, InvalidGraphError
+from .errors import InternalError
 from .jumptables import TableRegistry
 
 _CALLISH = (EdgeKind.CALL, EdgeKind.TAIL_CALL)
@@ -57,41 +72,120 @@ class FinalizeStats:
     iterations: int = 0
 
 
-def _drop_unreachable(g: Cfg) -> bool:
+class EdgeIndex:
+    """A graph's edges by source (`out`) and by target (`inc`), kept in
+    step with `g.edges` by the steps that change it. No list is empty:
+    an address without edges has no key."""
+
+    __slots__ = ("out", "inc")
+
+    def __init__(self, edges: Iterable[Edge]):
+        out: dict[int, list[Edge]] = {}
+        inc: dict[int, list[Edge]] = {}
+        for e in edges:
+            source, target, _ = e
+            bucket = out.get(source)
+            if bucket is None:
+                out[source] = [e]
+            else:
+                bucket.append(e)
+            bucket = inc.get(target)
+            if bucket is None:
+                inc[target] = [e]
+            else:
+                bucket.append(e)
+        self.out = out
+        self.inc = inc
+
+    def remove(self, e: Edge) -> None:
+        for by, key in ((self.out, e.source), (self.inc, e.target)):
+            bucket = by[key]
+            bucket.remove(e)
+            if not bucket:
+                del by[key]
+
+    def replace(self, old: Edge, new: Edge) -> None:
+        """Swap `old` for `new`, an edge with the same ends."""
+        for bucket in (self.out[old.source], self.inc[old.target]):
+            bucket[bucket.index(old)] = new
+
+
+def _remove_nodes(g: Cfg, index: EdgeIndex, nodes: Collection[int]) -> list[Edge]:
+    """Drop the blocks and candidates at `nodes`, which no other node
+    has an edge into, with every edge they touch; returns the edges."""
+    inc, out = index.inc, index.out
+    for n in nodes:
+        g.blocks.pop(n, None)
+        g.candidates.discard(n)
+        inc.pop(n, None)
+    removed: list[Edge] = []
+    for n in nodes:
+        for e in out.pop(n, ()):
+            removed.append(e)
+            bucket = inc.get(e.target)
+            if bucket is not None:
+                bucket.remove(e)
+                if not bucket:
+                    del inc[e.target]
+    g.edges.difference_update(removed)
+    return removed
+
+
+def _drop_unreachable(g: Cfg, index: EdgeIndex | None = None) -> bool:
     """Drop every block and candidate no entry reaches, and every edge
     that loses an end with them; returns whether anything was dropped."""
-    adj: dict[int, list[int]] = {}
-    for e in g.edges:
-        adj.setdefault(e.source, []).append(e.target)
+    if index is None:
+        index = EdgeIndex(g.edges)
+    out = index.out
     seen = set(g.entries)
-    work = deque(g.entries)
+    work = list(seen)
     while work:
-        cur = work.popleft()
-        if cur not in g.blocks:
-            continue
-        for tgt in adj.get(cur, ()):
-            if tgt not in seen:
-                seen.add(tgt)
-                work.append(tgt)
+        for e in out.get(work.pop(), ()):
+            target = e.target
+            if target not in seen:
+                seen.add(target)
+                work.append(target)
     dead = [s for s in g.blocks if s not in seen]
-    lost = g.candidates - seen
-    if not (dead or lost):
+    dead += g.candidates - seen
+    if not dead:
         return False
-    for s in dead:
-        del g.blocks[s]
-    g.candidates -= lost
-    g.edges = {
-        e
-        for e in g.edges
-        if e.source in g.blocks and (e.target in g.blocks or e.target in g.candidates)
-    }
+    _remove_nodes(g, index, dead)
     return True
 
 
-def trim_overlapping_tables(g: Cfg, registry: TableRegistry) -> None:
+def _drop_unreachable_below(g: Cfg, index: EdgeIndex, roots: Iterable[int]) -> list[Edge]:
+    """What `_drop_unreachable` does, for a graph that was fully
+    reachable until some entries and edges were removed; `roots` holds
+    those entries and the removed edges' targets. Only the region below
+    `roots` is walked (see the module docstring). Returns the edges
+    dropped."""
+    entries, out, inc = g.entries, index.out, index.inc
+    region = {r for r in roots if r not in entries}
+    work = list(region)
+    while work:
+        for e in out.get(work.pop(), ()):
+            target = e.target
+            if target not in region and target not in entries:
+                region.add(target)
+                work.append(target)
+    live = [n for n in region if any(e.source not in region for e in inc.get(n, ()))]
+    reached = set(live)
+    while live:
+        for e in out.get(live.pop(), ()):
+            target = e.target
+            if target in region and target not in reached:
+                reached.add(target)
+                live.append(target)
+    return _remove_nodes(g, index, region - reached)
+
+
+def trim_overlapping_tables(
+    g: Cfg, registry: TableRegistry, index: EdgeIndex | None = None
+) -> None:
     """Cut each table whose effective extent overlaps the next table's
-    base back to that base, drop the indirect edges only the cut entries
-    produced, and sweep away the code they alone reached."""
+    base back to that base and drop the indirect edges only the cut
+    entries produced. The code they alone reached is left to the sweep
+    that follows the trim in `finalize_details`."""
     ends = {b.end: b.start for b in g.blocks.values()}
     descs = registry.sorted_descriptors()
     drop: set[Edge] = set()
@@ -109,13 +203,17 @@ def trim_overlapping_tables(g: Cfg, registry: TableRegistry) -> None:
         drop.update(Edge(owner, t, EdgeKind.INDIRECT) for t in cut)
         desc.final_bound = new_bound
     drop &= g.edges
-    if drop:
-        g.edges -= drop
-        _drop_unreachable(g)
+    g.edges -= drop
+    if index is not None:
+        for e in drop:
+            index.remove(e)
 
 
 def assign_function_boundaries(
-    g: Cfg, prior: list[FunctionBoundary] | None = None, sources: Iterable[int] = ()
+    g: Cfg,
+    prior: list[FunctionBoundary] | None = None,
+    sources: Iterable[int] = (),
+    index: EdgeIndex | None = None,
 ) -> list[FunctionBoundary]:
     """One boundary per entry: the blocks reachable from the entry over
     intra-procedural edges. Shared blocks appear in several boundaries.
@@ -124,23 +222,23 @@ def assign_function_boundaries(
     differs from it only in the kinds of edges leaving `sources` and in
     removed entries, only the boundaries that contain one of `sources`
     are walked again: a walk that never reaches a changed edge's source
-    cannot see the change."""
-    adj: dict[int, list[int]] = {}
-    for e in g.edges:
-        if e.kind in INTRA_EDGE_KINDS:
-            adj.setdefault(e.source, []).append(e.target)
+    cannot see the change. `index` indexes `g.edges`; without one the
+    function builds its own."""
+    if index is None:
+        index = EdgeIndex(g.edges)
+    out = index.out
+    g_blocks = g.blocks
 
     def walk(entry: int) -> FunctionBoundary:
         blocks: set[int] = set()
-        if entry in g.blocks:
-            work = deque([entry])
+        if entry in g_blocks:
+            work = [entry]
             blocks.add(entry)
             while work:
-                cur = work.popleft()
-                for tgt in adj.get(cur, ()):
-                    if tgt in g.blocks and tgt not in blocks:
-                        blocks.add(tgt)
-                        work.append(tgt)
+                for _, target, kind in out.get(work.pop(), ()):
+                    if kind in INTRA_EDGE_KINDS and target in g_blocks and target not in blocks:
+                        blocks.add(target)
+                        work.append(target)
         return FunctionBoundary(entry, blocks)
 
     if prior is None:
@@ -154,80 +252,110 @@ def assign_function_boundaries(
 
 
 def correct_tail_calls(
-    g: Cfg, boundaries: list[FunctionBoundary], flipped: set[tuple[int, int]]
+    g: Cfg,
+    boundaries: list[FunctionBoundary],
+    flipped: set[tuple[int, int]],
+    index: EdgeIndex | None = None,
 ) -> list[int]:
     """One pass of the three correction rules, applied to `g` in place.
     `flipped` holds the (source, target) of every edge flipped earlier
     in this finalization, none of which flips again; the pass adds the
     edges it flips and returns their sources. Every edge is judged
     against the graph as the pass found it and the flips are applied
-    after the pass, so the order edges are judged in does not matter."""
-    in_degree = Counter(e.target for e in g.edges)
-    callish_in = Counter(e.target for e in g.edges if e.kind in _CALLISH)
-    # rule 2 looks up only tail-call sources: the boundaries holding each
-    tail_sources = {e.source for e in g.edges if e.kind is _TAIL_CALL}
-    holders: dict[int, list[set[int]]] = {}
-    for fb in boundaries:
-        for src in tail_sources & fb.blocks:
-            holders.setdefault(src, []).append(fb.blocks)
-
+    after the pass, so the order edges are judged in does not matter.
+    `index` indexes `g.edges` and is kept current; without one the
+    function builds its own."""
+    if index is None:
+        index = EdgeIndex(g.edges)
+    inc = index.inc
+    called: dict[int, bool] = {}
     flips: list[tuple[Edge, EdgeKind]] = []
-    drop_entries: list[int] = []
+    tails: list[Edge] = []
     for e in g.edges:
         source, target, kind = e
         if kind is _DIRECT:
-            if callish_in[target] and (source, target) not in flipped:
+            if (source, target) in flipped:
+                continue
+            hit = called.get(target)
+            if hit is None:
+                hit = called[target] = any(i.kind in _CALLISH for i in inc[target])
+            if hit:
                 flips.append((e, _TAIL_CALL))
         elif kind is _TAIL_CALL and (source, target) not in flipped:
-            if any(target in blocks for blocks in holders.get(source, ())):
-                flips.append((e, _DIRECT))
-            elif in_degree[target] == 1:
-                flips.append((e, _DIRECT))
-                entry = g.entries.get(target)
-                if entry is not None and not entry.seed:
-                    drop_entries.append(target)
+            tails.append(e)
+
+    # rule 2 looks up only tail-call sources: the boundaries holding each
+    tail_sources = {e.source for e in tails}
+    holders: dict[int, list[set[int]]] = {}
+    if tail_sources:
+        for fb in boundaries:
+            for src in tail_sources & fb.blocks:
+                holders.setdefault(src, []).append(fb.blocks)
+    drop_entries: list[int] = []
+    for e in tails:
+        source, target, _ = e
+        if any(target in blocks for blocks in holders.get(source, ())):
+            flips.append((e, _DIRECT))
+        elif len(inc[target]) == 1:
+            flips.append((e, _DIRECT))
+            entry = g.entries.get(target)
+            if entry is not None and not entry.seed:
+                drop_entries.append(target)
 
     for e, kind in flips:
+        new = Edge(e.source, e.target, kind)
         g.edges.discard(e)
-        g.edges.add(Edge(e.source, e.target, kind))
+        g.edges.add(new)
+        index.replace(e, new)
         flipped.add((e.source, e.target))
     for addr in drop_entries:
         g.entries.pop(addr, None)
     return [e.source for e, _ in flips]
 
 
-def _prune(g: Cfg) -> None:
+def _prune(g: Cfg, index: EdgeIndex, dropped: Iterable[int]) -> None:
     """Drop heuristic entries no call-like edge reaches, and the code
-    only they reached, until neither changes."""
+    only they reached, until neither changes. `dropped` holds the
+    entries removed since the graph was last fully reachable; after the
+    first round, only an entry that lost a call-like in-edge to the
+    last sweep can have lost its last one."""
+    roots = list(dropped)
+    suspects: Iterable[int] = list(g.entries)
     while True:
-        callish_targets = {e.target for e in g.edges if e.kind in _CALLISH}
-        drop = [a for a, f in g.entries.items() if not f.seed and a not in callish_targets]
-        for a in drop:
-            del g.entries[a]
-        swept = _drop_unreachable(g)
-        if not (drop or swept):
+        for a in suspects:
+            f = g.entries.get(a)
+            if f is not None and not f.seed:
+                if not any(e.kind in _CALLISH for e in index.inc.get(a, ())):
+                    del g.entries[a]
+                    roots.append(a)
+        if not roots:
             return
+        removed = _drop_unreachable_below(g, index, roots)
+        roots = []
+        suspects = {e.target for e in removed if e.kind in _CALLISH}
 
 
 def finalize_details(g: Cfg, registry: TableRegistry) -> FinalizeStats:
     """Run the full finalization pipeline over `g` in place; idempotent
-    on its own output."""
+    on its own output. The graph is not validated here: every writer
+    in `pcfg.cfg` validates what it is handed."""
     stats = FinalizeStats()
-    trim_overlapping_tables(g, registry)
+    index = EdgeIndex(g.edges)
+    trim_overlapping_tables(g, registry, index)
+    _drop_unreachable(g, index)
+    entries = set(g.entries)
     flipped: set[tuple[int, int]] = set()
     edge_budget = len(g.edges)
-    boundaries = assign_function_boundaries(g)
+    boundaries = assign_function_boundaries(g, None, (), index)
     while True:
         stats.iterations += 1
-        sources = correct_tail_calls(g, boundaries, flipped)
+        sources = correct_tail_calls(g, boundaries, flipped, index)
         if not sources:
             break
         if stats.iterations > edge_budget + 2:
             raise InternalError("tail-call correction failed to converge")
-        boundaries = assign_function_boundaries(g, boundaries, sources)
+        boundaries = assign_function_boundaries(g, boundaries, sources, index)
     stats.flips = len(flipped)
-    _prune(g)
-    violations = validate(g)
-    if violations:
-        raise InvalidGraphError(violations)
+    # rule 3 dropped these entries; the prune's first sweep starts below them
+    _prune(g, index, entries.difference(g.entries))
     return stats

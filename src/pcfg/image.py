@@ -13,6 +13,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from ._kernels import scan_block
 from .errors import MalformedImageError, OutOfRangeError
@@ -27,8 +28,14 @@ class SymbolKind(Enum):
     OBJECT = 1
 
 
-@dataclass(frozen=True)
-class SymbolEntry:
+_SYMBOL_KINDS = {k.value: k for k in SymbolKind}
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
+_SECTION = struct.Struct("<QI")
+_SYMBOL = struct.Struct("<QBBH")
+
+
+class SymbolEntry(NamedTuple):
     offset: int
     mangled: str
     pretty: str
@@ -85,17 +92,15 @@ def pack_image(image: Image) -> bytes:
     """Serialize an image to container bytes."""
     out = bytearray()
     out += MAGIC
-    out += struct.pack("<H", VERSION)
-    out += struct.pack("<QI", image.text_base, len(image.text))
+    out += _U16.pack(VERSION)
+    out += _SECTION.pack(image.text_base, len(image.text))
     out += image.text
-    out += struct.pack("<QI", image.data_base, len(image.data))
+    out += _SECTION.pack(image.data_base, len(image.data))
     out += image.data
-    out += struct.pack("<I", len(image.symbols))
+    out += _U32.pack(len(image.symbols))
     for s in image.symbols:
         name = s.mangled.encode("utf-8")
-        out += struct.pack(
-            "<QBBH", s.offset, s.kind.value, int(s.known_noreturn), len(name)
-        )
+        out += _SYMBOL.pack(s.offset, s.kind.value, int(s.known_noreturn), len(name))
         out += name
     return bytes(out)
 
@@ -112,9 +117,8 @@ class _Reader:
         self.pos += n
         return chunk
 
-    def unpack(self, fmt: str, what: str):
-        size = struct.calcsize(fmt)
-        return struct.unpack(fmt, self.take(size, what))
+    def unpack(self, layout: struct.Struct, what: str):
+        return layout.unpack(self.take(layout.size, what))
 
 
 def load_image(raw: bytes) -> Image:
@@ -122,26 +126,25 @@ def load_image(raw: bytes) -> Image:
     r = _Reader(raw)
     if r.take(4, "magic") != MAGIC:
         raise MalformedImageError("bad magic")
-    (version,) = r.unpack("<H", "version")
+    (version,) = r.unpack(_U16, "version")
     if version != VERSION:
         raise MalformedImageError(f"unsupported version {version}")
-    text_base, text_len = r.unpack("<QI", "text header")
+    text_base, text_len = r.unpack(_SECTION, "text header")
     text = r.take(text_len, "text bytes")
-    data_base, data_len = r.unpack("<QI", "data header")
+    data_base, data_len = r.unpack(_SECTION, "data header")
     data = r.take(data_len, "data bytes")
-    (count,) = r.unpack("<I", "symbol count")
+    (count,) = r.unpack(_U32, "symbol count")
     symbols = []
     for _ in range(count):
-        offset, kind_b, noreturn, name_len = r.unpack("<QBBH", "symbol entry")
+        offset, kind_b, noreturn, name_len = r.unpack(_SYMBOL, "symbol entry")
         raw_name = r.take(name_len, "symbol name")
         try:
             name = raw_name.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise MalformedImageError(f"symbol name {raw_name!r} is not UTF-8") from exc
-        try:
-            kind = SymbolKind(kind_b)
-        except ValueError as exc:
-            raise MalformedImageError(f"bad symbol kind {kind_b}") from exc
+        kind = _SYMBOL_KINDS.get(kind_b)
+        if kind is None:
+            raise MalformedImageError(f"bad symbol kind {kind_b}")
         symbols.append(make_symbol(offset, name, kind, bool(noreturn)))
     if r.pos != len(raw):
         raise MalformedImageError("trailing bytes after symbol table")

@@ -11,8 +11,8 @@ linear scan can never get stuck mid-stream.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 
 class Opcode(IntEnum):
@@ -75,8 +75,7 @@ def is_control_flow(kind: Opcode) -> bool:
     return kind in CONTROL_FLOW
 
 
-@dataclass(frozen=True)
-class Instruction:
+class Instruction(NamedTuple):
     """A decoded instruction.
 
     Operand meaning depends on the kind: `a` is the absolute target for

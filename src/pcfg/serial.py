@@ -22,7 +22,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from collections.abc import Callable
-from dataclasses import replace
 from functools import partial
 
 from .cfg import (
@@ -411,7 +410,7 @@ class _SerialDriver:
             if status is ReturnStatus.RETURN and cur is ReturnStatus.RETURN:
                 return
             raise AlreadySetError(f"0x{addr:x}: {cur.value} -> {status.value}")
-        self.g.entries[addr] = replace(self.g.entries[addr], status=status)
+        self.g.entries[addr] = self.g.entries[addr]._replace(status=status)
         ft = self.ft_waiters.pop(addr, {})
         tails = self.tail_waiters.pop(addr, set())
         if status is ReturnStatus.RETURN:

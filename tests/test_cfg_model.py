@@ -306,3 +306,47 @@ def test_violations_pinned_in_order():
         "entry-key-mismatch(0x41, 0x40): entry keyed by wrong address",
         "entry-not-in-graph(0x90): no block or candidate at entry",
     ]
+
+
+def _values():
+    """One value of each graph and image value type, built afresh."""
+    from pcfg.image import SymbolKind, make_symbol
+
+    return [
+        Block(4, 9, _jmp(4, 0x20)),
+        FunctionEntry(4, "f", ReturnStatus.RETURN, True),
+        Instruction(4, Opcode.IJMP_TABLE, 7, 0x8000, 3),
+        make_symbol(4, "f$1", SymbolKind.FUNC, True),
+    ]
+
+
+_VALUE_FIELDS = [
+    ("start", "end", "terminator"),
+    ("entry", "name", "status", "seed"),
+    ("addr", "kind", "length", "a", "b"),
+    ("offset", "mangled", "pretty", "typed", "kind", "known_noreturn"),
+]
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_value_types_are_immutable(index):
+    value = _values()[index]
+    for field in _VALUE_FIELDS[index]:
+        with pytest.raises(AttributeError):
+            setattr(value, field, 1)
+    assert _values()[index] == value
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_equal_values_hash_equal(index):
+    a, b = _values()[index], _values()[index]
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+def test_instruction_end_and_control_flow():
+    call = Instruction(0x10, Opcode.CALL, 5, 0x40)
+    assert (call.end, call.is_control_flow) == (0x15, True)
+    hint = Instruction(0x10, Opcode.BOUND_HINT, 3, 7)
+    assert (hint.end, hint.is_control_flow) == (0x13, False)
+    assert Block(0x10, 0x15, call).terminator.end == 0x15

@@ -2,9 +2,12 @@ import json
 
 import pytest
 
-from pcfg import cli
+from pcfg import cli, parallel
+from pcfg.cfg import Edge, EdgeKind
 from pcfg.cli import main
+from pcfg.image import pack_image
 from pcfg.workload import ScenarioSpec, emit, generate
+from test_parallel import _FALLTHROUGH_TO_TEXT_END
 
 
 @pytest.fixture
@@ -161,6 +164,55 @@ class TestBench:
         image_path, _ = corpus
         code, _, _ = _run(capsys, "bench", image_path, "--threads", "1,zap")
         assert code == 2
+
+
+class TestAnalysisFailure:
+    """A typed error raised by construction or by a writer's check ends
+    `analyze`, `verify` and `bench` with one line and exit code 3."""
+
+    COMMANDS = ("analyze", "verify", "bench")
+
+    @staticmethod
+    def _argv(command, image_path, truth_path):
+        if command == "verify":
+            return (command, image_path, "--truth", truth_path)
+        if command == "bench":
+            return (command, image_path, "--threads", "1,2", "--repeat", 1)
+        return (command, image_path)
+
+    @staticmethod
+    def _assert_failed(code, out, err, cls):
+        assert code == cli.ANALYSIS_FAILED == 3
+        assert err.splitlines()[-1].startswith(f"error: analysis failed: {cls}: ")
+        assert "Traceback" not in err
+        assert "B 0x" not in out and "verify:" not in out and "bench ok" not in out
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_construction_error_exits_3(self, command, corpus, capsys, tmp_path):
+        # the last instruction falls through to the end of the text
+        hostile = tmp_path / "hostile.pcfg"
+        hostile.write_bytes(pack_image(_FALLTHROUGH_TO_TEXT_END))
+        _, truth_path = corpus
+        code, out, err = _run(capsys, *self._argv(command, hostile, truth_path))
+        self._assert_failed(code, out, err, "OutOfRangeError")
+        assert "0x102a" in err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_invalid_graph_exits_3(self, command, corpus, capsys, monkeypatch):
+        # finalization no longer validates, so the graph must be checked
+        # before any output or verdict
+        real = parallel.finalize_details
+
+        def corrupting(g, registry):
+            stats = real(g, registry)
+            g.edges.add(Edge(min(g.blocks), 0xDEAD0, EdgeKind.DIRECT))
+            return stats
+
+        monkeypatch.setattr(parallel, "finalize_details", corrupting)
+        image_path, truth_path = corpus
+        code, out, err = _run(capsys, *self._argv(command, image_path, truth_path))
+        self._assert_failed(code, out, err, "InvalidGraphError")
+        assert "dangling-edge-target" in err
 
 
 class TestGen:

@@ -1,7 +1,12 @@
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pcfg import cfg as cfg_module
+from pcfg import finalize
 from pcfg.cfg import (
     Block,
     Cfg,
@@ -13,16 +18,27 @@ from pcfg.cfg import (
     validate,
 )
 from pcfg.finalize import (
+    EdgeIndex,
+    _drop_unreachable,
+    _drop_unreachable_below,
     assign_function_boundaries,
     correct_tail_calls,
     finalize_details,
     trim_overlapping_tables,
 )
+from pcfg.image import load_image, pack_image
 from pcfg.isa import Instruction, Opcode
 from pcfg.jumptables import TableRegistry
-from pcfg.serial import serial_construct_details
-from pcfg.parallel import construct_details
-from pcfg.workload import ScenarioSpec, generate
+from pcfg.serial import serial_construct, serial_construct_details
+from pcfg.parallel import ConcurrentCfgState, construct_details
+from pcfg.workload import FAMILIES, ScenarioSpec, generate
+
+#: The generator corpus: every family at three seeds, big-random small.
+CORPUS = [
+    ScenarioSpec.make(family, seed, **({"functions": 120} if family == "big-random" else {}))
+    for family in sorted(FAMILIES)
+    for seed in range(3)
+]
 
 
 def _entry(addr, seed=True, status=ReturnStatus.RETURN):
@@ -305,3 +321,136 @@ class TestFinalize:
         img, _ = generate(ScenarioSpec.make("big-random", seed=10, functions=60))
         cfg, _, _ = construct_details(img, 4)
         assert validate(cfg) == []
+
+
+class TestOneValidation:
+    """Finalization does not validate; the writer validates once."""
+
+    @staticmethod
+    def _count(monkeypatch) -> list:
+        real = cfg_module.validate
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return real(g)
+
+        # every pcfg module that bound the function under its own name
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "pcfg" and getattr(module, "validate", None) is real:
+                monkeypatch.setattr(module, "validate", counted)
+        return calls
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_engine_analysis_validates_once(self, monkeypatch, workers):
+        img, _ = generate(ScenarioSpec.make("big-random", seed=1, functions=300))
+        raw = pack_image(img)
+        calls = self._count(monkeypatch)
+        g, _, _ = construct_details(load_image(raw), workers)
+        canonical_serialize(g)
+        assert len(calls) == 1
+
+    def test_oracle_analysis_validates_once(self, monkeypatch):
+        img, _ = generate(ScenarioSpec.make("big-random", seed=1, functions=300))
+        calls = self._count(monkeypatch)
+        canonical_serialize(serial_construct(img))
+        assert len(calls) == 1
+
+
+def _oracle_before_finalize(monkeypatch, img) -> Cfg:
+    """The oracle's graph as its finalization receives it, copied."""
+    seen = []
+    real = finalize.finalize_details
+
+    def capture(g, registry):
+        seen.append(g.clone())
+        return real(g, registry)
+
+    monkeypatch.setattr(finalize, "finalize_details", capture)
+    serial_construct(img)
+    (g,) = seen
+    return g
+
+
+class TestLocalSweep:
+    """The local sweeps rely on a fully reachable graph after the one
+    full sweep; these tests pin that precondition and their exactness."""
+
+    @pytest.mark.parametrize("spec", CORPUS, ids=lambda s: f"{s.family}-{s.seed}")
+    def test_graphs_are_fully_reachable_before_finalize(self, monkeypatch, spec):
+        img, _ = generate(spec)
+        for workers in (1, 2):
+            state = ConcurrentCfgState(img, workers)
+            state.run()
+            assert _drop_unreachable(state.export_cfg()) is False
+        assert _drop_unreachable(_oracle_before_finalize(monkeypatch, img)) is False
+
+    @staticmethod
+    def _normal(index: EdgeIndex):
+        return (
+            {k: sorted(v) for k, v in index.out.items()},
+            {k: sorted(v) for k, v in index.inc.items()},
+        )
+
+    @pytest.mark.parametrize("spec", CORPUS, ids=lambda s: f"{s.family}-{s.seed}")
+    def test_index_matches_edges_when_finalize_ends(self, monkeypatch, spec):
+        built = []
+
+        class Recorded(EdgeIndex):
+            __slots__ = ()
+
+            def __init__(self, edges):
+                super().__init__(edges)
+                built.append(self)
+
+        monkeypatch.setattr(finalize, "EdgeIndex", Recorded)
+        img, _ = generate(spec)
+        for run in (lambda: construct_details(img, 1)[0], lambda: serial_construct(img)):
+            built.clear()
+            g = run()
+            (index,) = built  # no step built an index of its own
+            assert self._normal(index) == self._normal(EdgeIndex(g.edges))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        blocks=st.integers(2, 10),
+        candidates=st.integers(0, 3),
+        raw_edges=st.lists(
+            st.tuples(st.integers(0, 99), st.integers(0, 99), st.sampled_from(list(EdgeKind))),
+            min_size=6,
+            max_size=30,
+        ),
+        raw_entries=st.lists(st.integers(0, 99), min_size=2, max_size=5),
+        drop_entries=st.lists(st.integers(0, 99), min_size=1, max_size=3),
+        drop_edges=st.lists(st.integers(0, 99), max_size=4),
+    )
+    def test_local_sweep_matches_full_sweep(
+        self, blocks, candidates, raw_edges, raw_entries, drop_entries, drop_edges
+    ):
+        nodes = blocks + candidates
+        g = Cfg()
+        for i in range(blocks):
+            g.blocks[4 * i] = Block(4 * i, 4 * i + 1)
+        g.candidates = {4 * (blocks + i) for i in range(candidates)}
+        g.edges = {Edge(4 * (s % blocks), 4 * (t % nodes), k) for s, t, k in raw_edges}
+        g.entries = {4 * (a % nodes): _entry(4 * (a % nodes)) for a in raw_entries}
+        _drop_unreachable(g)
+        assert _drop_unreachable(g.clone()) is False
+
+        index = EdgeIndex(g.edges)
+        entries = sorted(g.entries)
+        roots = [entries[i % len(entries)] for i in drop_entries]
+        for a in roots:
+            g.entries.pop(a, None)
+        edges = sorted(g.edges)
+        cut = {edges[i % len(edges)] for i in drop_edges} if edges else set()
+        for e in cut:
+            g.edges.remove(e)
+            index.remove(e)
+            roots.append(e.target)
+        want = g.clone()
+        _drop_unreachable(want)
+
+        _drop_unreachable_below(g, index, roots)
+        assert (g.blocks, g.candidates, g.edges) == (want.blocks, want.candidates, want.edges)
+        assert self._normal(index) == self._normal(EdgeIndex(g.edges))
