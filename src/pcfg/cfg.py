@@ -162,13 +162,15 @@ def validate(g: Cfg) -> list[Violation]:
             )
             edge_out.append((e, v))
         term = src.terminator.kind if src.terminator else None
+        # an f-string formats an IntEnum member as its value: name it
+        tname = term.name if term is not None else "unterminated"
         if e.kind in _BRANCH_EDGES and term not in _DIRECT_TERMS:
             v = Violation(
-                "bad-edge-kind", (e.source, e.target), f"{e.kind.name} from {term} block"
+                "bad-edge-kind", (e.source, e.target), f"{e.kind.name} from {tname} block"
             )
             edge_out.append((e, v))
         if e.kind is _CALL_EDGE and term is not _CALL_TERM:
-            v = Violation("bad-edge-kind", (e.source, e.target), f"CALL edge from {term} block")
+            v = Violation("bad-edge-kind", (e.source, e.target), f"CALL edge from {tname} block")
             edge_out.append((e, v))
     edge_out.sort(key=lambda item: item[0])
     out.extend(v for _, v in edge_out)

@@ -15,7 +15,6 @@ whose effective extent overlaps the next table and trim them.
 from __future__ import annotations
 
 import logging
-import threading
 from dataclasses import dataclass, field
 
 from ._kernels import scan_block
@@ -73,7 +72,8 @@ class TableDescriptor:
     index_targets: list[int | None] = field(default_factory=list)
     interested: set[int] = field(default_factory=set)  # function entries
     clamped: bool = False
-    lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    #: whether `update_descriptor` has read the table yet
+    read: bool = False
 
     @property
     def settled_bound(self) -> int:
@@ -93,6 +93,7 @@ def update_descriptor(desc: TableDescriptor, image: Image, bound: int) -> set[in
     desc.effective_bound = bound
     desc.index_targets = entries
     desc.clamped |= clamped
+    desc.read = True
     return new
 
 

@@ -35,6 +35,23 @@ A worker's error ends the run: tasks spawned or still queued after the
 first error never run, and every worker is joined before `run` raises
 it.
 
+Block ends are guarded by a fixed table of `_END_STRIPES` locks: end `e`
+by stripe `e % _END_STRIPES`, and a table descriptor by the stripe of
+its jump end. Every read-modify-write of one end (registration, the call
+fall-through edge, a table refresh) holds that end's stripe and takes no
+other end lock while it does: the split loop releases one end before it
+takes the next. No thread ever holds two stripes, so two ends that share
+a stripe serialize but cannot deadlock.
+
+A function record holds state only while it uses it. Its worklist is
+created under the record lock by the first enqueue and dropped when a
+drain finds it empty and goes idle, so a drained function holds none.
+Its waiter set is created by the first waiter and dropped when its
+status is written; a status is written once, so no set is made again.
+Its table set exists from its first table jump on. `construct_details`
+drops the whole state after the export, so finalization runs in the
+memory the engine held.
+
 The finalized graph is required to match the single-threaded reference
 constructor byte-for-byte under any worker count and schedule; the
 finalization pass erases the only schedule-visible differences (tail
@@ -100,6 +117,10 @@ _HALT = int(Opcode.HALT)
 #: Opcode members indexed by their value
 _OPCODES = {int(op): op for op in Opcode}
 
+#: How many locks guard block ends: end `e` is guarded by stripe
+#: `e % _END_STRIPES`
+_END_STRIPES = 64
+
 
 class _EngineBlock:
     __slots__ = ("start", "end", "term", "ta", "tb", "teardown", "hint_at", "hint", "out")
@@ -117,16 +138,8 @@ class _EngineBlock:
         self.hint_at = -1
         self.hint: int | None = None
         # (target, kind) -> None; append-only during traversal except for
-        # moves performed under the end-entry lock
+        # moves performed under the end's stripe lock
         self.out: dict[tuple[int, int], None] = {}
-
-
-class _EndEntry:
-    __slots__ = ("lock", "block")
-
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.block: _EngineBlock | None = None
 
 
 class _FuncRecord:
@@ -149,14 +162,17 @@ class _FuncRecord:
         self.name = name
         self.seed = seed
         self.lock = threading.Lock()
-        self.pending: deque[int] = deque()
+        # the worklist, only while it has work (see the module docstring)
+        self.pending: deque[int] | None = None
         self.active = False
         self.visited: set[int] = set()
-        self.table_descs: set = set()
+        # the function's jump tables, from its first one on
+        self.table_descs: set | None = None
         self.status_lock = threading.Lock()
         self.status = status
-        # (waiting function, call-site end or _TAIL_SITE)
-        self.waiters: set[tuple[int, int]] = set()
+        # (waiting function, call-site end or _TAIL_SITE), from the first
+        # waiter until the status is written
+        self.waiters: set[tuple[int, int]] | None = None
 
 
 class _WorkerCtx:
@@ -283,9 +299,11 @@ class ConcurrentCfgState:
         self.image = image
         self.workers = workers
         self.blocks_by_start: dict[int, _EngineBlock] = {}
-        self.blocks_by_end: dict[int, _EndEntry] = {}
+        self.blocks_by_end: dict[int, _EngineBlock] = {}
+        self._end_locks = tuple(threading.Lock() for _ in range(_END_STRIPES))
         self.functions: dict[int, _FuncRecord] = {}
-        self.incoming: dict[int, list[tuple[int, int]]] = {}
+        # block start -> ends of its intra-procedural predecessors
+        self.incoming: dict[int, list[int]] = {}
         self.registry = TableRegistry()
         self.symbols = symbol_facts(image)
         self.pool = _TaskPool(workers)
@@ -317,33 +335,28 @@ class ConcurrentCfgState:
             ctx.function_claim_losses += 1
             return False
         ctx.functions_created += 1
-        self._enqueue_work(rec, (addr,))
+        self._enqueue_addr(rec, addr)
         return True
-
-    def _end_entry(self, end: int) -> _EndEntry:
-        # look up first: building an entry builds its lock
-        entry = self.blocks_by_end.get(end)
-        if entry is None:
-            entry = self.blocks_by_end.setdefault(end, _EndEntry())
-        return entry
 
     def register_block_end(self, block: _EngineBlock, fn: _FuncRecord, ctx: _WorkerCtx) -> None:
         """Single-winner end registration with the eager block split. The
         first block at an end creates its outgoing edges while holding
-        the entry lock (a block cut short has none to create). A block
-        that finds another at its end splits with it: the later start
-        keeps the end and the other block is cut to end there, then
+        the end's stripe lock (a block cut short has none to create). A
+        block that finds another at its end splits with it: the later
+        start keeps the end and the other block is cut to end there, then
         registered at that strictly smaller end, so the loop converges; a
-        cut that would not shorten the end raises `InternalError`."""
+        cut that would not shorten the end raises `InternalError`. Each
+        round releases one end's lock before it takes the next."""
         cur = block
         lost = False
+        by_end = self.blocks_by_end
+        locks = self._end_locks
         while True:
             end = cur.end
-            entry = self._end_entry(end)
-            with entry.lock:
-                reg = entry.block
+            with locks[end % _END_STRIPES]:
+                reg = by_end.get(end)
                 if reg is None:
-                    entry.block = cur
+                    by_end[end] = cur
                     ctx.end_registrations += 1
                     self._create_edges_locked(cur, fn)
                     return
@@ -362,7 +375,7 @@ class ConcurrentCfgState:
                 else:
                     cur.out.update(reg.out)
                     cur.term, cur.ta, cur.tb = reg.term, reg.ta, reg.tb
-                    entry.block = cur
+                    by_end[end] = cur
                     self._truncate(reg, cut)
                     cur = reg
                 ctx.splits_performed += 1
@@ -374,7 +387,7 @@ class ConcurrentCfgState:
         b.ta = 0
         b.tb = 0
         b.out = {(new_end, _COND_FALLTHROUGH): None}
-        self.incoming.setdefault(new_end, []).append((new_end, _COND_FALLTHROUGH))
+        self.incoming.setdefault(new_end, []).append(new_end)
 
     # -- edges ---------------------------------------------------------------
 
@@ -383,7 +396,9 @@ class ConcurrentCfgState:
         if key in block.out:
             return
         block.out[key] = None
-        self.incoming.setdefault(target, []).append((block.end, kind))
+        # only table refreshes read predecessors, and only intra ones
+        if kind in _INTRA_INTS:
+            self.incoming.setdefault(target, []).append(block.end)
 
     def _create_edges_locked(self, block: _EngineBlock, fn: _FuncRecord) -> None:
         term = block.term
@@ -400,10 +415,10 @@ class ConcurrentCfgState:
         """Idempotently create the call fall-through edge at a call site.
         Skipped while the call block's end is unregistered; the registrant
         re-checks the callee status right after registering."""
-        entry = self._end_entry(call_end)
-        with entry.lock:
-            if entry.block is not None:
-                self._add_edge_locked(entry.block, call_end, _CALL_FALLTHROUGH)
+        with self._end_locks[call_end % _END_STRIPES]:
+            blk = self.blocks_by_end.get(call_end)
+            if blk is not None:
+                self._add_edge_locked(blk, call_end, _CALL_FALLTHROUGH)
 
     # -- tail call classification -------------------------------------------
 
@@ -454,8 +469,8 @@ class ConcurrentCfgState:
                 raise AlreadySetError(f"0x{entry:x}: {cur.value} -> {status.value}")
             rec.status = status
             waiters = rec.waiters
-            rec.waiters = set()
-        if status is ReturnStatus.RETURN:
+            rec.waiters = None
+        if status is ReturnStatus.RETURN and waiters:
             for fn_addr, site in sorted(waiters):
                 self._callee_returns(fn_addr, site)
 
@@ -467,7 +482,10 @@ class ConcurrentCfgState:
         with rec.status_lock:
             val = rec.status
             if val is ReturnStatus.UNSET:
-                rec.waiters.add((fn.entry, site))
+                if rec.waiters is None:
+                    rec.waiters = {(fn.entry, site)}
+                else:
+                    rec.waiters.add((fn.entry, site))
                 ctx.waiters_registered += 1
         if val is ReturnStatus.RETURN:
             self._callee_returns(fn.entry, site)
@@ -492,35 +510,35 @@ class ConcurrentCfgState:
     def refresh_descriptor(self, desc) -> bool:
         """Re-resolve one table against the currently-known predecessor
         set; append any new edges and queue the new targets for every
-        interested function. Monotone: the target set never shrinks."""
-        entry = self._end_entry(desc.jump_end)
-        with entry.lock:
-            owner = entry.block
+        interested function. Monotone: the target set never shrinks, and
+        the table is read again only when its bound grows, because its
+        targets depend on its base and bound alone. The descriptor is
+        guarded by its jump end's stripe lock."""
+        jump_end = desc.jump_end
+        by_end = self.blocks_by_end
+        with self._end_locks[jump_end % _END_STRIPES]:
+            owner = by_end.get(jump_end)
             if owner is None:
                 return False
-            with desc.lock:
-                pred_ends = {
-                    pe
-                    for pe, kind in list(self.incoming.get(owner.start, ()))
-                    if kind in _INTRA_INTS
-                }
-                hints = []
-                for pe in sorted(pred_ends):
-                    pent = self.blocks_by_end.get(pe)
-                    pb = pent.block if pent is not None else None
-                    if pb is None:
-                        continue
-                    h = self._last_hint(pb)
-                    if h is not None:
-                        hints.append(h)
-                bound = effective_bound(desc.declared_bound, hints)
-                new = update_descriptor(desc, self.image, bound)
-                if not new:
-                    return False
-                for t in sorted(new):
-                    self._add_edge_locked(owner, t, _INDIRECT)
-                interested = sorted(desc.interested)
-                new_sorted = sorted(new)
+            hints = []
+            for pe in set(self.incoming.get(owner.start, ())):
+                pb = by_end.get(pe)
+                if pb is None:
+                    continue
+                h = self._last_hint(pb)
+                if h is not None:
+                    hints.append(h)
+            bound = effective_bound(desc.declared_bound, hints)
+            # the first read always happens: it flags a clamped base
+            if desc.read and bound <= desc.effective_bound:
+                return False
+            new = update_descriptor(desc, self.image, bound)
+            if not new:
+                return False
+            new_sorted = sorted(new)
+            for t in new_sorted:
+                self._add_edge_locked(owner, t, _INDIRECT)
+            interested = sorted(desc.interested)
         for fi in interested:
             rec = self.functions[fi]
             for t in new_sorted:
@@ -548,29 +566,33 @@ class ConcurrentCfgState:
     def _enqueue_addr(self, rec: _FuncRecord, addr: int) -> None:
         if addr in rec.visited:
             return
-        self._enqueue_work(rec, (addr,))
-
-    def _enqueue_work(self, rec: _FuncRecord, addrs) -> None:
         with rec.lock:
-            rec.pending.extend(addrs)
-            if rec.pending and not rec.active and self._running:
+            pending = rec.pending
+            if pending is None:
+                rec.pending = deque((addr,))
+            else:
+                pending.append(addr)
+            if not rec.active and self._running:
                 rec.active = True
                 self.pool.spawn(lambda ctx, r=rec: self.traverse_function(r, ctx))
 
     def traverse_function(self, rec: _FuncRecord, ctx: _WorkerCtx) -> None:
         """Drain one function's worklist, driving its jump tables to a
-        fixed point before going idle."""
+        fixed point before going idle. Going idle drops the worklist."""
         while True:
             while True:
                 with rec.lock:
-                    if not rec.pending:
+                    pending = rec.pending
+                    if not pending:
                         break
-                    addr = rec.pending.popleft()
+                    addr = pending.popleft()
                 self._process(ctx, rec, addr)
-            for desc in sorted(rec.table_descs, key=lambda d: d.base):
-                self.refresh_descriptor(desc)
+            if rec.table_descs is not None:
+                for desc in sorted(rec.table_descs, key=lambda d: d.base):
+                    self.refresh_descriptor(desc)
             with rec.lock:
                 if not rec.pending:
+                    rec.pending = None
                     rec.active = False
                     return
 
@@ -615,8 +637,11 @@ class ConcurrentCfgState:
             self._set_status(fn.entry, ReturnStatus.RETURN, strict=False)
         elif kind == _TABLE:
             desc = self.registry.get_or_create(a, b, end)
-            fn.table_descs.add(desc)
-            with desc.lock:
+            if fn.table_descs is None:
+                fn.table_descs = {desc}
+            else:
+                fn.table_descs.add(desc)
+            with self._end_locks[desc.jump_end % _END_STRIPES]:
                 desc.interested.add(fn.entry)
                 known = sorted(desc.targets)
             for t in known:
@@ -627,50 +652,51 @@ class ConcurrentCfgState:
     # -- drive to completion --------------------------------------------------
 
     def run(self) -> tuple[Cfg, EngineStats]:
+        """Construct and finalize the graph. The state stays readable
+        afterwards; `construct_details` frees it before finalizing."""
         # every engine object stays live until run returns, so a
         # collection during construction would find nothing to free
         with COLLECTOR_PAUSE:
-            stats = EngineStats()
-            t0 = time.perf_counter()
-            self._running = True
-            self.pool.start()
-            try:
-                seeds = self.symbols.seeds
-                step = max(1, (len(seeds) + self.workers - 1) // self.workers)
-                for i in range(0, len(seeds), step):
-                    chunk = seeds[i : i + step]
-                    self.pool.spawn(
-                        lambda ctx, c=chunk: [self.attempt_create_function(a, ctx) for a in c]
-                    )
-                t1 = time.perf_counter()
-                stats.init_seconds = t1 - t0
+            cfg, stats = self._traverse_and_export()
+            _finalize(cfg, self.registry, stats)
+        return cfg, stats
 
-                while True:
-                    self.pool.wait_idle()
-                    if self._global_table_sweep():
-                        continue
-                    if any(
-                        rec.status is ReturnStatus.UNSET for rec in self.functions.values()
-                    ):
-                        self.resolve_status_cycles()
-                        continue
-                    break
-            finally:
-                self.pool.shutdown()
-            t2 = time.perf_counter()
-            stats.traversal_seconds = t2 - t1
+    def _traverse_and_export(self) -> tuple[Cfg, EngineStats]:
+        """Traverse to quiescence and export the raw graph."""
+        stats = EngineStats()
+        t0 = time.perf_counter()
+        self._running = True
+        self.pool.start()
+        try:
+            seeds = self.symbols.seeds
+            step = max(1, (len(seeds) + self.workers - 1) // self.workers)
+            for i in range(0, len(seeds), step):
+                chunk = seeds[i : i + step]
+                self.pool.spawn(
+                    lambda ctx, c=chunk: [self.attempt_create_function(a, ctx) for a in c]
+                )
+            t1 = time.perf_counter()
+            stats.init_seconds = t1 - t0
 
-            self._merge_ctx_stats(stats)
-            stats.tables_clamped = log_clamped_tables(self.registry, self.image)
-            cfg = self.export_cfg()
-            stats.raw_edge_count = len(cfg.edges)
-            t3 = time.perf_counter()
-            stats.export_seconds = t3 - t2
-            fstats = finalize_details(cfg, self.registry)
-            stats.finalize_flips = fstats.flips
-            stats.finalize_iterations = fstats.iterations
-            stats.finalize_seconds = time.perf_counter() - t3
-            return cfg, stats
+            while True:
+                self.pool.wait_idle()
+                if self._global_table_sweep():
+                    continue
+                if any(rec.status is ReturnStatus.UNSET for rec in self.functions.values()):
+                    self.resolve_status_cycles()
+                    continue
+                break
+        finally:
+            self.pool.shutdown()
+        t2 = time.perf_counter()
+        stats.traversal_seconds = t2 - t1
+
+        self._merge_ctx_stats(stats)
+        stats.tables_clamped = log_clamped_tables(self.registry, self.image)
+        cfg = self.export_cfg()
+        stats.raw_edge_count = len(cfg.edges)
+        stats.export_seconds = time.perf_counter() - t2
+        return cfg, stats
 
     def _merge_ctx_stats(self, stats: EngineStats) -> None:
         for ctx in self.pool.ctxs:
@@ -712,12 +738,22 @@ def construct(image: Image, workers: int) -> Cfg:
     return construct_details(image, workers)[0]
 
 
+def _finalize(cfg: Cfg, registry: TableRegistry, stats: EngineStats) -> None:
+    t = time.perf_counter()
+    fstats = finalize_details(cfg, registry)
+    stats.finalize_flips = fstats.flips
+    stats.finalize_iterations = fstats.iterations
+    stats.finalize_seconds = time.perf_counter() - t
+
+
 def construct_details(image: Image, workers: int) -> tuple[Cfg, EngineStats, TableRegistry]:
-    # the pause outlasts the engine's state, so the first collection
+    # the engine's state is dropped before finalize, so finalize reuses
+    # its memory; the pause outlasts the state, so the first collection
     # after it walks the finished graph alone
     with COLLECTOR_PAUSE:
         state = ConcurrentCfgState(image, workers)
-        cfg, stats = state.run()
+        cfg, stats = state._traverse_and_export()
         registry = state.registry
         del state
+        _finalize(cfg, registry, stats)
     return cfg, stats, registry

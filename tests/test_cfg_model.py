@@ -93,6 +93,21 @@ def test_edge_kind_terminator_compatibility():
     assert "bad-edge-kind" in codes
 
 
+def test_bad_edge_kind_names_the_opcode():
+    g = Cfg(
+        blocks={
+            4: Block(4, 5, _ret(4)),
+            8: Block(8, 9, _ret(8)),
+            0x10: Block(0x10, 0x14, None),
+        },
+        edges={Edge(4, 8, EdgeKind.DIRECT), Edge(0x10, 8, EdgeKind.CALL)},
+    )
+    assert [str(v) for v in validate(g)] == [
+        "bad-edge-kind(0x4, 0x8): DIRECT from RET block",
+        "bad-edge-kind(0x10, 0x8): CALL edge from unterminated block",
+    ]
+
+
 def test_entry_must_reference_graph():
     g = Cfg(entries={4: _entry(4)})
     codes = {v.code for v in validate(g)}
@@ -297,11 +312,11 @@ def test_violations_pinned_in_order():
         "dangling-edge-source(0x5, 0x10): no source block",
         "dangling-edge-target(0x10, 0x16): no target block or candidate",
         "bad-call-fallthrough(0x10, 0x16): fall-through target must be the source block end",
-        "bad-edge-kind(0x10, 0x30): DIRECT from 4 block",
-        "bad-edge-kind(0x20, 0x40): DIRECT from 5 block",
-        "bad-edge-kind(0x20, 0x40): CALL edge from 5 block",
+        "bad-edge-kind(0x10, 0x30): DIRECT from CALL block",
+        "bad-edge-kind(0x20, 0x40): DIRECT from RET block",
+        "bad-edge-kind(0x20, 0x40): CALL edge from RET block",
         "dangling-edge-target(0x20, 0x88): no target block or candidate",
-        "bad-edge-kind(0x20, 0x88): TAIL_CALL from 5 block",
+        "bad-edge-kind(0x20, 0x88): TAIL_CALL from RET block",
         "dangling-edge-target(0x30, 0x77): no target block or candidate",
         "entry-key-mismatch(0x41, 0x40): entry keyed by wrong address",
         "entry-not-in-graph(0x90): no block or candidate at entry",

@@ -3,12 +3,14 @@ import statistics
 import sys
 import threading
 import time
+import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcfg import finalize, parallel
+from pcfg import finalize, jumptables, parallel
 from pcfg._kernels import scan_block
 from pcfg.cfg import EdgeKind, ReturnStatus, canonical_serialize
 from pcfg.errors import AlreadySetError, InternalError, OutOfRangeError
@@ -141,7 +143,7 @@ class TestEndRegistrationAndSplit:
         state.register_block_end(b2, fn, ctx)
         assert list(b2.out) == [(0x4, int(EdgeKind.DIRECT))]
         assert list(b1.out) == [(0x7, int(EdgeKind.COND_FALLTHROUGH))]
-        assert state.incoming[0x4] == [(0xF, int(EdgeKind.DIRECT))]
+        assert state.incoming[0x4] == [0xF]
         assert (ctx.end_registrations, ctx.end_registration_losses) == (1, 1)
 
     def test_two_way_split(self, paper_layout):
@@ -156,8 +158,8 @@ class TestEndRegistrationAndSplit:
         assert b2.term == int(Opcode.RET)
         assert (b1.start, b1.end) == (0x4, 0xA)
         assert list(b1.out) == [(0xA, int(EdgeKind.COND_FALLTHROUGH))]
-        assert state.blocks_by_end[0xD].block is b2
-        assert state.blocks_by_end[0xA].block is b1
+        assert state.blocks_by_end[0xD] is b2
+        assert state.blocks_by_end[0xA] is b1
         assert (ctx.end_registration_losses, ctx.splits_performed) == (1, 1)
 
     def test_three_way_split_chain(self):
@@ -178,7 +180,7 @@ class TestEndRegistrationAndSplit:
         assert (ctx.end_registration_losses, ctx.splits_performed) == (1, 2)
         spans = {(b.start, b.end) for b in state.blocks_by_start.values()}
         assert spans == {(0x4, 0xA), (0xA, 0xD), (0xD, 0x12)}
-        tail = state.blocks_by_end[0x12].block
+        tail = state.blocks_by_end[0x12]
         assert (0x4, int(EdgeKind.DIRECT)) in tail.out
         for start, end in ((0x4, 0xA), (0xA, 0xD)):
             blk = state.blocks_by_start[start]
@@ -211,7 +213,7 @@ class TestEndRegistrationAndSplit:
         for start, nxt in zip(starts, starts[1:]):
             blk = state.blocks_by_start[start]
             assert list(blk.out) == [(nxt, int(EdgeKind.COND_FALLTHROUGH))]
-        filled = {e: x.block for e, x in state.blocks_by_end.items() if x.block is not None}
+        filled = state.blocks_by_end
         assert sorted(filled) == starts[1:] + [end]
         assert all(b.end == e for e, b in filled.items())
         reference = registered(range(k))
@@ -240,7 +242,7 @@ class TestEndRegistrationAndSplit:
         ctx = _ctx()
         state.register_block_end(b1, fn, ctx)
         assert b1.out == out_before
-        assert state.blocks_by_end[0xD].block is b1
+        assert state.blocks_by_end[0xD] is b1
         assert (ctx.end_registrations, ctx.end_registration_losses) == (0, 0)
 
 
@@ -288,7 +290,7 @@ class TestTraverseFunction:
         state.traverse_function(state.functions[0x0], _ctx())
         assert set(state.functions) == {0x0, 0xA}
         assert state.functions[0x0].status is ReturnStatus.RETURN
-        blk = state.blocks_by_end[0x5].block
+        blk = state.blocks_by_end[0x5]
         assert (0x5, int(EdgeKind.CALL_FALLTHROUGH)) in blk.out
 
     def test_halt_function_resolves_noreturn_at_quiescence(self):
@@ -426,7 +428,7 @@ class TestInstrumentation:
         # each counter counts single-winner insertions, so one more win
         # at any address would leave it above the size of its map
         state, cfg, stats = self._stress()
-        filled_ends = sum(1 for e in state.blocks_by_end.values() if e.block is not None)
+        filled_ends = len(state.blocks_by_end)
         assert stats.blocks_created == len(state.blocks_by_start) > 0
         assert stats.end_registrations == filled_ends
         assert stats.functions_created == len(state.functions)
@@ -785,3 +787,160 @@ def test_spawns_do_not_wake_a_thread_each():
 def test_worker_count_validated(paper_layout):
     with pytest.raises(ValueError):
         construct(paper_layout, 0)
+
+
+#: one image of each generator family, jump tables included
+_FAMILY_SPECS = [
+    ScenarioSpec.make("shared-code", 1),
+    ScenarioSpec.make("noreturn-chain", 1),
+    ScenarioSpec.make("noreturn-cycle", 1),
+    ScenarioSpec.make("tailcall-ambiguous", 1),
+    ScenarioSpec.make("jump-table", 1),
+    ScenarioSpec.make("jump-table-overapprox", 1),
+    ScenarioSpec.make("multi-entry", 1),
+    ScenarioSpec.make("outlined-cold", 1),
+    ScenarioSpec.make("opaque-jump", 1),
+    ScenarioSpec.make("big-random", 1, functions=120),
+]
+
+
+class _StripeNestingCheck:
+    """Stands in for one end stripe lock and fails the acquiring thread
+    if that thread already holds a stripe."""
+
+    def __init__(self, lock, held, log):
+        self._lock = lock
+        self._held = held
+        self._log = log
+
+    def __enter__(self):
+        if getattr(self._held, "stripe", None) is not None:
+            self._log.append("nested")
+            raise AssertionError("a thread took a second end stripe")
+        self._lock.acquire()
+        self._held.stripe = self
+        self._log.append("ok")
+
+    def __exit__(self, *exc):
+        self._held.stripe = None
+        self._lock.release()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 8])
+def test_no_thread_holds_two_end_stripes(workers):
+    # holding one stripe at a time is what rules out a deadlock between
+    # ends that share no stripe in one order and do in another; a short
+    # switch interval preempts workers inside their critical sections
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for spec in _FAMILY_SPECS:
+            img, _ = generate(spec)
+            state = ConcurrentCfgState(img, workers)
+            held = threading.local()
+            log = []
+            state._end_locks = tuple(
+                _StripeNestingCheck(lk, held, log) for lk in state._end_locks
+            )
+            out = []
+            assert _raised_within(30, lambda: out.append(state.run())) is None, spec.family
+            assert "nested" not in log and "ok" in log, spec.family
+            cfg, stats = out[0]
+            # a lost update at one end would register two blocks there
+            assert stats.end_registrations == len(state.blocks_by_end), spec.family
+            want = canonical_serialize(serial_construct(img))
+            assert canonical_serialize(cfg) == want, spec.family
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class TestEngineMemory:
+    """A record holds a worklist, waiter set and table set only while it
+    uses them, and the engine's state is freed before finalize."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_records_hold_only_what_they_use(self, workers):
+        waited = tabled = 0
+        for spec in _FAMILY_SPECS:
+            img, _ = generate(spec)
+            state = ConcurrentCfgState(img, workers)
+            _, stats = state.run()
+            waited += stats.waiters_registered
+            with_tables = set()
+            for desc in state.registry.sorted_descriptors():
+                with_tables |= desc.interested
+            tabled += len(with_tables)
+            for addr, rec in state.functions.items():
+                assert rec.pending is None
+                assert rec.status is not ReturnStatus.UNSET and rec.waiters is None
+                assert (rec.table_descs is not None) == (addr in with_tables)
+        assert waited > 0 and tabled > 0
+
+    def test_state_is_freed_before_finalize(self, monkeypatch):
+        refs = []
+        real_export = ConcurrentCfgState.export_cfg
+
+        def export(self):
+            refs.append(weakref.ref(self))
+            return real_export(self)
+
+        alive = []
+        real_finalize = parallel.finalize_details
+
+        def check(*args):
+            alive.append(refs[-1]() is not None)
+            return real_finalize(*args)
+
+        monkeypatch.setattr(ConcurrentCfgState, "export_cfg", export)
+        monkeypatch.setattr(parallel, "finalize_details", check)
+        img, _ = generate(ScenarioSpec.make("big-random", 4, functions=200))
+        for workers in (1, 2):
+            construct_details(img, workers)
+        assert alive == [False, False]
+
+    def test_traced_peak_per_function(self):
+        img, _ = generate(ScenarioSpec.make("big-random", 1, functions=2000))
+        seeded = len(img.func_symbols())
+        tracemalloc.start()
+        try:
+            construct_details(img, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / seeded < 3500, f"{peak / seeded:.0f} B per seeded function"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ScenarioSpec.make("jump-table", 2),
+        ScenarioSpec.make("jump-table-overapprox", 2, extra=2),
+        ScenarioSpec.make("big-random", 2, functions=300),
+    ],
+    ids=lambda spec: spec.family,
+)
+def test_tables_are_read_again_only_when_their_bound_grows(monkeypatch, spec, workers):
+    # a table's targets depend on its base and bound alone, so after the
+    # first read only a larger bound can add one
+    img, _ = generate(spec)
+    want = canonical_serialize(serial_construct(img))
+    reads = []
+    real_read = jumptables.read_table_entries
+
+    def counted(image, base, bound):
+        reads.append((base, bound))
+        return real_read(image, base, bound)
+
+    monkeypatch.setattr(jumptables, "read_table_entries", counted)
+    state = ConcurrentCfgState(img, workers)
+    cfg, _ = state.run()
+    descs = state.registry.sorted_descriptors()
+    assert descs
+    for desc in descs:
+        bounds = [bound for base, bound in reads if base == desc.base]
+        assert desc.read and bounds, hex(desc.base)
+        assert all(a < b for a, b in zip(bounds, bounds[1:])), (hex(desc.base), bounds)
+        assert bounds[-1] == desc.effective_bound
+    assert {base for base, _ in reads} == {desc.base for desc in descs}
+    assert canonical_serialize(cfg) == want
