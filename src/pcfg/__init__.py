@@ -13,8 +13,8 @@ from .cfg import (
     partial_order_le,
     validate,
 )
-from .image import Image, SymbolEntry, SymbolKind, contains_cfi, decode, load_image, pack_image
-from .isa import Instruction, Opcode, encode, is_control_flow
+from .image import Image, SymbolKind, load_image, pack_image
+from .isa import Instruction, Opcode, encode
 from .parallel import ConcurrentCfgState, construct, construct_details
 from .serial import (
     op_ber,
@@ -24,7 +24,6 @@ from .serial import (
     op_fei,
     op_iec,
     serial_construct,
-    serial_construct_details,
 )
 from .workload import GroundTruth, ScenarioSpec, generate
 
@@ -41,16 +40,12 @@ __all__ = [
     "Opcode",
     "ReturnStatus",
     "ScenarioSpec",
-    "SymbolEntry",
     "SymbolKind",
     "canonical_serialize",
     "construct",
     "construct_details",
-    "contains_cfi",
-    "decode",
     "encode",
     "generate",
-    "is_control_flow",
     "load_image",
     "op_ber",
     "op_cfec",
@@ -61,6 +56,5 @@ __all__ = [
     "pack_image",
     "partial_order_le",
     "serial_construct",
-    "serial_construct_details",
     "validate",
 ]

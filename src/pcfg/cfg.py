@@ -17,7 +17,6 @@ from enum import Enum, IntEnum
 from typing import NamedTuple
 
 from .errors import InvalidGraphError
-from .image import Image
 from .isa import Instruction, Opcode
 
 
@@ -216,15 +215,14 @@ def _covered(intervals: list[tuple[int, int]], lo: int, hi: int) -> bool:
     return a <= lo and hi <= b
 
 
-def partial_order_le(g1: Cfg, g2: Cfg, image: Image) -> bool:
+def partial_order_le(g1: Cfg, g2: Cfg) -> bool:
     """Whether `g2` contains at least the control flow elements of `g1`.
 
     Holds when g2 covers g1's addresses, preserves every g1 edge up to
     block-range adjustment (source end and target start are kept),
     refines each g1 block into a fall-through-connected chain, and keeps
-    every function entry label.
+    every function entry label. Both graphs must be over the same image.
     """
-    del image  # both graphs must already be over the same image
     require_valid(g1)
     require_valid(g2)
 

@@ -15,9 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from ._kernels import scan_block
-from .errors import MalformedImageError, OutOfRangeError
-from .isa import Instruction, decode_at
+from .errors import MalformedImageError
 
 MAGIC = b"PCFG"
 VERSION = 1
@@ -150,22 +148,3 @@ def load_image(raw: bytes) -> Image:
         raise MalformedImageError("trailing bytes after symbol table")
     return _validate(Image(text_base, text, data_base, data, tuple(symbols)))
 
-
-def decode(image: Image, addr: int) -> Instruction:
-    """Decode the instruction starting at `addr` in the text section."""
-    if not image.text_base <= addr < image.text_end:
-        raise OutOfRangeError(addr)
-    return decode_at(image.text, image.text_base, addr)
-
-
-def contains_cfi(image: Image, lo: int, hi: int) -> bool:
-    """True iff decoding forward from `lo`, a control flow instruction
-    starts and ends within [lo, hi)."""
-    if lo > hi:
-        raise OutOfRangeError(lo)
-    if lo == hi:
-        return False
-    if not (image.text_base <= lo and hi <= image.text_end):
-        raise OutOfRangeError(lo if lo < image.text_base else hi)
-    end, kind, *_ = scan_block(image.text, image.text_base, lo, hi)
-    return kind != -1 and end <= hi

@@ -2,10 +2,11 @@
 
 Variable-length instructions: one opcode byte followed by little-endian
 operands. Control transfers carry absolute 32-bit targets; a table jump
-carries a 32-bit table base plus a 16-bit bound operand. Decoding is
-total: an unknown opcode byte, or a known opcode whose operand bytes run
-past the end of the text section, decodes as a single-byte no-op, so a
-linear scan can never get stuck mid-stream.
+carries a 32-bit table base plus a 16-bit bound operand. Decoding
+(`pcfg._kernels.scan_block`) is total: an unknown opcode byte, or a
+known opcode whose operand bytes run past the end of the text section,
+decodes as a single-byte no-op, so a linear scan can never get stuck
+mid-stream.
 """
 
 from __future__ import annotations
@@ -62,17 +63,8 @@ TARGET_OPS: frozenset[Opcode] = frozenset(
     {Opcode.JMP_DIRECT, Opcode.JCC_DIRECT, Opcode.CALL}
 )
 
-#: The opcode per raw byte value, None where no opcode is defined.
-_BY_BYTE: list[Opcode | None] = [None] * 256
-for _kind in Opcode:
-    _BY_BYTE[_kind] = _kind
-
 _U32 = struct.Struct("<I")
 _U16 = struct.Struct("<H")
-
-
-def is_control_flow(kind: Opcode) -> bool:
-    return kind in CONTROL_FLOW
 
 
 class Instruction(NamedTuple):
@@ -112,28 +104,3 @@ def encode(kind: Opcode, a: int = 0, b: int = 0) -> bytes:
         out += _U16.pack(a & 0xFFFF)  # payload, ignored by analysis
     return out
 
-
-def decode_at(text: bytes, text_base: int, addr: int) -> Instruction:
-    """Decode the instruction starting at `addr` within `text`.
-
-    Callers must have bounds-checked `addr`; bytes that do not form a
-    complete defined instruction decode as a one-byte NOP.
-    """
-    off = addr - text_base
-    kind = _BY_BYTE[text[off]]
-    if kind is None:
-        return Instruction(addr, Opcode.NOP, 1)
-    length = LENGTHS[kind]
-    if off + length > len(text):
-        return Instruction(addr, Opcode.NOP, 1)
-    if kind in TARGET_OPS:
-        return Instruction(addr, kind, length, _U32.unpack_from(text, off + 1)[0])
-    if kind is Opcode.IJMP_TABLE:
-        base = _U32.unpack_from(text, off + 1)[0]
-        bound = _U16.unpack_from(text, off + 5)[0]
-        return Instruction(addr, kind, length, base, bound)
-    if kind is Opcode.BOUND_HINT:
-        return Instruction(addr, kind, length, _U16.unpack_from(text, off + 1)[0])
-    if kind is Opcode.ALU:
-        return Instruction(addr, kind, length, _U16.unpack_from(text, off + 1)[0])
-    return Instruction(addr, kind, length)

@@ -14,10 +14,12 @@ and wakes every caller blocked on a call fall-through, without waiting
 for the callee's traversal to finish. Functions that never prove they
 return stay unresolved until global quiescence, where the remaining
 ones (mutual-call cycles included) are all marked non-returning at
-once. A branch classified as a tail call makes the branching function
-wait on its target the same way a caller waits on a callee, in the same
-waiter set, which keeps statuses independent of which thread classified
-the branch first.
+once. A jump is classified once per visit, before its block's end is
+registered, so the edge it creates and the walk that follows agree. A
+branch classified as a tail call makes the branching function wait on
+its target the same way a caller waits on a callee, in the same waiter
+set, which keeps statuses independent of which thread classified the
+branch first.
 
 Work is scheduled as one task per function traversal on a fixed pool of
 threads sharing one C-level `queue.SimpleQueue`. A worker that is
@@ -40,20 +42,26 @@ by stripe `e % _END_STRIPES`, and a table descriptor by the stripe of
 its jump end. Every read-modify-write of one end (registration, the call
 fall-through edge, a table refresh) holds that end's stripe and takes no
 other end lock while it does: the split loop releases one end before it
-takes the next. No thread ever holds two stripes, so two ends that share
-a stripe serialize but cannot deadlock.
+takes the next. A function record has one lock, over its worklist,
+status and waiter set. No thread takes an engine lock while it holds
+another: a status write releases its record's lock before it wakes the
+waiters, a waiter holds only its target's lock, and an enqueue holds
+only its own record's lock while it spawns. So two ends that share a
+stripe serialize but cannot deadlock, and neither can records.
 
 A function record holds state only while it uses it. Its worklist is
 created under the record lock by the first enqueue and dropped when a
 drain finds it empty and goes idle, so a drained function holds none.
 Its waiter set is created by the first waiter and dropped when its
 status is written; a status is written once, so no set is made again.
-Its table set exists from its first table jump on. `construct_details`
-drops the whole state after the export, so finalization runs in the
-memory the engine held.
+Its table set exists from its first table jump on.
 
-The finalized graph is required to match the single-threaded reference
-constructor byte-for-byte under any worker count and schedule; the
+`ConcurrentCfgState.run` is the engine's one driver: it traverses to
+quiescence and exports the raw graph. `construct_details` is the one
+place that finalizes it, after dropping the whole state, so
+finalization runs in the memory the engine held. The finalized graph
+is required to match the single-threaded reference constructor
+byte-for-byte under any worker count and schedule; the
 finalization pass erases the only schedule-visible differences (tail
 call labels and heuristic entry labels).
 """
@@ -152,7 +160,6 @@ class _FuncRecord:
         "active",
         "visited",
         "table_descs",
-        "status_lock",
         "status",
         "waiters",
     )
@@ -168,7 +175,6 @@ class _FuncRecord:
         self.visited: set[int] = set()
         # the function's jump tables, from its first one on
         self.table_descs: set | None = None
-        self.status_lock = threading.Lock()
         self.status = status
         # (waiting function, call-site end or _TAIL_SITE), from the first
         # waiter until the status is written
@@ -338,10 +344,11 @@ class ConcurrentCfgState:
         self._enqueue_addr(rec, addr)
         return True
 
-    def register_block_end(self, block: _EngineBlock, fn: _FuncRecord, ctx: _WorkerCtx) -> None:
+    def register_block_end(self, block: _EngineBlock, tail: bool, ctx: _WorkerCtx) -> None:
         """Single-winner end registration with the eager block split. The
         first block at an end creates its outgoing edges while holding
-        the end's stripe lock (a block cut short has none to create). A
+        the end's stripe lock (a block cut short has none to create); a
+        jump's edge is a tail call when `tail`, the branch's class. A
         block that finds another at its end splits with it: the later
         start keeps the end and the other block is cut to end there, then
         registered at that strictly smaller end, so the loop converges; a
@@ -358,7 +365,7 @@ class ConcurrentCfgState:
                 if reg is None:
                     by_end[end] = cur
                     ctx.end_registrations += 1
-                    self._create_edges_locked(cur, fn)
+                    self._create_edges_locked(cur, tail)
                     return
                 if reg is cur or reg.start == cur.start:
                     return
@@ -400,10 +407,9 @@ class ConcurrentCfgState:
         if kind in _INTRA_INTS:
             self.incoming.setdefault(target, []).append(block.end)
 
-    def _create_edges_locked(self, block: _EngineBlock, fn: _FuncRecord) -> None:
+    def _create_edges_locked(self, block: _EngineBlock, tail: bool) -> None:
         term = block.term
         if term == _JMP:
-            tail = self._classify_branch(fn, block.start, block.ta, block.teardown)
             self._add_edge_locked(block, block.ta, _TAIL_CALL if tail else _DIRECT)
         elif term == _JCC:
             self._add_edge_locked(block, block.ta, _COND_TAKEN)
@@ -461,7 +467,7 @@ class ConcurrentCfgState:
         fills an unset status, so a known-noreturn flag wins over a `ret`
         found in the flagged function, as in the serial oracle."""
         rec = self.functions[entry]
-        with rec.status_lock:
+        with rec.lock:
             cur = rec.status
             if cur is not ReturnStatus.UNSET:
                 if not strict:
@@ -479,7 +485,7 @@ class ConcurrentCfgState:
         end or `_TAIL_SITE`: it joins the target's waiters while the
         status is unset, and acts at once on a target that returns."""
         rec = self.functions[target]
-        with rec.status_lock:
+        with rec.lock:
             val = rec.status
             if val is ReturnStatus.UNSET:
                 if rec.waiters is None:
@@ -609,6 +615,9 @@ class ConcurrentCfgState:
         end, kind, a, b, teardown, hint_at, hint = scan_block(
             self.image.text, self.image.text_base, addr
         )
+        # classified once, before registration: the edge and the walk
+        # follow the same class, and no stripe is held while it is found
+        tail = kind == _JMP and self._classify_branch(fn, addr, a, teardown)
         if claimed:
             blk = self.blocks_by_start[addr]
             blk.end = end
@@ -618,10 +627,9 @@ class ConcurrentCfgState:
             blk.teardown = teardown
             blk.hint_at = hint_at
             blk.hint = hint
-            self.register_block_end(blk, fn, ctx)
+            self.register_block_end(blk, tail, ctx)
 
         if kind == _JMP:
-            tail = self._classify_branch(fn, addr, a, teardown)
             if tail:
                 self.attempt_create_function(a, ctx)
                 self._await_status(ctx, fn, a, _TAIL_SITE)
@@ -652,17 +660,8 @@ class ConcurrentCfgState:
     # -- drive to completion --------------------------------------------------
 
     def run(self) -> tuple[Cfg, EngineStats]:
-        """Construct and finalize the graph. The state stays readable
-        afterwards; `construct_details` frees it before finalizing."""
-        # every engine object stays live until run returns, so a
-        # collection during construction would find nothing to free
-        with COLLECTOR_PAUSE:
-            cfg, stats = self._traverse_and_export()
-            _finalize(cfg, self.registry, stats)
-        return cfg, stats
-
-    def _traverse_and_export(self) -> tuple[Cfg, EngineStats]:
-        """Traverse to quiescence and export the raw graph."""
+        """Traverse to quiescence and export the raw graph, before
+        finalization. The state stays readable afterwards."""
         stats = EngineStats()
         t0 = time.perf_counter()
         self._running = True
@@ -738,22 +737,21 @@ def construct(image: Image, workers: int) -> Cfg:
     return construct_details(image, workers)[0]
 
 
-def _finalize(cfg: Cfg, registry: TableRegistry, stats: EngineStats) -> None:
-    t = time.perf_counter()
-    fstats = finalize_details(cfg, registry)
-    stats.finalize_flips = fstats.flips
-    stats.finalize_iterations = fstats.iterations
-    stats.finalize_seconds = time.perf_counter() - t
-
-
 def construct_details(image: Image, workers: int) -> tuple[Cfg, EngineStats, TableRegistry]:
-    # the engine's state is dropped before finalize, so finalize reuses
-    # its memory; the pause outlasts the state, so the first collection
-    # after it walks the finished graph alone
+    """Build and finalize the CFG; the one place the engine's graph is
+    finalized."""
+    # every engine object stays live until the state is dropped, so a
+    # collection before then would find nothing to free; the state is
+    # dropped before finalize, so finalize reuses its memory, and the
+    # first collection after the pause walks the finished graph alone
     with COLLECTOR_PAUSE:
         state = ConcurrentCfgState(image, workers)
-        cfg, stats = state._traverse_and_export()
+        cfg, stats = state.run()
         registry = state.registry
         del state
-        _finalize(cfg, registry, stats)
+        t = time.perf_counter()
+        fstats = finalize_details(cfg, registry)
+        stats.finalize_flips = fstats.flips
+        stats.finalize_iterations = fstats.iterations
+        stats.finalize_seconds = time.perf_counter() - t
     return cfg, stats, registry

@@ -1,4 +1,5 @@
 import os
+import struct
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
@@ -6,7 +7,42 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 import pytest
 
 from pcfg.image import Image, SymbolKind, make_symbol
-from pcfg.isa import Opcode, decode_at, encode
+from pcfg.isa import LENGTHS, TARGET_OPS, Instruction, Opcode, encode
+
+#: The opcode per raw byte value, None where no opcode is defined.
+_BY_BYTE: list[Opcode | None] = [None] * 256
+for _kind in Opcode:
+    _BY_BYTE[_kind] = _kind
+
+_U32 = struct.Struct("<I")
+_U16 = struct.Struct("<H")
+
+
+def decode_at(text: bytes, text_base: int, addr: int) -> Instruction:
+    """Decode the instruction starting at `addr` within `text`: the
+    one-instruction decoder that `scan_block` is checked against.
+
+    Callers must have bounds-checked `addr`; bytes that do not form a
+    complete defined instruction decode as a one-byte NOP.
+    """
+    off = addr - text_base
+    kind = _BY_BYTE[text[off]]
+    if kind is None:
+        return Instruction(addr, Opcode.NOP, 1)
+    length = LENGTHS[kind]
+    if off + length > len(text):
+        return Instruction(addr, Opcode.NOP, 1)
+    if kind in TARGET_OPS:
+        return Instruction(addr, kind, length, _U32.unpack_from(text, off + 1)[0])
+    if kind is Opcode.IJMP_TABLE:
+        base = _U32.unpack_from(text, off + 1)[0]
+        bound = _U16.unpack_from(text, off + 5)[0]
+        return Instruction(addr, kind, length, base, bound)
+    if kind is Opcode.BOUND_HINT:
+        return Instruction(addr, kind, length, _U16.unpack_from(text, off + 1)[0])
+    if kind is Opcode.ALU:
+        return Instruction(addr, kind, length, _U16.unpack_from(text, off + 1)[0])
+    return Instruction(addr, kind, length)
 
 
 def asm_image(text_base, instrs, symbols=(), data_base=0x100000, data=b""):

@@ -245,7 +245,7 @@ def test_criterion_4_operation_algebra():
             blk = rng.choice(sampler._direct_blocks(g))
             lhs = op_dec(op_iec(g, img, table), g.blocks[blk.start])
             rhs = op_iec(op_dec(g, blk), img, table)
-        assert partial_order_le(lhs, rhs, img)
+        assert partial_order_le(lhs, rhs)
 
     # non-commutativity witness for function entry identification: a
     # teardown branch and a plain branch to the same target disagree

@@ -147,35 +147,35 @@ def _line(base=0x4):
     return g
 
 
-def test_partial_order_reflexive(paper_layout):
+def test_partial_order_reflexive():
     g = _line()
-    assert partial_order_le(g, g, paper_layout)
+    assert partial_order_le(g, g)
 
 
-def test_partial_order_accepts_split(paper_layout):
+def test_partial_order_accepts_split():
     g1 = _line()
     g2 = Cfg()
     g2.blocks[0x4] = Block(0x4, 0xA, None)
     g2.blocks[0xA] = Block(0xA, 0xD, _ret(0xC))
     g2.edges.add(Edge(0x4, 0xA, EdgeKind.COND_FALLTHROUGH))
     g2.entries[0x4] = _entry(0x4)
-    assert partial_order_le(g1, g2, paper_layout)
-    assert not partial_order_le(g2, g1, paper_layout)  # g1 lacks the split edge
+    assert partial_order_le(g1, g2)
+    assert not partial_order_le(g2, g1)  # g1 lacks the split edge
 
 
-def test_partial_order_requires_entry_preservation(paper_layout):
+def test_partial_order_requires_entry_preservation():
     g1 = _line()
     g2 = Cfg(blocks=dict(g1.blocks))
-    assert not partial_order_le(g1, g2, paper_layout)
+    assert not partial_order_le(g1, g2)
 
 
-def test_partial_order_requires_edge_preservation(paper_layout):
+def test_partial_order_requires_edge_preservation():
     g1 = _line()
     g1.blocks[0x4] = Block(0x4, 0x9, _jmp(0x4, 0x4))
     g1.blocks.pop(0xD, None)
     g1.edges.add(Edge(0x4, 0x4, EdgeKind.DIRECT))
     g2 = Cfg(blocks={0x4: Block(0x4, 0x9, _jmp(0x4, 0x4))}, entries={0x4: _entry(0x4)})
-    assert not partial_order_le(g1, g2, paper_layout)
+    assert not partial_order_le(g1, g2)
 
 
 def _random_ber_chain(image, seeds, steps, rng):
@@ -220,9 +220,9 @@ def test_partial_order_holds_along_construction_and_is_transitive():
     for trial in range(20):
         chain = _random_ber_chain(img, [0x0], 6, rng)
         for i in range(len(chain) - 1):
-            assert partial_order_le(chain[i], chain[i + 1], img)
+            assert partial_order_le(chain[i], chain[i + 1])
         # transitivity along the chain
-        assert partial_order_le(chain[0], chain[-1], img)
+        assert partial_order_le(chain[0], chain[-1])
 
 
 def test_increasing_phase_covers_cfec_and_iec():
@@ -236,7 +236,7 @@ def test_increasing_phase_covers_cfec_and_iec():
     g = op_ber(g, img, 0x0)
     g = op_dec(g, g.blocks[0x0])
     after = op_cfec(g, Edge(0x0, 0x6, EdgeKind.CALL), RS.RETURN)
-    assert partial_order_le(g, after, img)
+    assert partial_order_le(g, after)
 
     # indirect edge creation likewise
     timg, _ = generate(ScenarioSpec.make("jump-table", seed=1, entries=3))
@@ -246,7 +246,7 @@ def test_increasing_phase_covers_cfec_and_iec():
     tg = op_dec(tg, tg.blocks[seed])
     for cand in sorted(tg.candidates):
         nxt = op_ber(tg, timg, cand)
-        assert partial_order_le(tg, nxt, timg)
+        assert partial_order_le(tg, nxt)
         tg = nxt
     table_blocks = [
         b
@@ -255,7 +255,7 @@ def test_increasing_phase_covers_cfec_and_iec():
     ]
     assert table_blocks
     after = op_iec(tg, timg, table_blocks[0])
-    assert partial_order_le(tg, after, timg)
+    assert partial_order_le(tg, after)
 
 
 def test_exports_are_deterministic():

@@ -66,8 +66,7 @@ class TestTrim:
         from pcfg.parallel import ConcurrentCfgState
 
         state = ConcurrentCfgState(img, 1)
-        state.run()
-        raw = state.export_cfg()
+        raw, _ = state.run()
         trimmed = raw.clone()
         trim_overlapping_tables(trimmed, state.registry)
         raw_ind = sum(1 for e in raw.edges if e.kind is EdgeKind.INDIRECT)
@@ -258,8 +257,7 @@ class TestFinalize:
         from pcfg.parallel import ConcurrentCfgState
 
         state = ConcurrentCfgState(img, 2)
-        pre, _ = state.run()  # already finalized; rebuild the raw graph
-        raw = state.export_cfg()
+        raw, _ = state.run()
         final = raw.clone()
         finalize_details(final, state.registry)
         assert set(final.blocks) <= set(raw.blocks)
@@ -275,8 +273,7 @@ class TestFinalize:
         from pcfg.parallel import ConcurrentCfgState
 
         state = ConcurrentCfgState(img, 2)
-        state.run()
-        raw = state.export_cfg()
+        raw, _ = state.run()
         raw_edges = len(raw.edges)
         stats = finalize_details(raw, state.registry)
         assert stats.flips <= raw_edges
@@ -380,9 +377,8 @@ class TestLocalSweep:
     def test_graphs_are_fully_reachable_before_finalize(self, monkeypatch, spec):
         img, _ = generate(spec)
         for workers in (1, 2):
-            state = ConcurrentCfgState(img, workers)
-            state.run()
-            assert _drop_unreachable(state.export_cfg()) is False
+            raw, _ = ConcurrentCfgState(img, workers).run()
+            assert _drop_unreachable(raw) is False
         assert _drop_unreachable(_oracle_before_finalize(monkeypatch, img)) is False
 
     @staticmethod

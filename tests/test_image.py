@@ -2,16 +2,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pcfg.errors import MalformedImageError, OutOfRangeError
-from pcfg.image import (
-    Image,
-    SymbolKind,
-    contains_cfi,
-    load_image,
-    make_symbol,
-    pack_image,
-)
-from pcfg.isa import Opcode, decode_at, is_control_flow
+from pcfg._kernels import scan_block
+from pcfg.errors import MalformedImageError
+from pcfg.image import Image, SymbolKind, load_image, make_symbol, pack_image
+from pcfg.isa import Opcode
 
 from conftest import asm_image
 
@@ -95,39 +89,6 @@ def test_symbol_flags_round_trip():
     assert loaded.symbols[1].kind is SymbolKind.OBJECT
 
 
-def test_contains_cfi_basic():
-    # Alu, Alu, Ret: no CFI before the Ret
-    img = asm_image(0x10, [(Opcode.ALU,), (Opcode.ALU,), (Opcode.RET,)])
-    assert not contains_cfi(img, 0x10, 0x16)
-    # range ending exactly at the byte after the Ret sees it
-    assert contains_cfi(img, 0x10, 0x17)
-    assert not contains_cfi(img, 0x10, 0x10)
-
-
-def test_contains_cfi_out_of_range():
-    img = asm_image(0x10, [(Opcode.RET,)])
-    with pytest.raises(OutOfRangeError):
-        contains_cfi(img, 0x0, 0x11)
-    with pytest.raises(OutOfRangeError):
-        contains_cfi(img, 0x10, 0x12)
-
-
-@given(st.binary(min_size=1, max_size=64), st.data())
-def test_contains_cfi_matches_decode_scan(text, data):
-    img = Image(0x100, text, 0x10000, b"", ())
-    hi = data.draw(st.integers(0x100, img.text_end))
-    # oracle: walk instructions from lo and look for a contained CFI
-    addr = 0x100
-    expected = False
-    while addr < hi:
-        ins = decode_at(text, 0x100, addr)
-        if is_control_flow(ins.kind) and addr + ins.length <= hi:
-            expected = True
-            break
-        addr += ins.length
-    assert contains_cfi(img, 0x100, hi) == expected
-
-
 @given(st.data())
 def test_contains_cfi_monotone_in_range(data):
     body = data.draw(
@@ -140,5 +101,8 @@ def test_contains_cfi_monotone_in_range(data):
     img = asm_image(0, body)
     mid = data.draw(st.integers(0, len(img.text)))
     hi = data.draw(st.integers(mid, len(img.text)))
-    if contains_cfi(img, 0, mid):
-        assert contains_cfi(img, 0, hi if hi >= mid else mid)
+    # the control flow instruction a scan finds before one stop is the
+    # one it finds before every later stop
+    found = scan_block(img.text, 0, 0, mid)
+    if found[1] != -1:
+        assert scan_block(img.text, 0, 0, hi) == found

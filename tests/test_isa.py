@@ -1,17 +1,10 @@
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcfg._kernels import scan_block
-from pcfg.errors import OutOfRangeError
-from pcfg.image import Image, decode
-from pcfg.isa import CONTROL_FLOW, LENGTHS, Opcode, decode_at, encode, is_control_flow
+from pcfg.isa import CONTROL_FLOW, LENGTHS, Instruction, Opcode, encode
 
-from conftest import decode_walk
-
-
-def _image(text: bytes, base: int = 0x100) -> Image:
-    return Image(base, text, 0x10000, b"", ())
+from conftest import decode_at, decode_walk
 
 
 def test_fixed_opcode_table():
@@ -52,7 +45,7 @@ def test_control_flow_set():
     }
     assert CONTROL_FLOW == cf
     for op in Opcode:
-        assert is_control_flow(op) == (op in cf)
+        assert Instruction(0, op, LENGTHS[op]).is_control_flow == (op in cf)
 
 
 _CASES = st.one_of(
@@ -90,19 +83,6 @@ def test_truncated_operands_decode_as_nop():
     # a jump opcode with only two operand bytes left in text
     ins = decode_at(b"\x02\x01\x02", 0, 0)
     assert (ins.kind, ins.length) == (Opcode.NOP, 1)
-
-
-def test_decode_is_pure():
-    img = _image(encode(Opcode.CALL, 0x1234))
-    assert decode(img, 0x100) == decode(img, 0x100)
-
-
-def test_decode_out_of_range():
-    img = _image(b"\x05")
-    with pytest.raises(OutOfRangeError):
-        decode(img, img.text_end)
-    with pytest.raises(OutOfRangeError):
-        decode(img, img.text_base - 1)
 
 
 @settings(max_examples=300)

@@ -55,14 +55,6 @@ def _claim_and_scan(state, addr):
     return blk
 
 
-def _owner(state, entry=0x0):
-    """The record of a function at `entry` (below these images' text, so
-    its walk reaches no block): the branch heuristics then see only the
-    block's own teardown, as when nothing has been walked yet."""
-    assert state.attempt_create_function(entry, _ctx())
-    return state.functions[entry]
-
-
 class TestBlockCreation:
     def test_concurrent_claims_have_one_winner(self, paper_layout):
         state = ConcurrentCfgState(paper_layout, 1)
@@ -134,13 +126,12 @@ class TestEndRegistrationAndSplit:
         # winner's jump edge over, and the winner is cut to fall into it
         img = asm_image(0x4, [(Opcode.ALU,), (Opcode.ALU,), (Opcode.JMP_DIRECT, 0x4)])
         state = ConcurrentCfgState(img, 1)
-        fn = _owner(state)
         b1 = _claim_and_scan(state, 0x4)
-        state.register_block_end(b1, fn, _ctx())
+        state.register_block_end(b1, False, _ctx())
         assert list(b1.out) == [(0x4, int(EdgeKind.DIRECT))]
         b2 = _claim_and_scan(state, 0x7)
         ctx = _ctx()
-        state.register_block_end(b2, fn, ctx)
+        state.register_block_end(b2, False, ctx)
         assert list(b2.out) == [(0x4, int(EdgeKind.DIRECT))]
         assert list(b1.out) == [(0x7, int(EdgeKind.COND_FALLTHROUGH))]
         assert state.incoming[0x4] == [0xF]
@@ -148,12 +139,11 @@ class TestEndRegistrationAndSplit:
 
     def test_two_way_split(self, paper_layout):
         state = ConcurrentCfgState(paper_layout, 1)
-        fn = _owner(state)
         b1 = _claim_and_scan(state, 0x4)
-        state.register_block_end(b1, fn, _ctx())
+        state.register_block_end(b1, False, _ctx())
         b2 = _claim_and_scan(state, 0xA)
         ctx = _ctx()
-        state.register_block_end(b2, fn, ctx)
+        state.register_block_end(b2, False, ctx)
         assert (b2.start, b2.end) == (0xA, 0xD)
         assert b2.term == int(Opcode.RET)
         assert (b1.start, b1.end) == (0x4, 0xA)
@@ -168,15 +158,14 @@ class TestEndRegistrationAndSplit:
             0x4, [(Opcode.ALU,), (Opcode.ALU,), (Opcode.ALU,), (Opcode.JMP_DIRECT, 0x4)]
         )
         state = ConcurrentCfgState(img, 1)
-        fn = _owner(state)
         first = _claim_and_scan(state, 0x4)
-        state.register_block_end(first, fn, _ctx())
+        state.register_block_end(first, False, _ctx())
         mid = _claim_and_scan(state, 0xD)
-        state.register_block_end(mid, fn, _ctx())
+        state.register_block_end(mid, False, _ctx())
         last = _claim_and_scan(state, 0xA)
         # 0xa loses 0x12 to 0xd, then 0xd to 0x4: one loss, two cuts
         ctx = _ctx()
-        state.register_block_end(last, fn, ctx)
+        state.register_block_end(last, False, ctx)
         assert (ctx.end_registration_losses, ctx.splits_performed) == (1, 2)
         spans = {(b.start, b.end) for b in state.blocks_by_start.values()}
         assert spans == {(0x4, 0xA), (0xA, 0xD), (0xD, 0x12)}
@@ -202,9 +191,8 @@ class TestEndRegistrationAndSplit:
 
         def registered(order):
             state = ConcurrentCfgState(img, 1)
-            fn = _owner(state)
             for i in order:
-                state.register_block_end(_claim_and_scan(state, starts[i]), fn, _ctx())
+                state.register_block_end(_claim_and_scan(state, starts[i]), False, _ctx())
             return state
 
         state = registered(order)
@@ -225,22 +213,20 @@ class TestEndRegistrationAndSplit:
         # a scan at the text end walks nothing: the block [0xd, 0xd)
         # loses the end 0xd to [0x4, 0xd), and no split can shorten it
         state = ConcurrentCfgState(paper_layout, 1)
-        fn = _owner(state)
         b1 = _claim_and_scan(state, 0x4)
-        state.register_block_end(b1, fn, _ctx())
+        state.register_block_end(b1, False, _ctx())
         empty = _claim_and_scan(state, 0xD)
         assert (empty.start, empty.end) == (0xD, 0xD)
-        exc = _raised_within(10, lambda: state.register_block_end(empty, fn, _ctx()))
+        exc = _raised_within(10, lambda: state.register_block_end(empty, False, _ctx()))
         assert isinstance(exc, InternalError) and "0xd" in str(exc)
 
     def test_same_start_registration_is_noop(self, paper_layout):
         state = ConcurrentCfgState(paper_layout, 1)
-        fn = _owner(state)
         b1 = _claim_and_scan(state, 0x4)
-        state.register_block_end(b1, fn, _ctx())
+        state.register_block_end(b1, False, _ctx())
         out_before = dict(b1.out)
         ctx = _ctx()
-        state.register_block_end(b1, fn, ctx)
+        state.register_block_end(b1, False, ctx)
         assert b1.out == out_before
         assert state.blocks_by_end[0xD] is b1
         assert (ctx.end_registrations, ctx.end_registration_losses) == (0, 0)
@@ -804,50 +790,63 @@ _FAMILY_SPECS = [
 ]
 
 
-class _StripeNestingCheck:
-    """Stands in for one end stripe lock and fails the acquiring thread
-    if that thread already holds a stripe."""
+class _NestingCheck:
+    """Stands in for one engine lock, an end stripe or a function
+    record's lock, and fails the acquiring thread if that thread already
+    holds an engine lock."""
 
-    def __init__(self, lock, held, log):
+    def __init__(self, lock, what, held, log):
         self._lock = lock
+        self._what = what
         self._held = held
         self._log = log
 
     def __enter__(self):
-        if getattr(self._held, "stripe", None) is not None:
+        if getattr(self._held, "lock", None) is not None:
             self._log.append("nested")
-            raise AssertionError("a thread took a second end stripe")
+            raise AssertionError(f"a thread took a {self._what} lock while holding another")
         self._lock.acquire()
-        self._held.stripe = self
-        self._log.append("ok")
+        self._held.lock = self
+        self._log.append(self._what)
 
     def __exit__(self, *exc):
-        self._held.stripe = None
+        self._held.lock = None
         self._lock.release()
 
 
 @pytest.mark.parametrize("workers", [1, 2, 8])
-def test_no_thread_holds_two_end_stripes(workers):
-    # holding one stripe at a time is what rules out a deadlock between
-    # ends that share no stripe in one order and do in another; a short
-    # switch interval preempts workers inside their critical sections
+def test_no_thread_holds_two_end_stripes(monkeypatch, workers):
+    # holding one engine lock at a time, an end stripe or a record lock,
+    # is what rules out a deadlock between locks taken in one order by
+    # one thread and in another by a second; a short switch interval
+    # preempts workers inside their critical sections
+    held = threading.local()
+    log = []
+    real_init = parallel._FuncRecord.__init__
+
+    def init(rec, *args):
+        real_init(rec, *args)
+        rec.lock = _NestingCheck(rec.lock, "record", held, log)
+
+    monkeypatch.setattr(parallel._FuncRecord, "__init__", init)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         for spec in _FAMILY_SPECS:
             img, _ = generate(spec)
             state = ConcurrentCfgState(img, workers)
-            held = threading.local()
-            log = []
+            log.clear()
             state._end_locks = tuple(
-                _StripeNestingCheck(lk, held, log) for lk in state._end_locks
+                _NestingCheck(lk, "stripe", held, log) for lk in state._end_locks
             )
             out = []
             assert _raised_within(30, lambda: out.append(state.run())) is None, spec.family
-            assert "nested" not in log and "ok" in log, spec.family
+            assert "nested" not in log, spec.family
+            assert {"stripe", "record"} <= set(log), spec.family
             cfg, stats = out[0]
             # a lost update at one end would register two blocks there
             assert stats.end_registrations == len(state.blocks_by_end), spec.family
+            finalize.finalize_details(cfg, state.registry)
             want = canonical_serialize(serial_construct(img))
             assert canonical_serialize(cfg) == want, spec.family
     finally:
@@ -935,6 +934,7 @@ def test_tables_are_read_again_only_when_their_bound_grows(monkeypatch, spec, wo
     monkeypatch.setattr(jumptables, "read_table_entries", counted)
     state = ConcurrentCfgState(img, workers)
     cfg, _ = state.run()
+    finalize.finalize_details(cfg, state.registry)
     descs = state.registry.sorted_descriptors()
     assert descs
     for desc in descs:

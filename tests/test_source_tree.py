@@ -1,8 +1,8 @@
 """The library takes no settings from the environment and no setting but
 the worker count, ships one scan kernel, in Python source only, decodes
-byte ranges only through that kernel, keeps the serial oracle
-independent of the engine it checks, and keeps no engine stat that
-nothing reads."""
+only through that kernel, keeps the serial oracle independent of the
+engine it checks, and keeps no engine stat that nothing reads and no
+export that nothing uses."""
 
 import ast
 import dataclasses
@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import pcfg
 from pcfg.parallel import ConcurrentCfgState, EngineStats, construct, construct_details
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -58,17 +59,70 @@ def test_serial_oracle_imports_nothing_from_the_engine():
 
 
 def test_scan_block_is_the_only_range_decoder():
-    # `decode_at` decodes one instruction for `image.decode`; every walk
-    # over a byte range is a `scan_block` call
+    # the one-instruction `decode_at` is the tests' reference for the
+    # kernel and lives in their conftest; the library decodes only
+    # through `scan_block`
     users = [
         str(p.relative_to(SRC))
         for p in sorted(SRC.rglob("*.py"))
         if "decode_at" in p.read_text()
     ]
-    assert users == ["image.py", "isa.py"]
+    assert users == []
     tree = ast.parse((SRC / "_kernels" / "__init__.py").read_text())
     defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
     assert defined == {"scan_block"}
+
+
+#: exports kept for callers outside the library, the CLI and the
+#: benchmark, whether or not those use them too
+_EXPORTED_FOR_CALLERS = {
+    # the documented entry point
+    "construct",
+    # the operations and the order that the operation-algebra laws are
+    # stated in
+    "op_ber",
+    "op_cfec",
+    "op_dec",
+    "op_er",
+    "op_fei",
+    "op_iec",
+    "partial_order_le",
+}
+
+
+def _names_used(path: Path) -> set[str]:
+    # names, attributes, imported names and strings (the benchmark's
+    # tracer names what it wraps in strings)
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.add(node.value)
+    return used
+
+
+def test_every_export_is_used():
+    # a name in `pcfg.__all__` must be used outside the module that
+    # defines it: by another library module, the CLI or the benchmark
+    users = [p for p in sorted(SRC.rglob("*.py")) if p != SRC / "__init__.py"]
+    users += sorted((ROOT / "bench").glob("*.py"))
+    used = {p: _names_used(p) for p in users}
+    unused = [
+        name
+        for name in pcfg.__all__
+        if name not in _EXPORTED_FOR_CALLERS
+        and not any(
+            name in names
+            for p, names in used.items()
+            if p.with_suffix("").name != getattr(pcfg, name).__module__.rsplit(".", 1)[-1]
+        )
+    ]
+    assert unused == []
 
 
 def test_every_engine_stat_is_read():
