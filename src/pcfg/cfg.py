@@ -111,6 +111,14 @@ _BRANCH_EDGES = frozenset({EdgeKind.DIRECT, EdgeKind.TAIL_CALL})
 _CALL_EDGE = EdgeKind.CALL
 _CALL_FALLTHROUGH_EDGE = EdgeKind.CALL_FALLTHROUGH
 _CALL_TERM = Opcode.CALL
+#: Each status's text, read per entry by the writer without an enum
+#: property call.
+_STATUS_TEXT: dict[ReturnStatus, str] = {s: s.value for s in ReturnStatus}
+
+
+def _name(term: Opcode | None) -> str:
+    # an f-string formats an IntEnum member as its value: name it
+    return term.name if term is not None else "unterminated"
 
 
 def validate(g: Cfg) -> list[Violation]:
@@ -161,15 +169,15 @@ def validate(g: Cfg) -> list[Violation]:
             )
             edge_out.append((e, v))
         term = src.terminator.kind if src.terminator else None
-        # an f-string formats an IntEnum member as its value: name it
-        tname = term.name if term is not None else "unterminated"
         if e.kind in _BRANCH_EDGES and term not in _DIRECT_TERMS:
             v = Violation(
-                "bad-edge-kind", (e.source, e.target), f"{e.kind.name} from {tname} block"
+                "bad-edge-kind", (e.source, e.target), f"{e.kind.name} from {_name(term)} block"
             )
             edge_out.append((e, v))
         if e.kind is _CALL_EDGE and term is not _CALL_TERM:
-            v = Violation("bad-edge-kind", (e.source, e.target), f"CALL edge from {tname} block")
+            v = Violation(
+                "bad-edge-kind", (e.source, e.target), f"CALL edge from {_name(term)} block"
+            )
             edge_out.append((e, v))
     edge_out.sort(key=lambda item: item[0])
     out.extend(v for _, v in edge_out)
@@ -276,10 +284,11 @@ def canonical_serialize(g: Cfg) -> str:
     for source, target, kind in edges:
         lines.append(f"E 0x{source:x} 0x{target:x} {names[kind]}")
     entries = g.entries
+    status_text = _STATUS_TEXT
     lines.append(f"entries {len(entries)}")
     for addr in sorted(entries):
         f = entries[addr]
-        lines.append(f"F 0x{addr:x} {f.status.value} {int(f.seed)}")
+        lines.append(f"F 0x{addr:x} {status_text[f.status]} {int(f.seed)}")
     return "\n".join(lines) + "\n"
 
 

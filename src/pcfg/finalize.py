@@ -27,6 +27,32 @@ rule wins, judged against a per-iteration snapshot:
 
 Each edge flips at most once per finalization, which bounds the loop.
 
+Rule 2 reads only the boundaries that hold the source of an unflipped
+tail call, so each round walks only those. A boundary holds block `s`
+exactly when its entry reaches `s` over intra-procedural edges through
+blocks, so one reverse walk from the tail-call sources finds their
+entries, and a boundary kept from the last round is walked again only
+when it holds the source of an edge that round flipped. No other
+boundary can decide a rule-2 verdict, so skipping them is exact.
+
+The first round judges every edge. A later round judges only the
+unflipped tail calls whose source lies in a boundary just walked again,
+because no other edge's verdict can have changed:
+- A flipped edge never flips again.
+- Rule 1 cannot fire after the first round. A target gains a tail-call
+  in-edge only through rule 1, which needs a call-like in-edge that is
+  already there, so every unflipped plain branch into it flipped in
+  the same round.
+- Rule 3 reads in-degree, which a flip does not change.
+- Rule 2 reads the boundaries that hold the source. Before the last
+  round, an entry that reaches the source now already reached either
+  the source or the source of a tail call that round flipped (the
+  first flipped edge on its path). Either way it held the source of an
+  unflipped tail call, so its boundary is one of the last round's, and
+  that boundary is unchanged unless it was walked again. A rule-2
+  verdict that was false can thus turn true only through a boundary
+  just walked. Dropped entries only remove boundaries.
+
 Unreachable code is swept once over the whole graph, right after the
 trim, and from then on only below what was removed. The local sweep
 is exact: after the full sweep every node is reachable from an entry,
@@ -209,19 +235,38 @@ def trim_overlapping_tables(
             index.remove(e)
 
 
+def _entries_reaching(g: Cfg, index: EdgeIndex, blocks: Iterable[int]) -> list[int]:
+    """The entries whose boundaries hold one of `blocks`, sorted: one
+    reverse walk over intra-procedural edges between blocks, the mirror
+    of the boundary walk."""
+    g_blocks, inc = g.blocks, index.inc
+    seen = {b for b in blocks if b in g_blocks}
+    work = list(seen)
+    while work:
+        for source, _, kind in inc.get(work.pop(), ()):
+            if kind in INTRA_EDGE_KINDS and source not in seen and source in g_blocks:
+                seen.add(source)
+                work.append(source)
+    entries = g.entries
+    return sorted(a for a in seen if a in entries)
+
+
 def assign_function_boundaries(
     g: Cfg,
     prior: list[FunctionBoundary] | None = None,
     sources: Iterable[int] = (),
     index: EdgeIndex | None = None,
+    holding: Iterable[int] | None = None,
 ) -> list[FunctionBoundary]:
     """One boundary per entry: the blocks reachable from the entry over
     intra-procedural edges. Shared blocks appear in several boundaries.
+    Given `holding`, only the boundaries that hold one of those blocks
+    are returned, and no other boundary is walked.
 
     Given `prior`, the boundaries of an earlier version of `g` that
     differs from it only in the kinds of edges leaving `sources` and in
-    removed entries, only the boundaries that contain one of `sources`
-    are walked again: a walk that never reaches a changed edge's source
+    removed entries, a boundary of `prior` is reused unless it contains
+    one of `sources`: a walk that never reaches a changed edge's source
     cannot see the change. `index` indexes `g.edges`; without one the
     function builds its own."""
     if index is None:
@@ -241,14 +286,12 @@ def assign_function_boundaries(
                         work.append(target)
         return FunctionBoundary(entry, blocks)
 
+    wanted = sorted(g.entries) if holding is None else _entries_reaching(g, index, holding)
     if prior is None:
-        return [walk(entry) for entry in sorted(g.entries)]
+        return [walk(entry) for entry in wanted]
     changed = set(sources)
-    return [
-        fb if changed.isdisjoint(fb.blocks) else walk(fb.entry)
-        for fb in prior
-        if fb.entry in g.entries
-    ]
+    kept = {fb.entry: fb for fb in prior if changed.isdisjoint(fb.blocks)}
+    return [kept.get(entry) or walk(entry) for entry in wanted]
 
 
 def correct_tail_calls(
@@ -256,6 +299,7 @@ def correct_tail_calls(
     boundaries: list[FunctionBoundary],
     flipped: set[tuple[int, int]],
     index: EdgeIndex | None = None,
+    judged: Iterable[Edge] | None = None,
 ) -> list[int]:
     """One pass of the three correction rules, applied to `g` in place.
     `flipped` holds the (source, target) of every edge flipped earlier
@@ -263,15 +307,17 @@ def correct_tail_calls(
     edges it flips and returns their sources. Every edge is judged
     against the graph as the pass found it and the flips are applied
     after the pass, so the order edges are judged in does not matter.
-    `index` indexes `g.edges` and is kept current; without one the
-    function builds its own."""
+    `boundaries` must include every boundary that holds the source of a
+    judged tail call. `judged`, edges of `g`, limits the pass to those
+    edges; without it every edge is judged. `index` indexes `g.edges`
+    and is kept current; without one the function builds its own."""
     if index is None:
         index = EdgeIndex(g.edges)
     inc = index.inc
     called: dict[int, bool] = {}
     flips: list[tuple[Edge, EdgeKind]] = []
     tails: list[Edge] = []
-    for e in g.edges:
+    for e in g.edges if judged is None else judged:
         source, target, kind = e
         if kind is _DIRECT:
             if (source, target) in flipped:
@@ -346,16 +392,28 @@ def finalize_details(g: Cfg, registry: TableRegistry) -> FinalizeStats:
     entries = set(g.entries)
     flipped: set[tuple[int, int]] = set()
     edge_budget = len(g.edges)
-    boundaries = assign_function_boundaries(g, None, (), index)
+    # the tail calls not flipped yet, and the boundaries that hold them
+    tails = [e for e in g.edges if e.kind is _TAIL_CALL]
+    boundaries = assign_function_boundaries(g, None, (), index, {e.source for e in tails})
+    judged: list[Edge] | None = None  # the first round judges every edge
     while True:
         stats.iterations += 1
-        sources = correct_tail_calls(g, boundaries, flipped, index)
+        sources = correct_tail_calls(g, boundaries, flipped, index, judged)
         if not sources:
             break
         if stats.iterations > edge_budget + 2:
             raise InternalError("tail-call correction failed to converge")
-        boundaries = assign_function_boundaries(g, boundaries, sources, index)
+        tails = [e for e in tails if (e.source, e.target) not in flipped]
+        tail_sources = {e.source for e in tails}
+        kept = {id(fb) for fb in boundaries}
+        boundaries = assign_function_boundaries(g, boundaries, sources, index, tail_sources)
+        # only a tail call held by a boundary just walked can flip now
+        held = set().union(
+            *(tail_sources & fb.blocks for fb in boundaries if id(fb) not in kept)
+        )
+        judged = [e for e in tails if e.source in held]
     stats.flips = len(flipped)
     # rule 3 dropped these entries; the prune's first sweep starts below them
     _prune(g, index, entries.difference(g.entries))
     return stats
+

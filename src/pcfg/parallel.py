@@ -50,11 +50,11 @@ only its own record's lock while it spawns. So two ends that share a
 stripe serialize but cannot deadlock, and neither can records.
 
 A function record holds state only while it uses it. Its worklist is
-created under the record lock by the first enqueue and dropped when a
-drain finds it empty and goes idle, so a drained function holds none.
-Its waiter set is created by the first waiter and dropped when its
-status is written; a status is written once, so no set is made again.
-Its table set exists from its first table jump on.
+created under the record lock by the first enqueue and handed whole to
+the drain, so a drained function holds none. Its waiter set is created
+by the first waiter and dropped when its status is written; a status is
+written once, so no set is made again. Its table set exists from its
+first table jump on, and its set of visited addresses until quiescence.
 
 `ConcurrentCfgState.run` is the engine's one driver: it traverses to
 quiescence and exports the raw graph. `construct_details` is the one
@@ -105,6 +105,9 @@ _SYNTH_HALT = -1
 #: the site of a tail-call waiter; a call-site waiter's site is the
 #: call block's end
 _TAIL_SITE = -1
+# bound once: an enum class attribute lookup costs ~0.1 us, and every
+# `ret` visit compares against it
+_UNSET = ReturnStatus.UNSET
 
 _DIRECT = int(EdgeKind.DIRECT)
 _COND_TAKEN = int(EdgeKind.COND_TAKEN)
@@ -172,7 +175,8 @@ class _FuncRecord:
         # the worklist, only while it has work (see the module docstring)
         self.pending: deque[int] | None = None
         self.active = False
-        self.visited: set[int] = set()
+        # dropped at quiescence
+        self.visited: set[int] | None = set()
         # the function's jump tables, from its first one on
         self.table_descs: set | None = None
         self.status = status
@@ -303,6 +307,9 @@ class ConcurrentCfgState:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.image = image
+        # bound once: `Image.text_end` is a property, and every visit reads it
+        self._text_base = image.text_base
+        self._text_end = image.text_end
         self.workers = workers
         self.blocks_by_start: dict[int, _EngineBlock] = {}
         self.blocks_by_end: dict[int, _EngineBlock] = {}
@@ -467,9 +474,12 @@ class ConcurrentCfgState:
         fills an unset status, so a known-noreturn flag wins over a `ret`
         found in the flagged function, as in the serial oracle."""
         rec = self.functions[entry]
+        # a status is written once, so a set one needs no lock to be seen
+        if not strict and rec.status is not _UNSET:
+            return
         with rec.lock:
             cur = rec.status
-            if cur is not ReturnStatus.UNSET:
+            if cur is not _UNSET:
                 if not strict:
                     return
                 raise AlreadySetError(f"0x{entry:x}: {cur.value} -> {status.value}")
@@ -584,32 +594,44 @@ class ConcurrentCfgState:
 
     def traverse_function(self, rec: _FuncRecord, ctx: _WorkerCtx) -> None:
         """Drain one function's worklist, driving its jump tables to a
-        fixed point before going idle. Going idle drops the worklist."""
+        fixed point before going idle. Going idle drops the worklist.
+        The drain takes the whole worklist in one lock acquisition and
+        queues the function's own direct successors on a local FIFO.
+        Wake-ups and table targets still arrive in the worklist, which
+        is moved to the FIFO's tail after each visit that finds it
+        non-empty. A visit adds successors or worklist entries, never
+        both, so one worker drains addresses in the order they were
+        queued, as through one shared worklist."""
+        process = self._process
         while True:
-            while True:
-                with rec.lock:
-                    pending = rec.pending
-                    if not pending:
-                        break
-                    addr = pending.popleft()
-                self._process(ctx, rec, addr)
+            with rec.lock:
+                work = rec.pending
+                rec.pending = None
+            while work:
+                process(ctx, rec, work.popleft(), work)
+                if rec.pending:
+                    with rec.lock:
+                        work.extend(rec.pending)
+                        rec.pending = None
             if rec.table_descs is not None:
                 for desc in sorted(rec.table_descs, key=lambda d: d.base):
                     self.refresh_descriptor(desc)
             with rec.lock:
                 if not rec.pending:
-                    rec.pending = None
                     rec.active = False
                     return
 
     # -- per-address dispatch ----------------------------------------------------
 
-    def _process(self, ctx: _WorkerCtx, fn: _FuncRecord, addr: int) -> None:
-        if not self.image.text_base <= addr < self.image.text_end:
+    def _process(self, ctx: _WorkerCtx, fn: _FuncRecord, addr: int, work: deque[int]) -> None:
+        """Visit `addr` in `fn`, appending its direct successors that the
+        function has not visited to `work`."""
+        if not self._text_base <= addr < self._text_end:
             raise OutOfRangeError(addr)
-        if addr in fn.visited:
+        visited = fn.visited
+        if addr in visited:
             return
-        fn.visited.add(addr)
+        visited.add(addr)
 
         claimed = self.attempt_create_block(addr, ctx)
         end, kind, a, b, teardown, hint_at, hint = scan_block(
@@ -633,11 +655,13 @@ class ConcurrentCfgState:
             if tail:
                 self.attempt_create_function(a, ctx)
                 self._await_status(ctx, fn, a, _TAIL_SITE)
-            else:
-                self._enqueue_addr(fn, a)
+            elif a not in visited:
+                work.append(a)
         elif kind == _JCC:
-            self._enqueue_addr(fn, a)
-            self._enqueue_addr(fn, end)
+            if a not in visited:
+                work.append(a)
+            if end not in visited:
+                work.append(end)
         elif kind == _CALL:
             self.attempt_create_function(a, ctx)
             self._await_status(ctx, fn, a, end)
@@ -687,6 +711,10 @@ class ConcurrentCfgState:
                 break
         finally:
             self.pool.shutdown()
+        # nothing visits after quiescence: free the per-function visit sets
+        # before the export, the engine's memory peak
+        for rec in self.functions.values():
+            rec.visited = None
         t2 = time.perf_counter()
         stats.traversal_seconds = t2 - t1
 

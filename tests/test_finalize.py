@@ -19,6 +19,8 @@ from pcfg.cfg import (
 )
 from pcfg.finalize import (
     EdgeIndex,
+    FinalizeStats,
+    FunctionBoundary,
     _drop_unreachable,
     _drop_unreachable_below,
     assign_function_boundaries,
@@ -32,6 +34,7 @@ from pcfg.jumptables import TableRegistry
 from pcfg.serial import serial_construct, serial_construct_details
 from pcfg.parallel import ConcurrentCfgState, construct_details
 from pcfg.workload import FAMILIES, ScenarioSpec, generate
+from reference_finalize import reference_finalize
 
 #: The generator corpus: every family at three seeds, big-random small.
 CORPUS = [
@@ -354,19 +357,20 @@ class TestOneValidation:
         assert len(calls) == 1
 
 
-def _oracle_before_finalize(monkeypatch, img) -> Cfg:
-    """The oracle's graph as its finalization receives it, copied."""
+def _oracle_before_finalize(monkeypatch, img) -> tuple[Cfg, TableRegistry]:
+    """The oracle's graph as its finalization receives it, copied, and
+    the oracle's table registry."""
     seen = []
     real = finalize.finalize_details
 
     def capture(g, registry):
-        seen.append(g.clone())
+        seen.append((g.clone(), registry))
         return real(g, registry)
 
     monkeypatch.setattr(finalize, "finalize_details", capture)
     serial_construct(img)
-    (g,) = seen
-    return g
+    (found,) = seen
+    return found
 
 
 class TestLocalSweep:
@@ -379,7 +383,7 @@ class TestLocalSweep:
         for workers in (1, 2):
             raw, _ = ConcurrentCfgState(img, workers).run()
             assert _drop_unreachable(raw) is False
-        assert _drop_unreachable(_oracle_before_finalize(monkeypatch, img)) is False
+        assert _drop_unreachable(_oracle_before_finalize(monkeypatch, img)[0]) is False
 
     @staticmethod
     def _normal(index: EdgeIndex):
@@ -450,3 +454,138 @@ class TestLocalSweep:
         _drop_unreachable_below(g, index, roots)
         assert (g.blocks, g.candidates, g.edges) == (want.blocks, want.candidates, want.edges)
         assert self._normal(index) == self._normal(EdgeIndex(g.edges))
+
+
+class TestReference:
+    """`finalize_details` walks only the boundaries and judges only the
+    edges that can change a result; `reference_finalize` recomputes
+    everything each round. Both must give the same graph."""
+
+    @staticmethod
+    def _agree(g: Cfg, registry: TableRegistry) -> FinalizeStats:
+        want = g.clone()
+        stats = finalize_details(g, registry)
+        assert reference_finalize(want, registry) == (stats.flips, stats.iterations)
+        assert (g.blocks, g.candidates, g.edges, g.entries) == (
+            want.blocks,
+            want.candidates,
+            want.edges,
+            want.entries,
+        )
+        return stats
+
+    @pytest.mark.parametrize("spec", CORPUS, ids=lambda s: f"{s.family}-{s.seed}")
+    def test_corpus_graphs(self, monkeypatch, spec):
+        img, _ = generate(spec)
+        for workers in (1, 2):
+            state = ConcurrentCfgState(img, workers)
+            raw, _ = state.run()
+            self._agree(raw, state.registry)
+        self._agree(*_oracle_before_finalize(monkeypatch, img))
+
+    def test_flip_that_widens_a_boundary_is_seen_next_round(self):
+        # a's tail call into b is b's only in-edge, so round 1 folds b
+        # into a; only then does a's boundary hold c and d, and round 2
+        # turns c's tail call into a plain branch
+        g = Cfg()
+        g.blocks[0x0] = _jmp_block(0x0, 0x5, 0x10)
+        g.blocks[0x10] = Block(0x10, 0x15, Instruction(0x10, Opcode.JCC_DIRECT, 5, 0x20))
+        g.blocks[0x20] = _jmp_block(0x20, 0x25, 0x30)
+        g.blocks[0x30] = _ret_block(0x30)
+        g.edges = {
+            Edge(0x0, 0x10, EdgeKind.TAIL_CALL),
+            Edge(0x10, 0x20, EdgeKind.COND_TAKEN),
+            Edge(0x10, 0x30, EdgeKind.COND_FALLTHROUGH),
+            Edge(0x20, 0x30, EdgeKind.TAIL_CALL),
+        }
+        g.entries = {0x0: _entry(0x0)}
+        stats = self._agree(g, TableRegistry())
+        assert (stats.flips, stats.iterations) == (2, 3)
+        assert Edge(0x20, 0x30, EdgeKind.DIRECT) in g.edges
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        blocks=st.integers(2, 12),
+        candidates=st.integers(0, 2),
+        raw_edges=st.lists(
+            st.tuples(
+                st.integers(0, 99),
+                st.integers(0, 99),
+                # branches and tail calls are what the rounds judge
+                st.sampled_from(list(EdgeKind) + [EdgeKind.DIRECT, EdgeKind.TAIL_CALL] * 2),
+            ),
+            min_size=4,
+            max_size=40,
+        ),
+        raw_entries=st.lists(st.tuples(st.integers(0, 99), st.booleans()), min_size=1, max_size=6),
+    )
+    def test_random_graphs(self, blocks, candidates, raw_edges, raw_entries):
+        nodes = blocks + candidates
+        g = Cfg()
+        for i in range(blocks):
+            g.blocks[4 * i] = Block(4 * i, 4 * i + 1)
+        g.candidates = {4 * (blocks + i) for i in range(candidates)}
+        # the ledger keys an edge by its ends, so at most one edge per pair
+        ends: dict[tuple[int, int], EdgeKind] = {}
+        for s, t, k in raw_edges:
+            ends.setdefault((4 * (s % blocks), 4 * (t % nodes)), k)
+        g.edges = {Edge(s, t, k) for (s, t), k in ends.items()}
+        g.entries = {4 * (a % nodes): _entry(4 * (a % nodes), seed) for a, seed in raw_entries}
+        self._agree(g, TableRegistry())
+
+
+class TestWalkCounts:
+    """Guards that keep the boundary walks and judged edges from growing
+    with the size of the graph instead of with its tail calls."""
+
+    @staticmethod
+    def _count_walks(monkeypatch) -> list[FunctionBoundary]:
+        walks = []
+
+        class Counted(FunctionBoundary):
+            def __init__(self, entry, blocks):
+                super().__init__(entry, blocks)
+                walks.append(self)
+
+        monkeypatch.setattr(finalize, "FunctionBoundary", Counted)
+        return walks
+
+    def test_shared_code_walks_no_boundary(self, monkeypatch):
+        # 256 functions share one block, so a walk of every boundary
+        # would visit that block 256 times; none holds a tail call
+        img, _ = generate(ScenarioSpec.make("shared-code", 0, sharers=256))
+        walks = self._count_walks(monkeypatch)
+        for run in (lambda: construct_details(img, 1)[0], lambda: serial_construct(img)):
+            g = run()
+            assert len(g.entries) == 256
+            assert walks == []
+
+    def test_big_random_walks_only_tail_call_holders(self, monkeypatch):
+        img, _ = generate(ScenarioSpec.make("big-random", 1, functions=20000))
+        walks = self._count_walks(monkeypatch)
+        tail_sources: list[set[int]] = []
+        judged: list[int | None] = []
+        real_boundaries = finalize.assign_function_boundaries
+        real_tails = finalize.correct_tail_calls
+
+        def boundaries(g, *args):
+            # the tail-call sources of the graph each walk of this call sees
+            tail_sources.append({e.source for e in g.edges if e.kind is EdgeKind.TAIL_CALL})
+            first = len(walks)
+            result = real_boundaries(g, *args)
+            assert all(fb.blocks & tail_sources[-1] for fb in walks[first:])
+            return result
+
+        def tails(g, boundaries, flipped, index=None, edges=None):
+            judged.append(None if edges is None else len(edges))
+            return real_tails(g, boundaries, flipped, index, edges)
+
+        monkeypatch.setattr(finalize, "assign_function_boundaries", boundaries)
+        monkeypatch.setattr(finalize, "correct_tail_calls", tails)
+        g, stats, _ = construct_details(img, 1)
+        assert stats.finalize_iterations == len(judged) >= 2
+        # 20k entries, about 2k boundaries hold a tail call
+        assert len(walks) < len(g.entries) // 5
+        # round 1 judges every edge; round 2 judges none of the 28,084
+        assert judged[0] is None
+        assert all(n < len(g.edges) // 100 for n in judged[1:])
