@@ -35,9 +35,10 @@ entries, and a boundary kept from the last round is walked again only
 when it holds the source of an edge that round flipped. No other
 boundary can decide a rule-2 verdict, so skipping them is exact.
 
-The first round judges every edge. A later round judges only the
-unflipped tail calls whose source lies in a boundary just walked again,
-because no other edge's verdict can have changed:
+The first round judges every plain branch and tail call, the only
+edges the rules apply to. A later round judges only the unflipped tail
+calls whose source lies in a boundary just walked again, because no
+other edge's verdict can have changed:
 - A flipped edge never flips again.
 - Rule 1 cannot fire after the first round. A target gains a tail-call
   in-edge only through rule 1, which needs a call-like in-edge that is
@@ -392,10 +393,11 @@ def finalize_details(g: Cfg, registry: TableRegistry) -> FinalizeStats:
     entries = set(g.entries)
     flipped: set[tuple[int, int]] = set()
     edge_budget = len(g.edges)
+    # the first round judges every edge the rules apply to
+    judged = [e for e in g.edges if e.kind is _DIRECT or e.kind is _TAIL_CALL]
     # the tail calls not flipped yet, and the boundaries that hold them
-    tails = [e for e in g.edges if e.kind is _TAIL_CALL]
+    tails = [e for e in judged if e.kind is _TAIL_CALL]
     boundaries = assign_function_boundaries(g, None, (), index, {e.source for e in tails})
-    judged: list[Edge] | None = None  # the first round judges every edge
     while True:
         stats.iterations += 1
         sources = correct_tail_calls(g, boundaries, flipped, index, judged)

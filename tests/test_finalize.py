@@ -459,7 +459,8 @@ class TestLocalSweep:
 class TestReference:
     """`finalize_details` walks only the boundaries and judges only the
     edges that can change a result; `reference_finalize` recomputes
-    everything each round. Both must give the same graph."""
+    everything each round. Both must give the same graph, flip count
+    and number of rounds."""
 
     @staticmethod
     def _agree(g: Cfg, registry: TableRegistry) -> FinalizeStats:
@@ -563,29 +564,33 @@ class TestWalkCounts:
     def test_big_random_walks_only_tail_call_holders(self, monkeypatch):
         img, _ = generate(ScenarioSpec.make("big-random", 1, functions=20000))
         walks = self._count_walks(monkeypatch)
-        tail_sources: list[set[int]] = []
-        judged: list[int | None] = []
+        judged: list[int] = []
+        branches: list[int] = []
         real_boundaries = finalize.assign_function_boundaries
         real_tails = finalize.correct_tail_calls
 
         def boundaries(g, *args):
-            # the tail-call sources of the graph each walk of this call sees
-            tail_sources.append({e.source for e in g.edges if e.kind is EdgeKind.TAIL_CALL})
+            # each boundary this call walks holds a tail-call source
+            sources = {e.source for e in g.edges if e.kind is EdgeKind.TAIL_CALL}
             first = len(walks)
             result = real_boundaries(g, *args)
-            assert all(fb.blocks & tail_sources[-1] for fb in walks[first:])
+            assert all(fb.blocks & sources for fb in walks[first:])
             return result
 
-        def tails(g, boundaries, flipped, index=None, edges=None):
-            judged.append(None if edges is None else len(edges))
+        def tails(g, boundaries, flipped, index, edges):
+            judged.append(len(edges))
+            branches.append(
+                sum(e.kind in (EdgeKind.DIRECT, EdgeKind.TAIL_CALL) for e in g.edges)
+            )
             return real_tails(g, boundaries, flipped, index, edges)
 
         monkeypatch.setattr(finalize, "assign_function_boundaries", boundaries)
         monkeypatch.setattr(finalize, "correct_tail_calls", tails)
         g, stats, _ = construct_details(img, 1)
         assert stats.finalize_iterations == len(judged) >= 2
-        # 20k entries, about 2k boundaries hold a tail call
+        # 2,152 walks for 20,877 entries
         assert len(walks) < len(g.entries) // 5
-        # round 1 judges every edge; round 2 judges none of the 28,084
-        assert judged[0] is None
+        # round 1 judges every branch and tail call (7,778 of 28,084
+        # edges); round 2 judges none
+        assert judged[0] == branches[0]
         assert all(n < len(g.edges) // 100 for n in judged[1:])
