@@ -418,4 +418,3 @@ def finalize_details(g: Cfg, registry: TableRegistry) -> FinalizeStats:
     # rule 3 dropped these entries; the prune's first sweep starts below them
     _prune(g, index, entries.difference(g.entries))
     return stats
-
