@@ -15,7 +15,7 @@ by source, in-edges by target) that finalization builds once from
 rebuilds a view of every edge for itself.
 
 Tail-call correction applies three rules to each branch edge, lowest
-rule wins, judged against a per-iteration snapshot:
+rule wins, judged against a per-round snapshot:
 
 1. a plain branch whose target has an incoming call-like edge becomes a
    tail call;
@@ -25,25 +25,21 @@ rule wins, judged against a per-iteration snapshot:
    branch, and the target's entry label is dropped unless it came from
    the symbol table (outlined blocks fold back into their parent).
 
-Each edge flips at most once per finalization, which bounds the loop.
+Each edge flips at most once per finalization. The rounds keep this by
+construction, with no record of what flipped: the first round judges
+every plain branch and tail call, the only edges the rules apply to,
+and a later round judges only tail calls that have not flipped. So a
+flipped edge is never judged again, an unflipped one is judged for as
+long as its verdict can change (below), and every later round that
+flips shrinks the set of unflipped tail calls, which ends the loop.
 
-Rule 2 reads only the boundaries that hold the source of an unflipped
-tail call, so each round walks only those. A boundary holds block `s`
-exactly when its entry reaches `s` over intra-procedural edges through
-blocks, so one reverse walk from the tail-call sources finds their
-entries, and a boundary kept from the last round is walked again only
-when it holds the source of an edge that round flipped. No other
-boundary can decide a rule-2 verdict, so skipping them is exact.
-
-The first round judges every plain branch and tail call, the only
-edges the rules apply to. A later round judges only the unflipped tail
-calls whose source lies in a boundary just walked again, because no
-other edge's verdict can have changed:
-- A flipped edge never flips again.
+A later round judges only the unflipped tail calls whose source lies in
+a boundary just walked again, because no other edge's verdict can have
+changed:
 - Rule 1 cannot fire after the first round. A target gains a tail-call
   in-edge only through rule 1, which needs a call-like in-edge that is
-  already there, so every unflipped plain branch into it flipped in
-  the same round.
+  already there, so every plain branch into it flipped in the same
+  round.
 - Rule 3 reads in-degree, which a flip does not change.
 - Rule 2 reads the boundaries that hold the source. Before the last
   round, an entry that reaches the source now already reached either
@@ -53,6 +49,15 @@ other edge's verdict can have changed:
   that boundary is unchanged unless it was walked again. A rule-2
   verdict that was false can thus turn true only through a boundary
   just walked. Dropped entries only remove boundaries.
+
+Rule 2 reads only the boundaries that hold the source of an unflipped
+tail call, so each round walks only those. A boundary holds block `s`
+exactly when its entry reaches `s` over intra-procedural edges through
+blocks, so one reverse walk from the tail-call sources finds their
+entries, and a boundary kept from the last round is walked again only
+when it holds the source of an edge that round flipped: a walk that
+never reaches a changed edge's source cannot see the change. No other
+boundary can decide a rule-2 verdict, so skipping them is exact.
 
 Unreachable code is swept once over the whole graph, right after the
 trim, and from then on only below what was removed. The local sweep
@@ -78,7 +83,6 @@ from .cfg import (
     EdgeKind,
     INTRA_EDGE_KINDS,
 )
-from .errors import InternalError
 from .jumptables import TableRegistry
 
 _CALLISH = (EdgeKind.CALL, EdgeKind.TAIL_CALL)
@@ -95,8 +99,8 @@ class FunctionBoundary:
 
 @dataclass
 class FinalizeStats:
-    flips: int = 0
-    iterations: int = 0
+    flips: int
+    iterations: int
 
 
 class EdgeIndex:
@@ -158,11 +162,10 @@ def _remove_nodes(g: Cfg, index: EdgeIndex, nodes: Collection[int]) -> list[Edge
     return removed
 
 
-def _drop_unreachable(g: Cfg, index: EdgeIndex | None = None) -> bool:
+def _drop_unreachable(g: Cfg, index: EdgeIndex) -> bool:
     """Drop every block and candidate no entry reaches, and every edge
-    that loses an end with them; returns whether anything was dropped."""
-    if index is None:
-        index = EdgeIndex(g.edges)
+    that loses an end with them; returns whether anything was dropped.
+    `index` indexes `g.edges` and is kept current."""
     out = index.out
     seen = set(g.entries)
     work = list(seen)
@@ -206,13 +209,12 @@ def _drop_unreachable_below(g: Cfg, index: EdgeIndex, roots: Iterable[int]) -> l
     return _remove_nodes(g, index, region - reached)
 
 
-def trim_overlapping_tables(
-    g: Cfg, registry: TableRegistry, index: EdgeIndex | None = None
-) -> None:
+def trim_overlapping_tables(g: Cfg, registry: TableRegistry, index: EdgeIndex) -> None:
     """Cut each table whose effective extent overlaps the next table's
     base back to that base and drop the indirect edges only the cut
-    entries produced. The code they alone reached is left to the sweep
-    that follows the trim in `finalize_details`."""
+    entries produced, from `g` and from `index`. The code they alone
+    reached is left to the sweep that follows the trim in
+    `finalize_details`."""
     ends = {b.end: b.start for b in g.blocks.values()}
     descs = registry.sorted_descriptors()
     drop: set[Edge] = set()
@@ -231,9 +233,8 @@ def trim_overlapping_tables(
         desc.final_bound = new_bound
     drop &= g.edges
     g.edges -= drop
-    if index is not None:
-        for e in drop:
-            index.remove(e)
+    for e in drop:
+        index.remove(e)
 
 
 def _entries_reaching(g: Cfg, index: EdgeIndex, blocks: Iterable[int]) -> list[int]:
@@ -253,29 +254,15 @@ def _entries_reaching(g: Cfg, index: EdgeIndex, blocks: Iterable[int]) -> list[i
 
 
 def assign_function_boundaries(
-    g: Cfg,
-    prior: list[FunctionBoundary] | None = None,
-    sources: Iterable[int] = (),
-    index: EdgeIndex | None = None,
-    holding: Iterable[int] | None = None,
+    g: Cfg, index: EdgeIndex, entries: Iterable[int]
 ) -> list[FunctionBoundary]:
-    """One boundary per entry: the blocks reachable from the entry over
-    intra-procedural edges. Shared blocks appear in several boundaries.
-    Given `holding`, only the boundaries that hold one of those blocks
-    are returned, and no other boundary is walked.
-
-    Given `prior`, the boundaries of an earlier version of `g` that
-    differs from it only in the kinds of edges leaving `sources` and in
-    removed entries, a boundary of `prior` is reused unless it contains
-    one of `sources`: a walk that never reaches a changed edge's source
-    cannot see the change. `index` indexes `g.edges`; without one the
-    function builds its own."""
-    if index is None:
-        index = EdgeIndex(g.edges)
+    """One boundary per entry of `entries`, in their order: the blocks
+    reachable from the entry over intra-procedural edges. Shared blocks
+    appear in several boundaries. `index` indexes `g.edges`."""
     out = index.out
     g_blocks = g.blocks
-
-    def walk(entry: int) -> FunctionBoundary:
+    boundaries = []
+    for entry in entries:
         blocks: set[int] = set()
         if entry in g_blocks:
             work = [entry]
@@ -285,50 +272,33 @@ def assign_function_boundaries(
                     if kind in INTRA_EDGE_KINDS and target in g_blocks and target not in blocks:
                         blocks.add(target)
                         work.append(target)
-        return FunctionBoundary(entry, blocks)
-
-    wanted = sorted(g.entries) if holding is None else _entries_reaching(g, index, holding)
-    if prior is None:
-        return [walk(entry) for entry in wanted]
-    changed = set(sources)
-    kept = {fb.entry: fb for fb in prior if changed.isdisjoint(fb.blocks)}
-    return [kept.get(entry) or walk(entry) for entry in wanted]
+        boundaries.append(FunctionBoundary(entry, blocks))
+    return boundaries
 
 
 def correct_tail_calls(
-    g: Cfg,
-    boundaries: list[FunctionBoundary],
-    flipped: set[tuple[int, int]],
-    index: EdgeIndex | None = None,
-    judged: Iterable[Edge] | None = None,
-) -> list[int]:
-    """One pass of the three correction rules, applied to `g` in place.
-    `flipped` holds the (source, target) of every edge flipped earlier
-    in this finalization, none of which flips again; the pass adds the
-    edges it flips and returns their sources. Every edge is judged
-    against the graph as the pass found it and the flips are applied
-    after the pass, so the order edges are judged in does not matter.
+    g: Cfg, index: EdgeIndex, boundaries: list[FunctionBoundary], judged: Iterable[Edge]
+) -> list[Edge]:
+    """One pass of the three correction rules over the edges `judged`,
+    applied to `g` and `index` in place; returns the judged edges that
+    flipped, as they were before the flip. Every edge is judged against
+    the graph as the pass found it and the flips are applied after the
+    pass, so the order edges are judged in does not matter.
     `boundaries` must include every boundary that holds the source of a
-    judged tail call. `judged`, edges of `g`, limits the pass to those
-    edges; without it every edge is judged. `index` indexes `g.edges`
-    and is kept current; without one the function builds its own."""
-    if index is None:
-        index = EdgeIndex(g.edges)
+    judged tail call."""
     inc = index.inc
     called: dict[int, bool] = {}
     flips: list[tuple[Edge, EdgeKind]] = []
     tails: list[Edge] = []
-    for e in g.edges if judged is None else judged:
+    for e in judged:
         source, target, kind = e
         if kind is _DIRECT:
-            if (source, target) in flipped:
-                continue
             hit = called.get(target)
             if hit is None:
                 hit = called[target] = any(i.kind in _CALLISH for i in inc[target])
             if hit:
                 flips.append((e, _TAIL_CALL))
-        elif kind is _TAIL_CALL and (source, target) not in flipped:
+        elif kind is _TAIL_CALL:
             tails.append(e)
 
     # rule 2 looks up only tail-call sources: the boundaries holding each
@@ -354,10 +324,9 @@ def correct_tail_calls(
         g.edges.discard(e)
         g.edges.add(new)
         index.replace(e, new)
-        flipped.add((e.source, e.target))
     for addr in drop_entries:
         g.entries.pop(addr, None)
-    return [e.source for e, _ in flips]
+    return [e for e, _ in flips]
 
 
 def _prune(g: Cfg, index: EdgeIndex, dropped: Iterable[int]) -> None:
@@ -386,35 +355,35 @@ def finalize_details(g: Cfg, registry: TableRegistry) -> FinalizeStats:
     """Run the full finalization pipeline over `g` in place; idempotent
     on its own output. The graph is not validated here: every writer
     in `pcfg.cfg` validates what it is handed."""
-    stats = FinalizeStats()
     index = EdgeIndex(g.edges)
     trim_overlapping_tables(g, registry, index)
     _drop_unreachable(g, index)
     entries = set(g.entries)
-    flipped: set[tuple[int, int]] = set()
-    edge_budget = len(g.edges)
-    # the first round judges every edge the rules apply to
+    # the first round judges every edge the rules apply to; later rounds
+    # judge only tail calls that have not flipped (module docstring)
     judged = [e for e in g.edges if e.kind is _DIRECT or e.kind is _TAIL_CALL]
-    # the tail calls not flipped yet, and the boundaries that hold them
-    tails = [e for e in judged if e.kind is _TAIL_CALL]
-    boundaries = assign_function_boundaries(g, None, (), index, {e.source for e in tails})
+    tails = {e for e in judged if e.kind is _TAIL_CALL}
+    holding = _entries_reaching(g, index, {e.source for e in tails})
+    boundaries = assign_function_boundaries(g, index, holding)
+    flips = iterations = 0
     while True:
-        stats.iterations += 1
-        sources = correct_tail_calls(g, boundaries, flipped, index, judged)
-        if not sources:
+        iterations += 1
+        flipped = correct_tail_calls(g, index, boundaries, judged)
+        if not flipped:
             break
-        if stats.iterations > edge_budget + 2:
-            raise InternalError("tail-call correction failed to converge")
-        tails = [e for e in tails if (e.source, e.target) not in flipped]
+        flips += len(flipped)
+        tails.difference_update(flipped)
         tail_sources = {e.source for e in tails}
-        kept = {id(fb) for fb in boundaries}
-        boundaries = assign_function_boundaries(g, boundaries, sources, index, tail_sources)
+        # a boundary from the last round is walked again only when it
+        # holds a flipped edge's source
+        changed = {e.source for e in flipped}
+        kept = {fb.entry: fb for fb in boundaries if changed.isdisjoint(fb.blocks)}
+        holding = _entries_reaching(g, index, tail_sources)
+        walked = assign_function_boundaries(g, index, [a for a in holding if a not in kept])
+        boundaries = [kept[a] for a in holding if a in kept] + walked
         # only a tail call held by a boundary just walked can flip now
-        held = set().union(
-            *(tail_sources & fb.blocks for fb in boundaries if id(fb) not in kept)
-        )
+        held = set().union(*(tail_sources & fb.blocks for fb in walked))
         judged = [e for e in tails if e.source in held]
-    stats.flips = len(flipped)
     # rule 3 dropped these entries; the prune's first sweep starts below them
     _prune(g, index, entries.difference(g.entries))
-    return stats
+    return FinalizeStats(flips, iterations)

@@ -134,7 +134,7 @@ _END_STRIPES = 64
 
 
 class _EngineBlock:
-    __slots__ = ("start", "end", "term", "ta", "tb", "teardown", "hint_at", "hint", "out")
+    __slots__ = ("start", "end", "term", "ta", "tb", "hint_at", "hint", "out")
 
     def __init__(self, start: int):
         self.start = start
@@ -142,10 +142,9 @@ class _EngineBlock:
         self.term = _NO_TERM
         self.ta = 0
         self.tb = 0
-        # what the scan that set `end` saw in [start, end): a frame
-        # teardown, and the address and immediate of the last bound hint
-        # (-1 and None when it saw none)
-        self.teardown = False
+        # what the scan that set `end` saw in [start, end): the address
+        # and immediate of the last bound hint (-1 and None when it saw
+        # none)
         self.hint_at = -1
         self.hint: int | None = None
         # (target, kind) -> None; append-only during traversal except for
@@ -473,22 +472,49 @@ class ConcurrentCfgState:
         non-strict write (a `ret`, or a tail-call propagation) only
         fills an unset status, so a known-noreturn flag wins over a `ret`
         found in the flagged function, as in the serial oracle."""
+        waiters = self._write_status(entry, status, strict)
+        if status is ReturnStatus.RETURN and waiters:
+            self._wake(waiters)
+
+    def _write_status(
+        self, entry: int, status: ReturnStatus, strict: bool
+    ) -> set[tuple[int, int]] | None:
+        """The status write of `_set_status`; returns the waiters it
+        took, or None when it wrote nothing."""
         rec = self.functions[entry]
         # a status is written once, so a set one needs no lock to be seen
         if not strict and rec.status is not _UNSET:
-            return
+            return None
         with rec.lock:
             cur = rec.status
             if cur is not _UNSET:
                 if not strict:
-                    return
+                    return None
                 raise AlreadySetError(f"0x{entry:x}: {cur.value} -> {status.value}")
             rec.status = status
             waiters = rec.waiters
             rec.waiters = None
-        if status is ReturnStatus.RETURN and waiters:
-            for fn_addr, site in sorted(waiters):
-                self._callee_returns(fn_addr, site)
+        return waiters
+
+    def _wake(self, waiters: set[tuple[int, int]]) -> None:
+        """Act on `waiters` of a function that returns, in sorted order:
+        a call falls through, and a tail call returns where its target
+        does, so its function's own waiters wake before the next waiter
+        here. The explicit stack keeps that depth-first order for tail-call
+        chains of any length."""
+        stack = [iter(sorted(waiters))]
+        while stack:
+            for fn_addr, site in stack[-1]:
+                if site != _TAIL_SITE:
+                    self._ensure_cfec(site)
+                    self._enqueue_addr(self.functions[fn_addr], site)
+                    continue
+                woken = self._write_status(fn_addr, ReturnStatus.RETURN, False)
+                if woken:
+                    stack.append(iter(sorted(woken)))
+                    break
+            else:
+                stack.pop()
 
     def _await_status(self, ctx: _WorkerCtx, fn: _FuncRecord, target: int, site: int) -> None:
         """`fn` waits on `target`'s return status at `site`, a call-site
@@ -504,15 +530,7 @@ class ConcurrentCfgState:
                     rec.waiters.add((fn.entry, site))
                 ctx.waiters_registered += 1
         if val is ReturnStatus.RETURN:
-            self._callee_returns(fn.entry, site)
-
-    def _callee_returns(self, fn_addr: int, site: int) -> None:
-        # a tail call returns where its target does; a call falls through
-        if site == _TAIL_SITE:
-            self._set_status(fn_addr, ReturnStatus.RETURN, strict=False)
-        else:
-            self._ensure_cfec(site)
-            self._enqueue_addr(self.functions[fn_addr], site)
+            self._wake({(fn.entry, site)})
 
     def resolve_status_cycles(self) -> None:
         """At quiescence, every still-unresolved function (cyclic call
@@ -646,7 +664,6 @@ class ConcurrentCfgState:
             blk.term = kind if kind != -1 else _SYNTH_HALT
             blk.ta = a
             blk.tb = b
-            blk.teardown = teardown
             blk.hint_at = hint_at
             blk.hint = hint
             self.register_block_end(blk, tail, ctx)

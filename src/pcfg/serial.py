@@ -45,7 +45,7 @@ from .errors import (
     NotIndirectTerminatorError,
     OutOfRangeError,
 )
-from .finalize import _drop_unreachable
+from .finalize import EdgeIndex, _drop_unreachable
 from .image import Image
 from .isa import LENGTHS, Instruction, Opcode
 from .jumptables import (
@@ -373,7 +373,7 @@ def op_er(g: Cfg, e: Edge) -> Cfg:
         raise EdgeNotFoundError(f"0x{e.source:x} -> 0x{e.target:x}")
     out = g.clone()
     out.edges.discard(e)
-    _drop_unreachable(out)
+    _drop_unreachable(out, EdgeIndex(out.edges))
     return out
 
 
@@ -405,10 +405,26 @@ class _SerialDriver:
     # -- status handling ------------------------------------------------
 
     def _set_status(self, addr: int, status: ReturnStatus) -> None:
+        """Write `addr`'s status. A RETURN wakes its call sites, then each
+        function that tail-calls it, which returns too and wakes its own
+        waiters first: depth first in sorted order, on an explicit stack,
+        so a tail-call chain of any length fits."""
+        stack = [iter(self._write_status(addr, status))]
+        while stack:
+            for fn in stack[-1]:
+                if self.g.entries[fn].status is ReturnStatus.UNSET:
+                    stack.append(iter(self._write_status(fn, ReturnStatus.RETURN)))
+                    break
+            else:
+                stack.pop()
+
+    def _write_status(self, addr: int, status: ReturnStatus) -> list[int]:
+        """Write one status and wake `addr`'s call sites if it returns;
+        returns the functions that tail-call it, sorted, if it returns."""
         cur = self.g.entries[addr].status
         if cur is not ReturnStatus.UNSET:
             if status is ReturnStatus.RETURN and cur is ReturnStatus.RETURN:
-                return
+                return []
             raise AlreadySetError(f"0x{addr:x}: {cur.value} -> {status.value}")
         self.g.entries[addr] = self.g.entries[addr]._replace(status=status)
         ft = self.ft_waiters.pop(addr, {})
@@ -421,8 +437,8 @@ class _SerialDriver:
                 _cfec(self.ix, Edge(src.start, addr, EdgeKind.CALL), status)
                 for fn in sorted(ft[call_end]):
                     self.queue.append((fn, call_end))
-            for fn in sorted(tails):
-                self._set_status_return_if_unset(fn)
+            return sorted(tails)
+        return []
 
     def _set_status_return_if_unset(self, addr: int) -> None:
         if self.g.entries[addr].status is ReturnStatus.UNSET:

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .cfg import Cfg, Edge, EdgeKind
 from .errors import SpecOutOfBoundsError
-from .finalize import assign_function_boundaries
+from .finalize import EdgeIndex, assign_function_boundaries
 from .image import Image, SymbolKind, make_symbol, pack_image
 from .isa import LENGTHS, Opcode
 from .jumptables import TableRegistry
@@ -623,7 +623,7 @@ def load_truth(path) -> GroundTruth:
 def extract_facets(g: Cfg, registry: TableRegistry) -> GroundTruth:
     """Project a finalized graph onto the four ground-truth facets."""
     truth = GroundTruth()
-    for fb in assign_function_boundaries(g):
+    for fb in assign_function_boundaries(g, EdgeIndex(g.edges), sorted(g.entries)):
         truth.function_ranges[fb.entry] = coalesce_ranges(
             (g.blocks[s].start, g.blocks[s].end) for s in fb.blocks
         )

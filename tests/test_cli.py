@@ -7,7 +7,7 @@ from pcfg.cfg import Edge, EdgeKind
 from pcfg.cli import main
 from pcfg.image import pack_image
 from pcfg.workload import ScenarioSpec, emit, generate
-from test_parallel import _FALLTHROUGH_TO_TEXT_END
+from test_parallel import _FALLTHROUGH_TO_TEXT_END, _tail_call_chain
 
 
 @pytest.fixture
@@ -90,6 +90,14 @@ class TestAnalyze:
         code, _, err = _run(capsys, "analyze", p)
         assert code == 1
         assert "malformed image" in err
+        assert "Traceback" not in err
+
+    def test_long_tail_call_chain_exits_0(self, tmp_path, capsys):
+        p = tmp_path / "chain.pcfg"
+        p.write_bytes(pack_image(_tail_call_chain(1000)))
+        code, out, err = _run(capsys, "analyze", p)
+        assert code == 0
+        assert "summary functions=1000 " in out
         assert "Traceback" not in err
 
     def test_missing_file_exits_2(self, tmp_path, capsys):

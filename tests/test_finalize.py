@@ -57,6 +57,15 @@ def _jmp_block(addr, end, target):
     return Block(addr, end, Instruction(end - 5, Opcode.JMP_DIRECT, 5, target))
 
 
+def _boundaries(g):
+    """Every entry's boundary, in entry order."""
+    return assign_function_boundaries(g, EdgeIndex(g.edges), sorted(g.entries))
+
+
+def _sweep(g):
+    return _drop_unreachable(g, EdgeIndex(g.edges))
+
+
 class TestTrim:
     def _overapprox(self, seed=0, extra=2):
         img, truth = generate(
@@ -71,7 +80,7 @@ class TestTrim:
         state = ConcurrentCfgState(img, 1)
         raw, _ = state.run()
         trimmed = raw.clone()
-        trim_overlapping_tables(trimmed, state.registry)
+        trim_overlapping_tables(trimmed, state.registry, EdgeIndex(trimmed.edges))
         raw_ind = sum(1 for e in raw.edges if e.kind is EdgeKind.INDIRECT)
         new_ind = sum(1 for e in trimmed.edges if e.kind is EdgeKind.INDIRECT)
         assert new_ind < raw_ind
@@ -127,7 +136,7 @@ class TestBoundaries:
         img, _ = generate(ScenarioSpec.make("multi-entry", seed=4))
         cfg, registry = serial_construct_details(img)
         entries = sorted(a for a, f in cfg.entries.items() if f.name and "e" in f.name)
-        bounds = {fb.entry: fb.blocks for fb in assign_function_boundaries(cfg)}
+        bounds = {fb.entry: fb.blocks for fb in _boundaries(cfg)}
         shared = bounds[entries[0]] & bounds[entries[1]]
         assert shared, "expected a block shared by both entries"
 
@@ -136,41 +145,59 @@ class TestBoundaries:
         cfg, registry = serial_construct_details(img)
         tail_targets = {e.target for e in cfg.edges if e.kind is EdgeKind.TAIL_CALL}
         (target,) = tail_targets
-        for fb in assign_function_boundaries(cfg):
+        for fb in _boundaries(cfg):
             if fb.entry != target:
                 assert target not in fb.blocks
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_incremental_update_matches_full_walk(self, seed):
-        # flip branch kinds both ways and drop heuristic entries, as a
-        # tail-call correction round does; only the boundaries holding a
-        # flipped edge's source are walked again
-        img, _ = generate(ScenarioSpec.make("big-random", seed=seed, functions=60))
-        g, _, _ = construct_details(img, 1)
-        prior = assign_function_boundaries(g)
+    def test_incremental_update_matches_full_walk(self, monkeypatch, seed):
+        # every boundary a round reads, reused from the last round or
+        # walked again, equals a fresh walk of the graph the round sees,
+        # and no boundary holding a judged tail call's source is missing
+        real_walk = finalize.assign_function_boundaries
+        real_round = finalize.correct_tail_calls
+        last: list = []
+        later = {"reused": 0, "walked": 0}
+
+        def checked(g, index, boundaries, judged):
+            judged = list(judged)
+            fresh = {fb.entry: fb.blocks for fb in real_walk(g, EdgeIndex(g.edges), g.entries)}
+            assert {fb.entry: fb.blocks for fb in boundaries} == {
+                fb.entry: fresh[fb.entry] for fb in boundaries
+            }
+            sources = {e.source for e in judged if e.kind is EdgeKind.TAIL_CALL}
+            holding = {a for a, blocks in fresh.items() if blocks & sources}
+            assert holding <= {fb.entry for fb in boundaries}
+            if last:
+                reused = sum(any(fb is old for old in last) for fb in boundaries)
+                later["reused"] += reused
+                later["walked"] += len(boundaries) - reused
+            last[:] = boundaries
+            return real_round(g, index, boundaries, judged)
+
+        monkeypatch.setattr(finalize, "correct_tail_calls", checked)
         rng = random.Random(seed)
-        branches = sorted(
-            e for e in g.edges if e.kind in (EdgeKind.DIRECT, EdgeKind.TAIL_CALL)
-        )
-        flipped = rng.sample(branches, len(branches) // 3)
-        out = g.clone()
-        for e in flipped:
-            out.edges.discard(e)
-            new = EdgeKind.DIRECT if e.kind is EdgeKind.TAIL_CALL else EdgeKind.TAIL_CALL
-            out.edges.add(Edge(e.source, e.target, new))
-        heuristic = sorted(a for a, f in g.entries.items() if not f.seed)
-        for addr in rng.sample(heuristic, min(2, len(heuristic))):
-            del out.entries[addr]
-        full = assign_function_boundaries(out)
-        assert [(b.entry, b.blocks) for b in full] != [(b.entry, b.blocks) for b in prior]
-        incremental = assign_function_boundaries(out, prior, [e.source for e in flipped])
-        assert [(b.entry, b.blocks) for b in incremental] == [
-            (b.entry, b.blocks) for b in full
-        ]
+        kinds = list(EdgeKind) + [EdgeKind.DIRECT, EdgeKind.TAIL_CALL] * 2
+        for _ in range(100):
+            blocks = rng.randint(2, 12)
+            g = Cfg(blocks={4 * i: Block(4 * i, 4 * i + 1) for i in range(blocks)})
+            # one edge per source and target, as one terminator makes
+            ends = {
+                (4 * rng.randrange(blocks), 4 * rng.randrange(blocks)): rng.choice(kinds)
+                for _ in range(rng.randint(4, 40))
+            }
+            g.edges = {Edge(s, t, k) for (s, t), k in ends.items()}
+            for _ in range(rng.randint(1, 6)):
+                a = 4 * rng.randrange(blocks)
+                g.entries[a] = _entry(a, rng.random() < 0.5)
+            last.clear()
+            finalize_details(g, TableRegistry())
+        # later rounds both reused boundaries and walked some again
+        assert later["reused"] and later["walked"]
 
     def test_isolated_entry_singleton_boundary(self):
         g = Cfg(blocks={4: _ret_block(4)}, entries={4: _entry(4)})
-        (fb,) = assign_function_boundaries(g)
+        (fb,) = _boundaries(g)
         assert fb.blocks == {4}
 
 
@@ -187,12 +214,21 @@ class TestTailCallRules:
             g.entries[0x20] = _entry(0x20, seed=False)
         return g
 
+    @staticmethod
+    def _round(g, judged=None):
+        """One correction round over every entry's boundary; it judges
+        `judged`, or every branch and tail call."""
+        if judged is None:
+            judged = sorted(e for e in g.edges if e.kind in (EdgeKind.DIRECT, EdgeKind.TAIL_CALL))
+        index = EdgeIndex(g.edges)
+        boundaries = assign_function_boundaries(g, index, sorted(g.entries))
+        flipped = correct_tail_calls(g, index, boundaries, judged)
+        assert TestLocalSweep._normal(index) == TestLocalSweep._normal(EdgeIndex(g.edges))
+        return flipped
+
     def test_rule1_direct_branch_to_called_target_flips(self):
         g = self._two_branch_graph(EdgeKind.TAIL_CALL, EdgeKind.DIRECT)
-        flipped = set()
-        sources = correct_tail_calls(g, assign_function_boundaries(g), flipped)
-        assert sources == [0x10]
-        assert flipped == {(0x10, 0x20)}
+        assert self._round(g) == [Edge(0x10, 0x20, EdgeKind.DIRECT)]
         assert Edge(0x10, 0x20, EdgeKind.TAIL_CALL) in g.edges
 
     def test_rule2_branch_within_boundary_flips_back(self):
@@ -208,8 +244,7 @@ class TestTailCallRules:
             Edge(0x5, 0x20, EdgeKind.TAIL_CALL),
         }
         g.entries = {0x0: _entry(0x0)}
-        sources = correct_tail_calls(g, assign_function_boundaries(g), set())
-        assert sources == [0x5]
+        assert self._round(g) == [Edge(0x5, 0x20, EdgeKind.TAIL_CALL)]
         assert Edge(0x5, 0x20, EdgeKind.DIRECT) in g.edges
 
     def test_rule3_sole_incoming_edge_flips_and_drops_heuristic_entry(self):
@@ -218,8 +253,7 @@ class TestTailCallRules:
         g.blocks[0x20] = _ret_block(0x20)
         g.edges = {Edge(0x0, 0x20, EdgeKind.TAIL_CALL)}
         g.entries = {0x0: _entry(0x0), 0x20: _entry(0x20, seed=False)}
-        sources = correct_tail_calls(g, assign_function_boundaries(g), set())
-        assert sources == [0x0]
+        assert self._round(g) == [Edge(0x0, 0x20, EdgeKind.TAIL_CALL)]
         assert Edge(0x0, 0x20, EdgeKind.DIRECT) in g.edges
         assert 0x20 not in g.entries
 
@@ -229,16 +263,47 @@ class TestTailCallRules:
         g.blocks[0x20] = _ret_block(0x20)
         g.edges = {Edge(0x0, 0x20, EdgeKind.TAIL_CALL)}
         g.entries = {0x0: _entry(0x0), 0x20: _entry(0x20, seed=True)}
-        sources = correct_tail_calls(g, assign_function_boundaries(g), set())
-        assert sources == [0x0]
+        assert self._round(g) == [Edge(0x0, 0x20, EdgeKind.TAIL_CALL)]
         assert 0x20 in g.entries
 
-    def test_ledger_blocks_second_flip(self):
+    def test_only_judged_edges_flip(self):
+        # rule 1 would flip the plain branch, but only the tail call is
+        # judged, and it stays: its target has two in-edges
         g = self._two_branch_graph(EdgeKind.TAIL_CALL, EdgeKind.DIRECT)
-        flipped = {(0x10, 0x20)}
-        assert correct_tail_calls(g, assign_function_boundaries(g), flipped) == []
-        assert flipped == {(0x10, 0x20)}
-        assert Edge(0x10, 0x20, EdgeKind.DIRECT) in g.edges
+        before = set(g.edges)
+        assert self._round(g, [Edge(0x0, 0x20, EdgeKind.TAIL_CALL)]) == []
+        assert self._round(g, []) == []
+        assert g.edges == before
+
+    @staticmethod
+    def _judged_after_flip(monkeypatch, img) -> int:
+        """Finalize the engine's 1-worker graph of `img`, failing if a
+        round judges an edge, keyed by its ends, that an earlier round
+        flipped; returns how many edges flipped."""
+        flipped: set[tuple[int, int]] = set()
+        real = finalize.correct_tail_calls
+
+        def checked(g, index, boundaries, judged):
+            judged = list(judged)
+            assert not flipped & {(e.source, e.target) for e in judged}
+            result = real(g, index, boundaries, judged)
+            ends = {(e.source, e.target) for e in result}
+            assert len(ends) == len(result)
+            flipped.update(ends)
+            return result
+
+        monkeypatch.setattr(finalize, "correct_tail_calls", checked)
+        _, stats, _ = construct_details(img, 1)
+        assert stats.finalize_flips == len(flipped)
+        return len(flipped)
+
+    @pytest.mark.parametrize("spec", CORPUS, ids=lambda s: f"{s.family}-{s.seed}")
+    def test_no_edge_is_judged_after_it_flips(self, monkeypatch, spec):
+        self._judged_after_flip(monkeypatch, generate(spec)[0])
+
+    def test_no_edge_is_judged_after_it_flips_on_big_random(self, monkeypatch):
+        img, _ = generate(ScenarioSpec.make("big-random", 1, functions=20000))
+        assert self._judged_after_flip(monkeypatch, img) == 398
 
 
 class TestFinalize:
@@ -382,8 +447,8 @@ class TestLocalSweep:
         img, _ = generate(spec)
         for workers in (1, 2):
             raw, _ = ConcurrentCfgState(img, workers).run()
-            assert _drop_unreachable(raw) is False
-        assert _drop_unreachable(_oracle_before_finalize(monkeypatch, img)[0]) is False
+            assert _sweep(raw) is False
+        assert _sweep(_oracle_before_finalize(monkeypatch, img)[0]) is False
 
     @staticmethod
     def _normal(index: EdgeIndex):
@@ -434,8 +499,8 @@ class TestLocalSweep:
         g.candidates = {4 * (blocks + i) for i in range(candidates)}
         g.edges = {Edge(4 * (s % blocks), 4 * (t % nodes), k) for s, t, k in raw_edges}
         g.entries = {4 * (a % nodes): _entry(4 * (a % nodes)) for a in raw_entries}
-        _drop_unreachable(g)
-        assert _drop_unreachable(g.clone()) is False
+        _sweep(g)
+        assert _sweep(g.clone()) is False
 
         index = EdgeIndex(g.edges)
         entries = sorted(g.entries)
@@ -449,11 +514,58 @@ class TestLocalSweep:
             index.remove(e)
             roots.append(e.target)
         want = g.clone()
-        _drop_unreachable(want)
+        _sweep(want)
 
         _drop_unreachable_below(g, index, roots)
         assert (g.blocks, g.candidates, g.edges) == (want.blocks, want.candidates, want.edges)
         assert self._normal(index) == self._normal(EdgeIndex(g.edges))
+
+
+def _shuffled(items, rng: random.Random) -> list:
+    items = list(items)
+    rng.shuffle(items)
+    return items
+
+
+class TestOrderIndependence:
+    """The result does not depend on the order of the graph's block and
+    entry dicts, of its edge set, or of the index's keys and buckets."""
+
+    @pytest.mark.parametrize(
+        "spec", [s for s in CORPUS if s.seed < 2], ids=lambda s: f"{s.family}-{s.seed}"
+    )
+    def test_shuffled_graphs_finalize_alike(self, monkeypatch, spec):
+        img, _ = generate(spec)
+        state = ConcurrentCfgState(img, 1)
+        raw, _ = state.run()
+        graphs = [(raw, state.registry), _oracle_before_finalize(monkeypatch, img)]
+        rng = random.Random(spec.seed)
+
+        class Shuffled(EdgeIndex):
+            __slots__ = ()
+
+            def __init__(self, edges):
+                super().__init__(edges)
+                self.out = {k: _shuffled(v, rng) for k, v in _shuffled(self.out.items(), rng)}
+                self.inc = {k: _shuffled(v, rng) for k, v in _shuffled(self.inc.items(), rng)}
+
+        # a registry finalized once trims the same edges again: the trim
+        # reads each table's effective bound and targets, never its final
+        # bound
+        for g, registry in graphs:
+            want = g.clone()
+            stats = finalize_details(want, registry)
+            with monkeypatch.context() as patch:
+                patch.setattr(finalize, "EdgeIndex", Shuffled)
+                for _ in range(4):
+                    got = Cfg(
+                        dict(_shuffled(g.blocks.items(), rng)),
+                        set(g.candidates),
+                        set(_shuffled(g.edges, rng)),
+                        dict(_shuffled(g.entries.items(), rng)),
+                    )
+                    assert finalize_details(got, registry) == stats
+                    assert canonical_serialize(got) == canonical_serialize(want)
 
 
 class TestReference:
@@ -541,14 +653,19 @@ class TestWalkCounts:
 
     @staticmethod
     def _count_walks(monkeypatch) -> list[FunctionBoundary]:
+        """The boundaries finalization walks, one per walk, each checked
+        to hold a tail-call source when it is walked."""
         walks = []
+        real = finalize.assign_function_boundaries
 
-        class Counted(FunctionBoundary):
-            def __init__(self, entry, blocks):
-                super().__init__(entry, blocks)
-                walks.append(self)
+        def counted(g, index, entries):
+            boundaries = real(g, index, entries)
+            sources = {e.source for e in g.edges if e.kind is EdgeKind.TAIL_CALL}
+            assert all(fb.blocks & sources for fb in boundaries)
+            walks.extend(boundaries)
+            return boundaries
 
-        monkeypatch.setattr(finalize, "FunctionBoundary", Counted)
+        monkeypatch.setattr(finalize, "assign_function_boundaries", counted)
         return walks
 
     def test_shared_code_walks_no_boundary(self, monkeypatch):
@@ -566,25 +683,15 @@ class TestWalkCounts:
         walks = self._count_walks(monkeypatch)
         judged: list[int] = []
         branches: list[int] = []
-        real_boundaries = finalize.assign_function_boundaries
         real_tails = finalize.correct_tail_calls
 
-        def boundaries(g, *args):
-            # each boundary this call walks holds a tail-call source
-            sources = {e.source for e in g.edges if e.kind is EdgeKind.TAIL_CALL}
-            first = len(walks)
-            result = real_boundaries(g, *args)
-            assert all(fb.blocks & sources for fb in walks[first:])
-            return result
-
-        def tails(g, boundaries, flipped, index, edges):
+        def tails(g, index, boundaries, edges):
             judged.append(len(edges))
             branches.append(
                 sum(e.kind in (EdgeKind.DIRECT, EdgeKind.TAIL_CALL) for e in g.edges)
             )
-            return real_tails(g, boundaries, flipped, index, edges)
+            return real_tails(g, index, boundaries, edges)
 
-        monkeypatch.setattr(finalize, "assign_function_boundaries", boundaries)
         monkeypatch.setattr(finalize, "correct_tail_calls", tails)
         g, stats, _ = construct_details(img, 1)
         assert stats.finalize_iterations == len(judged) >= 2

@@ -15,7 +15,7 @@ from pcfg._kernels import scan_block
 from pcfg.cfg import EdgeKind, ReturnStatus, canonical_serialize
 from pcfg.errors import AlreadySetError, InternalError, OutOfRangeError
 from pcfg.image import Image, SymbolKind, make_symbol
-from pcfg.isa import Opcode
+from pcfg.isa import LENGTHS, Opcode
 from pcfg.parallel import ConcurrentCfgState, construct, construct_details
 from pcfg.serial import serial_construct
 from pcfg.workload import ScenarioSpec, generate
@@ -51,7 +51,7 @@ def _claim_and_scan(state, addr):
     assert state.attempt_create_block(addr, _ctx())
     blk = state.blocks_by_start[addr]
     scan = scan_block(state.image.text, state.image.text_base, addr)
-    blk.end, blk.term, blk.ta, blk.tb, blk.teardown, blk.hint_at, blk.hint = scan
+    blk.end, blk.term, blk.ta, blk.tb, _, blk.hint_at, blk.hint = scan
     return blk
 
 
@@ -233,8 +233,10 @@ class TestEndRegistrationAndSplit:
 
 
 class TestScanFacts:
-    """The scan's teardown and last-hint report, against a `decode_at`
-    walk over the same range."""
+    """The last-hint report a block keeps from its scan, against a
+    `decode_at` walk over the same range. The scan's teardown flag is
+    not kept: the scan's caller classifies the branch with it, and
+    `test_isa.py` checks it against the walk."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -248,8 +250,7 @@ class TestScanFacts:
         state = ConcurrentCfgState(img, 1)
         blk = _claim_and_scan(state, start)
         end = blk.end
-        _, teardown, _, hint = decode_walk(text, 0x100, start, end)
-        assert (blk.teardown, blk.hint) == (teardown, hint)
+        assert blk.hint == decode_walk(text, 0x100, start, end)[3]
         assert state._last_hint(blk) == blk.hint
         # a split may cut the block short anywhere, before its last hint
         # or after it
@@ -615,6 +616,27 @@ def test_fallthrough_to_text_end_raises_instead_of_hanging(workers):
     assert exc.addr == _FALLTHROUGH_TO_TEXT_END.text_end
     with pytest.raises(OutOfRangeError):
         serial_construct(_FALLTHROUGH_TO_TEXT_END)
+
+
+def _tail_call_chain(n):
+    """n functions, each a jmp to the next one's symbol; the last returns.
+    The last status write wakes a chain of n - 1 tail-call waiters."""
+    jmp = LENGTHS[Opcode.JMP_DIRECT]
+    instrs = [(Opcode.JMP_DIRECT, 0x1000 + jmp * (i + 1)) for i in range(n - 1)]
+    symbols = [(0x1000 + jmp * i, f"f{i}", False) for i in range(n)]
+    return asm_image(0x1000, instrs + [(Opcode.RET,)], symbols)
+
+
+def test_tail_call_chain_longer_than_the_recursion_limit():
+    n = 5000
+    assert n > sys.getrecursionlimit()
+    img = _tail_call_chain(n)
+    oracle = serial_construct(img)
+    want = canonical_serialize(oracle)
+    for g in (oracle, construct(img, 1), construct(img, 2)):
+        assert len(g.entries) == n
+        assert {f.status for f in g.entries.values()} == {ReturnStatus.RETURN}
+        assert canonical_serialize(g) == want
 
 
 def test_workers_are_joined_before_the_error_surfaces():

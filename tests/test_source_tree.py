@@ -1,8 +1,8 @@
 """The library takes no settings from the environment and no setting but
 the worker count, ships one scan kernel, in Python source only, decodes
 only through that kernel, keeps the serial oracle independent of the
-engine it checks, and keeps no engine stat that nothing reads and no
-export that nothing uses."""
+engine it checks, keeps no engine stat that nothing reads and no export
+that nothing uses, and gives no finalize step an optional argument."""
 
 import ast
 import dataclasses
@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import pcfg
+from pcfg import finalize
 from pcfg.parallel import ConcurrentCfgState, EngineStats, construct, construct_details
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -133,3 +134,23 @@ def test_every_engine_stat_is_read():
         f.name for f in dataclasses.fields(EngineStats) if not re.search(rf"\b{f.name}\b", text)
     ]
     assert unread == []
+
+
+def test_finalize_steps_take_no_parameter_defaults():
+    # each step takes exactly what `finalize_details` hands it, so no
+    # default path exists that only some callers take
+    functions = []
+    for obj in vars(finalize).values():
+        if getattr(obj, "__module__", None) != finalize.__name__:
+            continue
+        if inspect.isclass(obj):
+            functions += [f for f in vars(obj).values() if inspect.isfunction(f)]
+        elif inspect.isfunction(obj):
+            functions.append(obj)
+    defaulted = [
+        f.__qualname__
+        for f in functions
+        if any(p.default is not p.empty for p in inspect.signature(f).parameters.values())
+    ]
+    assert "finalize_details" in {f.__name__ for f in functions}
+    assert defaulted == []
