@@ -46,6 +46,18 @@ def _default_threads() -> int:
     return min(os.cpu_count() or 1, 64)
 
 
+def _thread_count(text: str) -> int:
+    """One `--threads` count; argparse exits 2 on one below 1."""
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"thread count {count} is below 1")
+    return count
+
+
+def _thread_counts(text: str) -> list[int]:
+    return [_thread_count(t) for t in text.split(",") if t]
+
+
 def _load(path: str):
     return load_image(Path(path).read_bytes())
 
@@ -102,7 +114,7 @@ def cmd_verify(image_path: str, truth_path: str, threads: int) -> int:
     try:
         image = _load(image_path)
         expected = load_truth(truth_path)
-    except (MalformedImageError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (MalformedImageError, OSError, ValueError, TypeError, KeyError) as exc:
         print(f"error: bad input: {exc}", file=sys.stderr)
         return 2
     try:
@@ -205,18 +217,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="construct and export a CFG")
     p.add_argument("image")
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=_thread_count, default=_default_threads())
     p.add_argument("--format", choices=("dot", "json", "canon"), default="canon")
     p.add_argument("--out")
 
     p = sub.add_parser("verify", help="check a CFG against ground truth")
     p.add_argument("image")
     p.add_argument("--truth", required=True)
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=_thread_count, default=_default_threads())
 
     p = sub.add_parser("bench", help="time construction across thread counts")
     p.add_argument("image")
-    p.add_argument("--threads", default="1")
+    p.add_argument("--threads", type=_thread_counts, default="1")
     p.add_argument("--repeat", type=int, default=3)
 
     p = sub.add_parser("gen", help="generate a scenario image plus ground truth")
@@ -235,15 +247,10 @@ def main(argv=None) -> int:
     if args.command == "verify":
         return cmd_verify(args.image, args.truth, args.threads)
     if args.command == "bench":
-        try:
-            threads_list = [int(t) for t in args.threads.split(",") if t]
-        except ValueError:
-            print(f"error: bad thread list {args.threads!r}", file=sys.stderr)
-            return 2
-        if not threads_list or args.repeat < 1:
+        if not args.threads or args.repeat < 1:
             print("error: need at least one thread count and repeat >= 1", file=sys.stderr)
             return 2
-        return cmd_bench(args.image, threads_list, args.repeat)
+        return cmd_bench(args.image, args.threads, args.repeat)
     if args.command == "gen":
         params = {
             name: getattr(args, name)

@@ -10,9 +10,9 @@ a canonical order or judges them all against the same graph, so the
 result is independent of how the traversal phase was scheduled.
 
 Every step reads the graph's edges through one `EdgeIndex` (out-edges
-by source, in-edges by target) that finalization builds once from
-`g.edges` and keeps current through each removal and flip, so no step
-rebuilds a view of every edge for itself.
+by source, in-edges by target) of `g.edges` that the caller hands in
+and finalization keeps current through each removal and flip, so no
+step rebuilds a view of every edge for itself.
 
 Tail-call correction applies three rules to each branch edge, lowest
 rule wins, judged against a per-round snapshot:
@@ -127,6 +127,11 @@ class EdgeIndex:
                 bucket.append(e)
         self.out = out
         self.inc = inc
+
+    def add(self, e: Edge) -> None:
+        """Index `e`, an edge not indexed yet."""
+        self.out.setdefault(e.source, []).append(e)
+        self.inc.setdefault(e.target, []).append(e)
 
     def remove(self, e: Edge) -> None:
         for by, key in ((self.out, e.source), (self.inc, e.target)):
@@ -351,11 +356,11 @@ def _prune(g: Cfg, index: EdgeIndex, dropped: Iterable[int]) -> None:
         suspects = {e.target for e in removed if e.kind in _CALLISH}
 
 
-def finalize_details(g: Cfg, registry: TableRegistry) -> FinalizeStats:
-    """Run the full finalization pipeline over `g` in place; idempotent
-    on its own output. The graph is not validated here: every writer
-    in `pcfg.cfg` validates what it is handed."""
-    index = EdgeIndex(g.edges)
+def finalize_details(g: Cfg, registry: TableRegistry, index: EdgeIndex) -> FinalizeStats:
+    """Run the full finalization pipeline over `g` in place, reading and
+    updating `index`, which indexes `g.edges`; idempotent on its own
+    output. The graph is not validated here: every writer in `pcfg.cfg`
+    validates what it is handed."""
     trim_overlapping_tables(g, registry, index)
     _drop_unreachable(g, index)
     entries = set(g.entries)

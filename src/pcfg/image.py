@@ -4,8 +4,7 @@ Container layout (little-endian): magic "PCFG", version u16, then three
 sections in order — TEXT {base u64, len u32, bytes}, DATA {base u64,
 len u32, bytes}, SYMS {count u32, entries {offset u64, kind u8, noreturn
 u8, name_len u16, mangled bytes}}. The pretty name is the mangled name
-stripped of its trailing "$suffix"; the typed name appends "()" for
-function symbols.
+stripped of its trailing "$suffix".
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ class SymbolEntry(NamedTuple):
     offset: int
     mangled: str
     pretty: str
-    typed: str
     kind: SymbolKind
     known_noreturn: bool
 
@@ -45,12 +43,11 @@ class SymbolEntry(NamedTuple):
 def make_symbol(
     offset: int, mangled: str, kind: SymbolKind, known_noreturn: bool = False
 ) -> SymbolEntry:
-    """Build a symbol, deriving pretty/typed names from the mangled name."""
+    """Build a symbol, deriving its pretty name from the mangled name."""
     if not mangled:
         raise MalformedImageError("empty mangled symbol name")
     pretty = mangled[: mangled.rindex("$")] if "$" in mangled else mangled
-    typed = pretty + "()" if kind is SymbolKind.FUNC else pretty
-    return SymbolEntry(offset, mangled, pretty, typed, kind, known_noreturn)
+    return SymbolEntry(offset, mangled, pretty, kind, known_noreturn)
 
 
 @dataclass(frozen=True)

@@ -43,12 +43,6 @@ def read_table_entries(image: Image, base: int, bound: int) -> tuple[list[int | 
     return out, clamped
 
 
-def read_table_targets(image: Image, base: int, bound: int) -> tuple[list[int], bool]:
-    """Distinct in-text targets of the first `bound` table entries, sorted."""
-    entries, clamped = read_table_entries(image, base, bound)
-    return sorted({t for t in entries if t is not None}), clamped
-
-
 def last_bound_hint(image: Image, start: int, end: int) -> int | None:
     """Immediate of the last bound-hint instruction in the block range
     [start, end): the hint a scan from `start` stopped at `end` reports."""

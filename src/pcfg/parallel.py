@@ -87,7 +87,7 @@ from .cfg import (
 from ._collector import COLLECTOR_PAUSE
 from ._kernels import scan_block
 from .errors import AlreadySetError, InternalError, OutOfRangeError
-from .finalize import finalize_details
+from .finalize import EdgeIndex, finalize_details
 from .image import Image
 from .isa import LENGTHS, Instruction, Opcode
 from .jumptables import (
@@ -795,7 +795,7 @@ def construct_details(image: Image, workers: int) -> tuple[Cfg, EngineStats, Tab
         registry = state.registry
         del state
         t = time.perf_counter()
-        fstats = finalize_details(cfg, registry)
+        fstats = finalize_details(cfg, registry, EdgeIndex(cfg.edges))
         stats.finalize_flips = fstats.flips
         stats.finalize_iterations = fstats.iterations
         stats.finalize_seconds = time.perf_counter() - t

@@ -2,19 +2,19 @@
 
 The six operations are pure: each takes a whole graph value and returns
 a new one, or the graph itself when it has nothing to change. Each is
-a clone plus one in-place step: five step over an `_IndexedCfg`, the
-graph together with its edges by source and by target, its blocks by
-end and its sorted block starts, and edge removal's step is
+a clone plus one in-place step over an `_IndexedCfg`, the graph
+together with finalization's `EdgeIndex` of its edges, its blocks by
+end and its sorted block starts; edge removal's step is
 finalization's unreachable-code sweep. Every fact the steps read from
 the image's bytes (block ends, terminators, frame teardown, bound
 hints) is one field of a `scan_block` call. `serial_construct` applies
 the same steps to one indexed graph of its own, driven from the symbol
 table seeds by a deterministic FIFO worklist, so each step costs what
 it touches rather than the whole graph, and construction grows about
-linearly with the image. It is the correctness oracle the concurrent
-engine is checked against, so it imports nothing from the engine
-(`pcfg.parallel`). Like the engine, it runs with the cyclic collector
-paused (`pcfg._collector`).
+linearly with the image; finalization reads the same index. It is the
+correctness oracle the concurrent engine is checked against, so it
+imports nothing from the engine (`pcfg.parallel`). Like the engine, it
+runs with the cyclic collector paused (`pcfg._collector`).
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .jumptables import (
     TableRegistry,
     effective_bound,
     last_bound_hint,
-    read_table_targets,
+    read_table_entries,
     update_descriptor,
 )
 from .symtab import symbol_facts
@@ -64,22 +64,20 @@ _INDIRECT_TERMS = (Opcode.IJMP_TABLE, Opcode.IJMP_OPAQUE)
 HintReader = Callable[[int, int], int | None]
 
 
-class _IndexedCfg:
+class _IndexedCfg(EdgeIndex):
     """A graph plus the lookups the steps make, kept in step with it:
-    edges by source and by target, each block's start by its end, and
-    the sorted block starts. Blocks and edges change only through
+    the `EdgeIndex` of its edges, each block's start by its end, and the
+    sorted block starts. Blocks and edges change only through
     `put_block`, `add_edge` and `drop_edge`; candidates and entries are
     not indexed and are changed on `g` directly. Blocks never overlap in
     a graph the operations build, so a block end names one block and the
     nearest start below an address names the only block that can hold it."""
 
+    __slots__ = ("g", "start_by_end", "starts")
+
     def __init__(self, g: Cfg):
+        super().__init__(g.edges)
         self.g = g
-        self.out: dict[int, set[Edge]] = {}
-        self.inc: dict[int, set[Edge]] = {}
-        for e in g.edges:
-            self.out.setdefault(e.source, set()).add(e)
-            self.inc.setdefault(e.target, set()).add(e)
         self.start_by_end = {b.end: b.start for b in g.blocks.values()}
         self.starts = sorted(g.blocks)
 
@@ -97,17 +95,12 @@ class _IndexedCfg:
         if e in self.g.edges:
             return False
         self.g.edges.add(e)
-        self.out.setdefault(e.source, set()).add(e)
-        self.inc.setdefault(e.target, set()).add(e)
+        self.add(e)
         return True
 
     def drop_edge(self, e: Edge) -> None:
         self.g.edges.remove(e)
-        for by, key in ((self.out, e.source), (self.inc, e.target)):
-            bucket = by[key]
-            bucket.remove(e)
-            if not bucket:
-                del by[key]
+        self.remove(e)
 
     def outgoing(self, start: int) -> list[Edge]:
         """The edges leaving `start`, by target and kind."""
@@ -236,12 +229,10 @@ def op_cfec(g: Cfg, call_edge: Edge, callee_status: ReturnStatus) -> Cfg:
     return out if _cfec(_IndexedCfg(out), call_edge, callee_status) else g
 
 
-def resolve_indirect_targets(
-    ix: _IndexedCfg, image: Image, blk: Block, hint: HintReader
-) -> tuple[int, list[int], bool]:
-    """Effective bound, targets, and clamp flag for a table jump block,
-    given the currently-known intra-procedural predecessors, whose bound
-    hints `hint` reads."""
+def _table_bound(ix: _IndexedCfg, blk: Block, hint: HintReader) -> int:
+    """The effective bound of a table jump block's table, given the
+    currently-known intra-procedural predecessors, whose bound hints
+    `hint` reads."""
     g = ix.g
     hints = []
     for e in ix.inc.get(blk.start, ()):
@@ -249,9 +240,7 @@ def resolve_indirect_targets(
             h = hint(e.source, g.blocks[e.source].end)
             if h is not None:
                 hints.append(h)
-    bound = effective_bound(blk.terminator.b, hints)
-    targets, clamped = read_table_targets(image, blk.terminator.a, bound)
-    return bound, targets, clamped
+    return effective_bound(blk.terminator.b, hints)
 
 
 def _iec(ix: _IndexedCfg, image: Image, a: Block, hint: HintReader) -> bool:
@@ -265,10 +254,11 @@ def _iec(ix: _IndexedCfg, image: Image, a: Block, hint: HintReader) -> bool:
         raise NotIndirectTerminatorError(f"block at 0x{a.start:x}")
     if term.kind is Opcode.IJMP_OPAQUE:
         return False
-    _, targets, _ = resolve_indirect_targets(ix, image, blk, hint)
-    for t in targets:
-        ix.add_edge(Edge(blk.start, t, EdgeKind.INDIRECT))
-        _link(ix.g, t)
+    entries, _ = read_table_entries(image, term.a, _table_bound(ix, blk, hint))
+    for t in entries:
+        if t is not None:
+            ix.add_edge(Edge(blk.start, t, EdgeKind.INDIRECT))
+            _link(ix.g, t)
     return True
 
 
@@ -373,7 +363,7 @@ def op_er(g: Cfg, e: Edge) -> Cfg:
         raise EdgeNotFoundError(f"0x{e.source:x} -> 0x{e.target:x}")
     out = g.clone()
     out.edges.discard(e)
-    _drop_unreachable(out, EdgeIndex(out.edges))
+    _drop_unreachable(out, _IndexedCfg(out))
     return out
 
 
@@ -470,11 +460,13 @@ class _SerialDriver:
     # -- jump tables ------------------------------------------------------
 
     def _refresh_block_table(self, blk: Block) -> set[int]:
+        """Read the block's table at its current bound once; add an edge
+        to each target the read added, and return those targets."""
         desc = self.registry.get(blk.terminator.a)
-        bound, _, _ = resolve_indirect_targets(self.ix, self.image, blk, self._hint)
-        new = update_descriptor(desc, self.image, bound)
-        if new:
-            _iec(self.ix, self.image, blk, self._hint)
+        new = update_descriptor(desc, self.image, _table_bound(self.ix, blk, self._hint))
+        for t in new:
+            self.ix.add_edge(Edge(blk.start, t, EdgeKind.INDIRECT))
+            _link(self.g, t)
         return new
 
     def _table_sweep(self) -> bool:
@@ -586,7 +578,7 @@ class _SerialDriver:
             )
         from .finalize import finalize_details
 
-        finalize_details(self.g, self.registry)
+        finalize_details(self.g, self.registry, self.ix)
         return self.g
 
 

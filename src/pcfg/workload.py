@@ -116,7 +116,6 @@ class _Builder:
         self.items: list[tuple[Opcode, object, int]] = []
         self.offset = 0
         self.labels: dict[str, int] = {}
-        self.data = bytearray()
         self.data_words: list[object] = []  # int or _Ref
         self.symbols: list[tuple[str, str, bool]] = []  # (label, mangled, noreturn)
         self.object_symbols: list[tuple[int, str]] = []  # (data offset, mangled)
@@ -535,10 +534,7 @@ def generate(spec: ScenarioSpec) -> tuple[Image, GroundTruth]:
     if spec.family in _SIMPLE_FAMILIES:
         builder, schema = _SIMPLE_FAMILIES[spec.family]
         vals = _check_params(spec, schema)
-        if spec.family == "noreturn-chain":
-            builder(b, rng, "u0_", vals["depth"], bool(vals["early_ret"]))
-        else:
-            builder(b, rng, "u0_", *vals.values())
+        builder(b, rng, "u0_", **vals)
     elif spec.family == "big-random":
         vals = _check_params(spec, {"functions": (200, 1, 100000)})
         _build_big_random(b, rng, vals["functions"])

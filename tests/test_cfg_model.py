@@ -339,7 +339,7 @@ _VALUE_FIELDS = [
     ("start", "end", "terminator"),
     ("entry", "name", "status", "seed"),
     ("addr", "kind", "length", "a", "b"),
-    ("offset", "mangled", "pretty", "typed", "kind", "known_noreturn"),
+    ("offset", "mangled", "pretty", "kind", "known_noreturn"),
 ]
 
 

@@ -18,7 +18,12 @@ def corpus(tmp_path):
 
 
 def _run(capsys, *argv):
-    code = main([str(a) for a in argv])
+    """The exit code `pcfg` would end with, and what it printed; argparse
+    ends a run with bad arguments by raising `SystemExit`."""
+    try:
+        code = main([str(a) for a in argv])
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -104,6 +109,13 @@ class TestAnalyze:
         code, _, _ = _run(capsys, "analyze", tmp_path / "nope.pcfg")
         assert code == 2
 
+    def test_threads_below_one_exits_2(self, corpus, capsys):
+        image_path, _ = corpus
+        code, out, err = _run(capsys, "analyze", image_path, "--threads", 0)
+        assert code == 2
+        assert out == ""
+        assert "--threads" in err and "Traceback" not in err
+
 
 class TestVerify:
     def test_generated_scenario_verifies(self, corpus, capsys):
@@ -131,6 +143,33 @@ class TestVerify:
         image_path, _ = corpus
         code, _, _ = _run(capsys, "verify", image_path, "--truth", tmp_path / "no.json")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"functions":[{"entry":"zz","ranges":[]}],'
+            '"jump_tables":[],"noreturn_calls":[],"tail_calls":[]}',
+            "[1,2]",
+        ],
+        ids=["bad-address", "not-an-object"],
+    )
+    def test_malformed_truth_exits_2(self, corpus, capsys, tmp_path, doc):
+        image_path, _ = corpus
+        bad = tmp_path / "bad_truth.json"
+        bad.write_text(doc)
+        code, out, err = _run(capsys, "verify", image_path, "--truth", bad)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: bad input: ")
+
+    def test_threads_below_one_exits_2(self, corpus, capsys):
+        image_path, truth_path = corpus
+        code, out, err = _run(
+            capsys, "verify", image_path, "--truth", truth_path, "--threads", -1
+        )
+        assert code == 2
+        assert out == ""
+        assert "--threads" in err and "Traceback" not in err
 
 
 class TestBench:
@@ -173,6 +212,14 @@ class TestBench:
         code, _, _ = _run(capsys, "bench", image_path, "--threads", "1,zap")
         assert code == 2
 
+    @pytest.mark.parametrize("threads", ["0", "1,0"])
+    def test_threads_below_one_exits_2(self, corpus, capsys, threads):
+        image_path, _ = corpus
+        code, out, err = _run(capsys, "bench", image_path, "--threads", threads)
+        assert code == 2
+        assert out == ""
+        assert "--threads" in err and "Traceback" not in err
+
 
 class TestAnalysisFailure:
     """A typed error raised by construction or by a writer's check ends
@@ -211,8 +258,8 @@ class TestAnalysisFailure:
         # before any output or verdict
         real = parallel.finalize_details
 
-        def corrupting(g, registry):
-            stats = real(g, registry)
+        def corrupting(g, registry, index):
+            stats = real(g, registry, index)
             g.edges.add(Edge(min(g.blocks), 0xDEAD0, EdgeKind.DIRECT))
             return stats
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcfg import cfg as cfg_module
-from pcfg import finalize
+from pcfg import finalize, parallel
 from pcfg.cfg import (
     Block,
     Cfg,
@@ -191,7 +191,7 @@ class TestBoundaries:
                 a = 4 * rng.randrange(blocks)
                 g.entries[a] = _entry(a, rng.random() < 0.5)
             last.clear()
-            finalize_details(g, TableRegistry())
+            finalize_details(g, TableRegistry(), EdgeIndex(g.edges))
         # later rounds both reused boundaries and walked some again
         assert later["reused"] and later["walked"]
 
@@ -317,7 +317,7 @@ class TestFinalize:
             img, _ = generate(ScenarioSpec.make(family, 6, **params))
             cfg, registry = serial_construct_details(img)
             before = canonical_serialize(cfg)
-            finalize_details(cfg, registry)
+            finalize_details(cfg, registry, EdgeIndex(cfg.edges))
             assert canonical_serialize(cfg) == before
 
     def test_never_adds_elements(self):
@@ -327,7 +327,7 @@ class TestFinalize:
         state = ConcurrentCfgState(img, 2)
         raw, _ = state.run()
         final = raw.clone()
-        finalize_details(final, state.registry)
+        finalize_details(final, state.registry, EdgeIndex(final.edges))
         assert set(final.blocks) <= set(raw.blocks)
         assert final.edges <= raw.edges | {
             Edge(e.source, e.target, EdgeKind.TAIL_CALL) for e in raw.edges
@@ -343,7 +343,7 @@ class TestFinalize:
         state = ConcurrentCfgState(img, 2)
         raw, _ = state.run()
         raw_edges = len(raw.edges)
-        stats = finalize_details(raw, state.registry)
+        stats = finalize_details(raw, state.registry, EdgeIndex(raw.edges))
         assert stats.flips <= raw_edges
         assert stats.iterations <= stats.flips + 1
 
@@ -377,7 +377,7 @@ class TestFinalize:
         g.blocks[0x0] = _ret_block(0x0)
         g.blocks[0x10] = _ret_block(0x10)
         g.entries = {0x0: _entry(0x0, seed=True), 0x10: _entry(0x10, seed=False)}
-        finalize_details(g, TableRegistry())
+        finalize_details(g, TableRegistry(), EdgeIndex(g.edges))
         assert 0x0 in g.entries
         assert 0x10 not in g.entries
         assert 0x10 not in g.blocks
@@ -428,9 +428,9 @@ def _oracle_before_finalize(monkeypatch, img) -> tuple[Cfg, TableRegistry]:
     seen = []
     real = finalize.finalize_details
 
-    def capture(g, registry):
+    def capture(g, registry, index):
         seen.append((g.clone(), registry))
-        return real(g, registry)
+        return real(g, registry, index)
 
     monkeypatch.setattr(finalize, "finalize_details", capture)
     serial_construct(img)
@@ -459,21 +459,21 @@ class TestLocalSweep:
 
     @pytest.mark.parametrize("spec", CORPUS, ids=lambda s: f"{s.family}-{s.seed}")
     def test_index_matches_edges_when_finalize_ends(self, monkeypatch, spec):
-        built = []
+        handed = []
+        real = finalize.finalize_details
 
-        class Recorded(EdgeIndex):
-            __slots__ = ()
+        def recorded(g, registry, index):
+            handed.append(index)
+            return real(g, registry, index)
 
-            def __init__(self, edges):
-                super().__init__(edges)
-                built.append(self)
-
-        monkeypatch.setattr(finalize, "EdgeIndex", Recorded)
+        # the engine imported the name; the oracle looks it up at each run
+        monkeypatch.setattr(parallel, "finalize_details", recorded)
+        monkeypatch.setattr(finalize, "finalize_details", recorded)
         img, _ = generate(spec)
         for run in (lambda: construct_details(img, 1)[0], lambda: serial_construct(img)):
-            built.clear()
+            handed.clear()
             g = run()
-            (index,) = built  # no step built an index of its own
+            (index,) = handed  # finalization ran once, over the index handed in
             assert self._normal(index) == self._normal(EdgeIndex(g.edges))
 
     @settings(max_examples=300, deadline=None)
@@ -541,31 +541,27 @@ class TestOrderIndependence:
         graphs = [(raw, state.registry), _oracle_before_finalize(monkeypatch, img)]
         rng = random.Random(spec.seed)
 
-        class Shuffled(EdgeIndex):
-            __slots__ = ()
-
-            def __init__(self, edges):
-                super().__init__(edges)
-                self.out = {k: _shuffled(v, rng) for k, v in _shuffled(self.out.items(), rng)}
-                self.inc = {k: _shuffled(v, rng) for k, v in _shuffled(self.inc.items(), rng)}
+        def shuffled_index(edges) -> EdgeIndex:
+            index = EdgeIndex(edges)
+            index.out = {k: _shuffled(v, rng) for k, v in _shuffled(index.out.items(), rng)}
+            index.inc = {k: _shuffled(v, rng) for k, v in _shuffled(index.inc.items(), rng)}
+            return index
 
         # a registry finalized once trims the same edges again: the trim
         # reads each table's effective bound and targets, never its final
         # bound
         for g, registry in graphs:
             want = g.clone()
-            stats = finalize_details(want, registry)
-            with monkeypatch.context() as patch:
-                patch.setattr(finalize, "EdgeIndex", Shuffled)
-                for _ in range(4):
-                    got = Cfg(
-                        dict(_shuffled(g.blocks.items(), rng)),
-                        set(g.candidates),
-                        set(_shuffled(g.edges, rng)),
-                        dict(_shuffled(g.entries.items(), rng)),
-                    )
-                    assert finalize_details(got, registry) == stats
-                    assert canonical_serialize(got) == canonical_serialize(want)
+            stats = finalize_details(want, registry, EdgeIndex(want.edges))
+            for _ in range(4):
+                got = Cfg(
+                    dict(_shuffled(g.blocks.items(), rng)),
+                    set(g.candidates),
+                    set(_shuffled(g.edges, rng)),
+                    dict(_shuffled(g.entries.items(), rng)),
+                )
+                assert finalize_details(got, registry, shuffled_index(got.edges)) == stats
+                assert canonical_serialize(got) == canonical_serialize(want)
 
 
 class TestReference:
@@ -577,7 +573,7 @@ class TestReference:
     @staticmethod
     def _agree(g: Cfg, registry: TableRegistry) -> FinalizeStats:
         want = g.clone()
-        stats = finalize_details(g, registry)
+        stats = finalize_details(g, registry, EdgeIndex(g.edges))
         assert reference_finalize(want, registry) == (stats.flips, stats.iterations)
         assert (g.blocks, g.candidates, g.edges, g.entries) == (
             want.blocks,

@@ -67,10 +67,9 @@ def test_undecodable_symbol_name_rejected():
 def test_symbol_name_derivation():
     s = make_symbol(0x10, "frob_impl$1a2b", SymbolKind.FUNC)
     assert s.pretty == "frob_impl"
-    assert s.typed == "frob_impl()"
+    assert s.mangled == "frob_impl$1a2b"
     o = make_symbol(0x20, "blob", SymbolKind.OBJECT)
     assert o.pretty == "blob"
-    assert o.typed == "blob"
 
 
 def test_symbol_flags_round_trip():

@@ -5,11 +5,11 @@ import threading
 from pcfg.image import Image
 from pcfg.isa import Opcode
 from pcfg.jumptables import (
+    TableDescriptor,
     TableRegistry,
     effective_bound,
     last_bound_hint,
     read_table_entries,
-    read_table_targets,
     update_descriptor,
 )
 from pcfg.parallel import ConcurrentCfgState, construct_details
@@ -26,35 +26,36 @@ def _data_image(words, text=b"\x05" * 0x40, text_base=0x100, data_base=0x1000):
 def test_read_targets_matches_raw_words():
     words = [0x100, 0x110, 0x120]
     img = _data_image(words)
-    targets, clamped = read_table_targets(img, 0x1000, 3)
-    assert targets == sorted(words)
+    entries, clamped = read_table_entries(img, 0x1000, 3)
+    assert entries == words
     assert not clamped
 
 
 def test_out_of_text_entries_skipped():
     img = _data_image([0x100, 0xDEAD_BEEF, 0x120])
-    targets, clamped = read_table_targets(img, 0x1000, 3)
-    assert targets == [0x100, 0x120]
-    assert not clamped
+    desc = TableDescriptor(0x1000, 3, 0x140)
+    assert update_descriptor(desc, img, 3) == {0x100, 0x120}
+    assert not desc.clamped
 
 
 def test_duplicate_entries_deduplicated():
     img = _data_image([0x100, 0x100, 0x104])
-    targets, _ = read_table_targets(img, 0x1000, 3)
-    assert targets == [0x100, 0x104]
+    desc = TableDescriptor(0x1000, 3, 0x140)
+    assert update_descriptor(desc, img, 3) == {0x100, 0x104}
+    assert desc.index_targets == [0x100, 0x100, 0x104]
 
 
 def test_read_clamped_to_data_section():
     img = _data_image([0x100, 0x104])
-    targets, clamped = read_table_targets(img, 0x1000, 10)
-    assert targets == [0x100, 0x104]
+    entries, clamped = read_table_entries(img, 0x1000, 10)
+    assert entries == [0x100, 0x104]
     assert clamped
 
 
 def test_base_outside_data_is_clamped_empty():
     img = _data_image([0x100])
-    targets, clamped = read_table_targets(img, 0x9000, 4)
-    assert targets == []
+    entries, clamped = read_table_entries(img, 0x9000, 4)
+    assert entries == []
     assert clamped
 
 

@@ -868,7 +868,7 @@ def test_no_thread_holds_two_end_stripes(monkeypatch, workers):
             cfg, stats = out[0]
             # a lost update at one end would register two blocks there
             assert stats.end_registrations == len(state.blocks_by_end), spec.family
-            finalize.finalize_details(cfg, state.registry)
+            finalize.finalize_details(cfg, state.registry, finalize.EdgeIndex(cfg.edges))
             want = canonical_serialize(serial_construct(img))
             assert canonical_serialize(cfg) == want, spec.family
     finally:
@@ -956,7 +956,7 @@ def test_tables_are_read_again_only_when_their_bound_grows(monkeypatch, spec, wo
     monkeypatch.setattr(jumptables, "read_table_entries", counted)
     state = ConcurrentCfgState(img, workers)
     cfg, _ = state.run()
-    finalize.finalize_details(cfg, state.registry)
+    finalize.finalize_details(cfg, state.registry, finalize.EdgeIndex(cfg.edges))
     descs = state.registry.sorted_descriptors()
     assert descs
     for desc in descs:

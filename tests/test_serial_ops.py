@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcfg import finalize as finalize_module
+from pcfg import jumptables
+from pcfg import serial as serial_module
 from pcfg.cfg import (
     Block,
     Cfg,
@@ -545,17 +547,25 @@ class TestStepsOverIndexedGraph:
             )
             for seed in (1, 2)
         ] + [ScenarioSpec.make("big-random", 4, functions=300)]
-        # finalization rewrites the graph without updating the index,
-        # which nothing reads after traversal: compare the two as
-        # traversal hands the graph over
+        # finalization reads and updates the driver's edge index, not its
+        # block lookups: compare the index with a rebuilt one as
+        # traversal hands it over; the two order their buckets apart
         real_finalize = finalize_module.finalize_details
         checked = []
 
-        def check_index(g, registry):
-            assert driver.ix.g is g
-            assert vars(driver.ix) == vars(_IndexedCfg(g)), spec.family
+        def lookups(ix):
+            return (
+                {k: sorted(v) for k, v in ix.out.items()},
+                {k: sorted(v) for k, v in ix.inc.items()},
+                ix.start_by_end,
+                ix.starts,
+            )
+
+        def check_index(g, registry, index):
+            assert driver.ix.g is g and index is driver.ix
+            assert lookups(driver.ix) == lookups(_IndexedCfg(g)), spec.family
             checked.append(spec)
-            return real_finalize(g, registry)
+            return real_finalize(g, registry, index)
 
         monkeypatch.setattr(finalize_module, "finalize_details", check_index)
         for spec in specs:
@@ -576,3 +586,34 @@ class TestStepsOverIndexedGraph:
         graph = serial_construct(img)
         assert clones == []
         assert len(graph.blocks) > 2000
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ScenarioSpec.make("jump-table", 2),
+            ScenarioSpec.make("jump-table-overapprox", 2, extra=2),
+            ScenarioSpec.make("big-random", 2, functions=300),
+        ],
+        ids=lambda spec: spec.family,
+    )
+    def test_driver_reads_a_table_once_per_refresh(self, monkeypatch, spec):
+        # a refresh reads the table through `update_descriptor` alone and
+        # takes the edges it adds from the targets that read found
+        calls = []
+        real_read = jumptables.read_table_entries
+        real_update = serial_module.update_descriptor
+
+        def read(image, base, bound):
+            calls.append("read")
+            return real_read(image, base, bound)
+
+        def update(desc, image, bound):
+            calls.append("update")
+            return real_update(desc, image, bound)
+
+        monkeypatch.setattr(jumptables, "read_table_entries", read)
+        monkeypatch.setattr(serial_module, "read_table_entries", read, raising=False)
+        monkeypatch.setattr(serial_module, "update_descriptor", update)
+        serial_construct(generate(spec)[0])
+        assert calls.count("update") > 0
+        assert calls == ["update", "read"] * calls.count("update")

@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+from pcfg import workload
 from pcfg.cfg import canonical_serialize
 from pcfg.errors import SpecOutOfBoundsError
 from pcfg.image import load_image, pack_image
@@ -34,6 +36,36 @@ ALL_SPECS = [
     ScenarioSpec.make("opaque-jump"),
     ScenarioSpec.make("big-random", functions=50),
 ]
+
+
+def _pinned_specs() -> list[ScenarioSpec]:
+    """Every family at seeds 0-3, at its defaults and at each parameter's
+    bounds (big-random's upper bound is too large to generate here), and
+    the benchmark's 20,000-function big-random at seeds 1 and 23."""
+    specs = []
+    for family, (_, schema) in workload._SIMPLE_FAMILIES.items():
+        for seed in range(4):
+            specs.append(ScenarioSpec.make(family, seed))
+            for name, (_, lo, hi) in schema.items():
+                specs += [ScenarioSpec.make(family, seed, **{name: v}) for v in (lo, hi)]
+    for seed in range(4):
+        specs += [ScenarioSpec.make("big-random", seed), ScenarioSpec.make("big-random", seed, functions=1)]
+    specs += [ScenarioSpec.make("big-random", seed, functions=20000) for seed in (1, 23)]
+    return specs
+
+
+def test_generated_inputs_are_pinned():
+    # the benchmark's inputs come from this generator: a change to any
+    # image or its ground truth changes what every earlier measurement
+    # meant, so it must be deliberate
+    specs = _pinned_specs()
+    digest = hashlib.sha256()
+    for spec in specs:
+        img, truth = generate(spec)
+        digest.update(pack_image(img))
+        digest.update(json.dumps(truth.to_json_dict(), sort_keys=True).encode())
+    assert len(specs) == 94
+    assert digest.hexdigest() == "549042ae6cb84580db903bb819740e1f97101f9b95bc19d9154118558a644f79"
 
 
 def test_coalesce_ranges():
