@@ -12,6 +12,7 @@ validate the graph they are handed.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from typing import NamedTuple
@@ -201,21 +202,18 @@ def require_valid(g: Cfg) -> None:
         raise InvalidGraphError(violations)
 
 
-def _coverage(blocks) -> list[tuple[int, int]]:
-    """Merge block ranges into maximal disjoint intervals."""
-    merged: list[tuple[int, int]] = []
-    for b in sorted(blocks, key=lambda b: (b.start, b.end)):
-        if merged and b.start <= merged[-1][1]:
-            lo, hi = merged[-1]
-            merged[-1] = (lo, max(hi, b.end))
+def coalesce_ranges(ranges) -> list[tuple[int, int]]:
+    """Merge [lo, hi) intervals that touch or overlap; sorted output."""
+    merged: list[list[int]] = []
+    for lo, hi in sorted(ranges):
+        if merged and lo <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
         else:
-            merged.append((b.start, b.end))
-    return merged
+            merged.append([lo, hi])
+    return [(lo, hi) for lo, hi in merged]
 
 
 def _covered(intervals: list[tuple[int, int]], lo: int, hi: int) -> bool:
-    import bisect
-
     i = bisect.bisect_right(intervals, (lo, float("inf"))) - 1
     if i < 0:
         return False
@@ -234,7 +232,7 @@ def partial_order_le(g1: Cfg, g2: Cfg) -> bool:
     require_valid(g1)
     require_valid(g2)
 
-    cover2 = _coverage(g2.blocks.values())
+    cover2 = coalesce_ranges((b.start, b.end) for b in g2.blocks.values())
     for b in g1.blocks.values():
         if not _covered(cover2, b.start, b.end):
             return False

@@ -24,6 +24,7 @@ from .image import load_image
 from .parallel import construct_details
 from .workload import (
     FAMILIES,
+    PARAMETERS,
     ScenarioSpec,
     diff_truth,
     emit,
@@ -189,9 +190,6 @@ def cmd_bench(image_path: str, threads_list: list[int], repeat: int) -> int:
     return 0
 
 
-_GEN_PARAMS = ("sharers", "depth", "early_ret", "k", "entries", "extra", "functions")
-
-
 def cmd_gen(family: str, seed: int, out_dir: str, params: dict[str, int]) -> int:
     try:
         spec = ScenarioSpec.make(family, seed, **params)
@@ -235,7 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", choices=sorted(FAMILIES))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=".")
-    for name in _GEN_PARAMS:
+    for name in PARAMETERS:
         p.add_argument(f"--{name.replace('_', '-')}", type=int, default=None)
     return parser
 
@@ -254,7 +252,7 @@ def main(argv=None) -> int:
     if args.command == "gen":
         params = {
             name: getattr(args, name)
-            for name in _GEN_PARAMS
+            for name in PARAMETERS
             if getattr(args, name) is not None
         }
         return cmd_gen(args.family, args.seed, args.out, params)

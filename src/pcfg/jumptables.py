@@ -101,14 +101,8 @@ class TableRegistry:
         desc = TableDescriptor(base, declared, jump_end)
         return self._by_base.setdefault(base, desc)
 
-    def get(self, base: int) -> TableDescriptor | None:
-        return self._by_base.get(base)
-
     def sorted_descriptors(self) -> list[TableDescriptor]:
         return [self._by_base[b] for b in sorted(self._by_base)]
-
-    def __len__(self) -> int:
-        return len(self._by_base)
 
     def dump(self) -> list[dict]:
         """Registry summary sorted by base, for the JSON export."""

@@ -155,8 +155,6 @@ class _EngineBlock:
 class _FuncRecord:
     __slots__ = (
         "entry",
-        "name",
-        "seed",
         "lock",
         "pending",
         "active",
@@ -166,10 +164,8 @@ class _FuncRecord:
         "waiters",
     )
 
-    def __init__(self, entry: int, name: str | None, seed: bool, status: ReturnStatus):
+    def __init__(self, entry: int, status: ReturnStatus):
         self.entry = entry
-        self.name = name
-        self.seed = seed
         self.lock = threading.Lock()
         # the worklist, only while it has work (see the module docstring)
         self.pending: deque[int] | None = None
@@ -339,10 +335,8 @@ class ConcurrentCfgState:
         if addr in self.functions:
             ctx.function_claim_losses += 1
             return False
-        syms = self.symbols
-        status = ReturnStatus.NORETURN if addr in syms.noreturn else ReturnStatus.UNSET
-        # every seed has a name, so the name map doubles as the seed set
-        rec = _FuncRecord(addr, syms.names.get(addr), addr in syms.names, status)
+        status = ReturnStatus.NORETURN if addr in self.symbols.noreturn else ReturnStatus.UNSET
+        rec = _FuncRecord(addr, status)
         if self.functions.setdefault(addr, rec) is not rec:
             ctx.function_claim_losses += 1
             return False
@@ -769,8 +763,10 @@ class ConcurrentCfgState:
                 edges.add(Edge(b.start, t, EDGE_KINDS[k]))
                 if t not in blocks:
                     candidates.add(t)
+        # every seed has a name, so the name map doubles as the seed set
+        names = self.symbols.names
         entries = {
-            a: FunctionEntry(a, rec.name, rec.status, rec.seed)
+            a: FunctionEntry(a, names.get(a), rec.status, a in names)
             for a, rec in self.functions.items()
         }
         return Cfg(blocks, candidates, edges, entries)

@@ -49,6 +49,7 @@ from .finalize import EdgeIndex, _drop_unreachable
 from .image import Image
 from .isa import LENGTHS, Instruction, Opcode
 from .jumptables import (
+    TableDescriptor,
     TableRegistry,
     effective_bound,
     last_bound_hint,
@@ -459,10 +460,9 @@ class _SerialDriver:
 
     # -- jump tables ------------------------------------------------------
 
-    def _refresh_block_table(self, blk: Block) -> set[int]:
-        """Read the block's table at its current bound once; add an edge
-        to each target the read added, and return those targets."""
-        desc = self.registry.get(blk.terminator.a)
+    def _refresh_block_table(self, blk: Block, desc: TableDescriptor) -> set[int]:
+        """Read the block's table `desc` at its current bound once; add an
+        edge to each target the read added, and return those targets."""
         new = update_descriptor(desc, self.image, _table_bound(self.ix, blk, self._hint))
         for t in new:
             self.ix.add_edge(Edge(blk.start, t, EdgeKind.INDIRECT))
@@ -475,7 +475,7 @@ class _SerialDriver:
             blk = self.ix.block_by_end(desc.jump_end)
             if blk is None:
                 raise InternalError(f"no block ends at 0x{desc.jump_end:x}")
-            new = self._refresh_block_table(blk)
+            new = self._refresh_block_table(blk, desc)
             if not new:
                 continue
             for fn in sorted(desc.interested):
@@ -534,7 +534,7 @@ class _SerialDriver:
             desc.interested.add(fn)
             if blk.end not in self.dec_done:
                 self.dec_done.add(blk.end)
-                self._refresh_block_table(blk)
+                self._refresh_block_table(blk, desc)
             for e in self.ix.outgoing(t):
                 if e.kind is EdgeKind.INDIRECT:
                     self.queue.append((fn, e.target))

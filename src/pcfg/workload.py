@@ -19,26 +19,15 @@ import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .cfg import Cfg, Edge, EdgeKind
+from .cfg import Cfg, Edge, EdgeKind, coalesce_ranges
 from .errors import SpecOutOfBoundsError
 from .finalize import EdgeIndex, assign_function_boundaries
-from .image import Image, SymbolKind, make_symbol, pack_image
-from .isa import LENGTHS, Opcode
+from .image import Image, SymbolEntry, SymbolKind, make_symbol, pack_image
+from .isa import LENGTHS, Opcode, encode
 from .jumptables import TableRegistry
 
 TEXT_BASE = 0x1000
 DATA_BASE = 0x100000
-
-
-def coalesce_ranges(ranges) -> list[tuple[int, int]]:
-    """Merge [lo, hi) intervals that touch or overlap; sorted output."""
-    merged: list[list[int]] = []
-    for lo, hi in sorted(ranges):
-        if merged and lo <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    return [(lo, hi) for lo, hi in merged]
 
 
 @dataclass
@@ -102,6 +91,9 @@ class ScenarioSpec:
 
 
 class _Ref:
+    """An operand naming the address `delta` bytes past a label placed
+    later; `build()` patches it in."""
+
     __slots__ = ("label", "delta")
 
     def __init__(self, label: str, delta: int = 0):
@@ -110,34 +102,36 @@ class _Ref:
 
 
 class _Builder:
-    """Two-pass assembler plus truth accumulator over symbolic labels."""
+    """Assembler plus truth accumulator. Instructions and data words are
+    encoded as they come and a label is an absolute address as soon as it
+    is placed, so symbols and truth are recorded in addresses while the
+    code is laid out; only operands that name a label placed later wait
+    for `build()`."""
 
     def __init__(self) -> None:
-        self.items: list[tuple[Opcode, object, int]] = []
-        self.offset = 0
+        self.text = bytearray()
+        self.data = bytearray()
+        # (text offset, opcode, forward operand, second operand)
+        self.fixups: list[tuple[int, Opcode, _Ref, int]] = []
         self.labels: dict[str, int] = {}
-        self.data_words: list[object] = []  # int or _Ref
-        self.symbols: list[tuple[str, str, bool]] = []  # (label, mangled, noreturn)
-        self.object_symbols: list[tuple[int, str]] = []  # (data offset, mangled)
-        # truth, in label space
-        self.ranges: dict[str, list[tuple[_Ref, _Ref]]] = {}
-        self.tables: list[tuple[str, int]] = []  # (base label, true size)
-        self.noreturn_calls: list[_Ref] = []
-        self.tail_calls: list[tuple[_Ref, _Ref]] = []
+        self.symbols: list[SymbolEntry] = []  # FUNC symbols, in `func` order
+        self.object_symbols: list[SymbolEntry] = []  # OBJECT symbols, after them
+        self.truth = GroundTruth()
 
     # -- text -----------------------------------------------------------
 
-    def label(self, name: str) -> None:
-        self.labels[name] = self.offset
+    def here(self) -> int:
+        return TEXT_BASE + len(self.text)
 
-    def here(self, delta: int = 0) -> _Ref:
-        name = f"@{len(self.labels)}"
-        self.labels[name] = self.offset + delta
-        return _Ref(name)
+    def label(self, name: str) -> int:
+        addr = self.labels[name] = self.here()
+        return addr
 
-    def emit(self, kind: Opcode, a: object = 0, b: int = 0) -> None:
-        self.items.append((kind, a, b))
-        self.offset += LENGTHS[kind]
+    def emit(self, kind: Opcode, a: int | _Ref = 0, b: int = 0) -> None:
+        if isinstance(a, _Ref):
+            self.fixups.append((len(self.text), kind, a, b))
+            a = 0
+        self.text += encode(kind, a, b)
 
     def gap(self, n: int) -> None:
         for _ in range(n):
@@ -145,77 +139,33 @@ class _Builder:
 
     # -- data -------------------------------------------------------------
 
-    def table_label(self, name: str) -> None:
-        self.labels[name] = -1  # patched in resolve()
-        self.data_words.append(("label", name))
+    def table_label(self, name: str) -> int:
+        base = self.labels[name] = DATA_BASE + len(self.data)
+        return base
 
-    def word(self, value: object) -> None:
-        self.data_words.append(value)
+    def word(self, value: int) -> None:
+        self.data += struct.pack("<I", value)
 
     # -- truth ---------------------------------------------------------------
 
-    def func(self, label: str, mangled: str, noreturn: bool = False) -> None:
-        self.symbols.append((label, mangled, noreturn))
+    def func(self, entry: int, mangled: str, noreturn: bool = False) -> None:
+        self.symbols.append(make_symbol(entry, mangled, SymbolKind.FUNC, noreturn))
 
-    def range_for(self, entry_label: str, lo: _Ref, hi: _Ref) -> None:
-        self.ranges.setdefault(entry_label, []).append((lo, hi))
+    def range_for(self, entry: int, lo: int, hi: int) -> None:
+        self.truth.function_ranges.setdefault(entry, []).append((lo, hi))
 
     # -- assembly ----------------------------------------------------------------
 
     def build(self) -> tuple[Image, GroundTruth]:
-        text = bytearray()
-        off = 0
-        from .isa import encode
-
-        # place data words, patching table labels with running addresses
-        data_off = 0
-        words: list[object] = []
-        for w in self.data_words:
-            if isinstance(w, tuple) and w[0] == "label":
-                self.labels[w[1]] = -(data_off + 1)  # data-space marker
-            else:
-                words.append(w)
-                data_off += 4
-
-        def addr(ref) -> int:
-            if isinstance(ref, _Ref):
-                raw = self.labels[ref.label]
-                base = raw + ref.delta
-            else:
-                raw = self.labels[ref]
-                base = raw
-            if raw < 0:
-                return DATA_BASE + (-raw - 1)
-            return TEXT_BASE + base
-
-        for kind, a, b in self.items:
-            av = addr(a) if isinstance(a, (_Ref, str)) else a
-            text += encode(kind, av, b)
-        data = bytearray()
-        for w in words:
-            wv = addr(w) if isinstance(w, (_Ref, str)) else w
-            data += struct.pack("<I", wv)
-
-        symbols = [
-            make_symbol(addr(label), mangled, SymbolKind.FUNC, noreturn)
-            for label, mangled, noreturn in self.symbols
-        ]
-        symbols += [
-            make_symbol(DATA_BASE + off_, mangled, SymbolKind.OBJECT)
-            for off_, mangled in self.object_symbols
-        ]
-        image = Image(TEXT_BASE, bytes(text), DATA_BASE, bytes(data), tuple(symbols))
-
-        truth = GroundTruth()
-        for entry_label, segs in self.ranges.items():
-            truth.function_ranges[addr(entry_label)] = coalesce_ranges(
-                (addr(lo), addr(hi)) for lo, hi in segs
-            )
-        for base_label, size in self.tables:
-            truth.jump_table_sizes[addr(base_label)] = size
-        truth.noreturn_call_sites = {addr(r) for r in self.noreturn_calls}
-        truth.tailcall_edges = {(addr(s), addr(t)) for s, t in self.tail_calls}
-        return image, truth
+        for off, kind, ref, b in self.fixups:
+            operand = self.labels[ref.label] + ref.delta
+            self.text[off : off + LENGTHS[kind]] = encode(kind, operand, b)
+        symbols = tuple(self.symbols + self.object_symbols)
+        ranges = self.truth.function_ranges
+        for entry, segs in ranges.items():
+            ranges[entry] = coalesce_ranges(segs)
+        image = Image(TEXT_BASE, bytes(self.text), DATA_BASE, bytes(self.data), symbols)
+        return image, self.truth
 
 
 def _pads(b: _Builder, rng: random.Random, lo: int = 0, hi: int = 3) -> None:
@@ -227,105 +177,98 @@ def _pads(b: _Builder, rng: random.Random, lo: int = 0, hi: int = 3) -> None:
 
 
 def _build_plain(b: _Builder, rng: random.Random, p: str) -> None:
-    b.label(p)
-    start = b.here()
+    entry = b.here()
     _pads(b, rng, 1, 6)
     b.emit(Opcode.RET)
-    b.func(p, f"{p}$fn")
-    b.range_for(p, start, b.here())
+    b.func(entry, f"{p}$fn")
+    b.range_for(entry, entry, b.here())
 
 
 def _build_shared_code(b: _Builder, rng: random.Random, p: str, sharers: int) -> None:
     common = f"{p}common"
+    entries = []
     for i in range(sharers):
-        b.label(f"{p}f{i}")
-        lo = b.here()
+        entry = b.here()
         _pads(b, rng)
         b.emit(Opcode.JMP_DIRECT, _Ref(common, 3 * i))
-        b.func(f"{p}f{i}", f"{p}f{i}$fn")
-        b.range_for(f"{p}f{i}", lo, b.here())
-    b.label(common)
+        b.func(entry, f"{p}f{i}$fn")
+        b.range_for(entry, entry, b.here())
+        entries.append(entry)
+    start = b.label(common)
     for _ in range(sharers):
         b.emit(Opcode.ALU)
     b.emit(Opcode.RET)
-    common_end = b.here()
-    for i in range(sharers):
-        b.range_for(f"{p}f{i}", _Ref(common, 3 * i), common_end)
+    for i, entry in enumerate(entries):
+        b.range_for(entry, start + 3 * i, b.here())
 
 
 def _build_noreturn_chain(
     b: _Builder, rng: random.Random, p: str, depth: int, early_ret: bool
 ) -> None:
     for i in range(depth):
-        b.label(f"{p}f{i}")
-        lo = b.here()
+        entry = b.label(f"{p}f{i}")
         _pads(b, rng)
         b.emit(Opcode.CALL, _Ref(f"{p}f{i + 1}"))
         call_end = b.here()
         b.emit(Opcode.RET)
-        b.func(f"{p}f{i}", f"{p}f{i}$fn")
+        b.func(entry, f"{p}f{i}$fn")
         if early_ret:
-            b.range_for(f"{p}f{i}", lo, b.here())
+            b.range_for(entry, entry, b.here())
         else:
-            b.range_for(f"{p}f{i}", lo, call_end)
-            b.noreturn_calls.append(call_end)
-    deepest = f"{p}f{depth}"
-    b.label(deepest)
-    lo = b.here()
+            b.range_for(entry, entry, call_end)
+            b.truth.noreturn_call_sites.add(call_end)
+    deepest = b.label(f"{p}f{depth}")
     if early_ret:
         b.emit(Opcode.JCC_DIRECT, _Ref(f"{p}tail"))
         b.emit(Opcode.RET)
         b.label(f"{p}tail")
         _pads(b, rng, 1, 4)
         b.emit(Opcode.RET)
-        b.func(deepest, f"{deepest}$fn")
+        b.func(deepest, f"{p}f{depth}$fn")
     else:
         known = rng.random() < 0.5
         _pads(b, rng, 0, 2)
         b.emit(Opcode.HALT)
-        b.func(deepest, f"{deepest}$exit", noreturn=known)
-    b.range_for(deepest, lo, b.here())
+        b.func(deepest, f"{p}f{depth}$exit", noreturn=known)
+    b.range_for(deepest, deepest, b.here())
 
 
 def _build_noreturn_cycle(b: _Builder, rng: random.Random, p: str, k: int) -> None:
+    first = b.here()
     for i in range(k):
-        b.label(f"{p}f{i}")
-        lo = b.here()
+        entry = b.label(f"{p}f{i}")
         _pads(b, rng)
-        b.emit(Opcode.CALL, _Ref(f"{p}f{(i + 1) % k}"))
+        # the last function's call closes the cycle at the first
+        b.emit(Opcode.CALL, _Ref(f"{p}f{i + 1}") if i + 1 < k else first)
         call_end = b.here()
         b.emit(Opcode.RET)  # unreachable: the callee never returns
-        b.func(f"{p}f{i}", f"{p}f{i}$fn")
-        b.range_for(f"{p}f{i}", lo, call_end)
-        b.noreturn_calls.append(call_end)
+        b.func(entry, f"{p}f{i}$fn")
+        b.range_for(entry, entry, call_end)
+        b.truth.noreturn_call_sites.add(call_end)
 
 
 def _build_tailcall_ambiguous(b: _Builder, rng: random.Random, p: str) -> None:
     target = f"{p}t"
-    b.label(f"{p}a")
-    a_lo = b.here()
+    fa = b.here()
     _pads(b, rng)
     b.emit(Opcode.FRAME_TEARDOWN)
     b.emit(Opcode.JMP_DIRECT, _Ref(target))
-    b.func(f"{p}a", f"{p}a$fn")
-    b.range_for(f"{p}a", a_lo, b.here())
+    b.func(fa, f"{p}a$fn")
+    b.range_for(fa, fa, b.here())
 
-    b.label(f"{p}b")
-    b_lo = b.here()
+    fb = b.here()
     _pads(b, rng)
     b.emit(Opcode.JMP_DIRECT, _Ref(target))
-    b.func(f"{p}b", f"{p}b$fn")
-    b.range_for(f"{p}b", b_lo, b.here())
+    b.func(fb, f"{p}b$fn")
+    b.range_for(fb, fb, b.here())
 
-    b.label(target)
-    t_lo = b.here()
+    t = b.label(target)
     _pads(b, rng, 1, 4)
     b.emit(Opcode.RET)
     # the branch target survives as a discovered function with two
     # incoming tail calls; both branches finalize as tail calls
-    b.range_for(target, t_lo, b.here())
-    b.tail_calls.append((a_lo, _Ref(target)))
-    b.tail_calls.append((b_lo, _Ref(target)))
+    b.range_for(t, t, b.here())
+    b.truth.tailcall_edges |= {(fa, t), (fb, t)}
 
 
 def _build_jump_table(b: _Builder, rng: random.Random, p: str, entries: int) -> None:
@@ -334,32 +277,31 @@ def _build_jump_table(b: _Builder, rng: random.Random, p: str, entries: int) -> 
     declared = 1 if grow else entries
     entry_hint = max(1, entries // 2) if grow else entries
 
-    b.label(p)
-    lo = b.here()
+    entry = b.here()
     _pads(b, rng)
     b.emit(Opcode.BOUND_HINT, entry_hint)
     b.emit(Opcode.JCC_DIRECT, _Ref(f"{p}default"))
-    b.label(f"{p}jmp")
+    jmp = b.here()
     b.emit(Opcode.IJMP_TABLE, _Ref(table), declared)
+    cases = []
     for i in range(entries):
-        b.label(f"{p}case{i}")
+        cases.append(b.here())
         if grow and i == 0:
             # a case that loops back to the dispatch with the full bound,
             # widening the table on re-analysis
             b.emit(Opcode.BOUND_HINT, entries)
-            b.emit(Opcode.JMP_DIRECT, _Ref(f"{p}jmp"))
+            b.emit(Opcode.JMP_DIRECT, jmp)
         else:
             _pads(b, rng, 0, 2)
             b.emit(Opcode.RET)
     b.label(f"{p}default")
     b.emit(Opcode.RET)
-    b.func(p, f"{p}$fn")
-    b.range_for(p, lo, b.here())
+    b.func(entry, f"{p}$fn")
+    b.range_for(entry, entry, b.here())
 
-    b.table_label(table)
-    for i in range(entries):
-        b.word(_Ref(f"{p}case{i}"))
-    b.tables.append((table, entries))
+    b.truth.jump_table_sizes[b.table_label(table)] = entries
+    for case in cases:
+        b.word(case)
 
 
 def _build_jump_table_overapprox(
@@ -368,80 +310,74 @@ def _build_jump_table_overapprox(
     n1 = rng.randint(2, 4)
     t1, t2 = f"{p}tab1", f"{p}tab2"
 
-    b.label(f"{p}f1")
-    f1_lo = b.here()
+    f1 = b.here()
     b.emit(Opcode.BOUND_HINT, n1 + extra)
     b.emit(Opcode.JCC_DIRECT, _Ref(f"{p}d1"))
     b.emit(Opcode.IJMP_TABLE, _Ref(t1), n1 + extra)
-    for i in range(n1):
-        b.label(f"{p}l1_{i}")
+    cases = []
+    for _ in range(n1):
+        cases.append(b.here())
         _pads(b, rng, 0, 2)
         b.emit(Opcode.RET)
     b.label(f"{p}d1")
     b.emit(Opcode.RET)
-    b.func(f"{p}f1", f"{p}f1$fn")
-    b.range_for(f"{p}f1", f1_lo, b.here())
+    b.func(f1, f"{p}f1$fn")
+    b.range_for(f1, f1, b.here())
 
-    b.label(f"{p}f2")
-    f2_lo = b.here()
+    f2 = b.here()
     b.emit(Opcode.BOUND_HINT, 1)
     b.emit(Opcode.JCC_DIRECT, _Ref(f"{p}d2"))
     b.emit(Opcode.IJMP_TABLE, _Ref(t2), 1)
-    b.label(f"{p}l2_0")
+    case = b.here()
     _pads(b, rng, 0, 2)
     b.emit(Opcode.RET)
     b.label(f"{p}d2")
     b.emit(Opcode.RET)
-    b.func(f"{p}f2", f"{p}f2$fn")
-    b.range_for(f"{p}f2", f2_lo, b.here())
+    b.func(f2, f"{p}f2$fn")
+    b.range_for(f2, f2, b.here())
 
     # decoy blocks only reachable through the over-read table entries;
     # trimming must cascade them away
-    for j in range(max(0, extra - 1)):
-        b.label(f"{p}decoy{j}")
+    decoys = []
+    for _ in range(max(0, extra - 1)):
+        decoys.append(b.here())
         b.emit(Opcode.ALU)
         b.emit(Opcode.RET)
 
-    b.table_label(t1)
-    for i in range(n1):
-        b.word(_Ref(f"{p}l1_{i}"))
-    b.tables.append((t1, n1))
-    b.table_label(t2)
-    b.word(_Ref(f"{p}l2_0"))
-    b.tables.append((t2, 1))
-    for j in range(max(0, extra - 1)):
-        b.word(_Ref(f"{p}decoy{j}"))
+    b.truth.jump_table_sizes[b.table_label(t1)] = n1
+    for target in cases:
+        b.word(target)
+    b.truth.jump_table_sizes[b.table_label(t2)] = 1
+    for target in (case, *decoys):
+        b.word(target)
 
 
 def _build_multi_entry(b: _Builder, rng: random.Random, p: str) -> None:
     shared = f"{p}s"
+    entries = []
     for name in ("e1", "e2"):
-        b.label(f"{p}{name}")
-        lo = b.here()
+        entry = b.here()
         _pads(b, rng)
         b.emit(Opcode.JMP_DIRECT, _Ref(shared))
-        b.func(f"{p}{name}", f"{p}{name}$fn")
-        b.range_for(f"{p}{name}", lo, b.here())
-    b.label(shared)
-    s_lo = b.here()
+        b.func(entry, f"{p}{name}$fn")
+        b.range_for(entry, entry, b.here())
+        entries.append(entry)
+    s_lo = b.label(shared)
     _pads(b, rng, 1, 3)
     b.emit(Opcode.RET)
-    s_hi = b.here()
-    for name in ("e1", "e2"):
-        b.range_for(f"{p}{name}", s_lo, s_hi)
+    for entry in entries:
+        b.range_for(entry, s_lo, b.here())
     # a seeded function nothing references: retained, never pruned
-    b.label(f"{p}decoy")
-    d_lo = b.here()
+    decoy = b.here()
     _pads(b, rng, 1, 2)
     b.emit(Opcode.RET)
-    b.func(f"{p}decoy", f"{p}decoy$fn")
-    b.range_for(f"{p}decoy", d_lo, b.here())
-    b.object_symbols.append((0, f"{p}blob$obj"))
+    b.func(decoy, f"{p}decoy$fn")
+    b.range_for(decoy, decoy, b.here())
+    b.object_symbols.append(make_symbol(DATA_BASE, f"{p}blob$obj", SymbolKind.OBJECT))
 
 
 def _build_outlined_cold(b: _Builder, rng: random.Random, p: str) -> None:
-    b.label(p)
-    lo = b.here()
+    entry = b.here()
     _pads(b, rng, 0, 2)
     b.emit(Opcode.JCC_DIRECT, _Ref(f"{p}cold_jump"))
     _pads(b, rng, 1, 3)
@@ -449,36 +385,32 @@ def _build_outlined_cold(b: _Builder, rng: random.Random, p: str) -> None:
     b.label(f"{p}cold_jump")
     b.emit(Opcode.FRAME_TEARDOWN)
     b.emit(Opcode.JMP_DIRECT, _Ref(f"{p}cold"))
-    hot_hi = b.here()
-    b.func(p, f"{p}$fn")
-    b.range_for(p, lo, hot_hi)
+    b.func(entry, f"{p}$fn")
+    b.range_for(entry, entry, b.here())
     b.gap(rng.randint(2, 6))
     # outlined block: a single tail-call edge in, so finalization folds
     # it back into its parent and drops the heuristic entry
-    b.label(f"{p}cold")
-    cold_lo = b.here()
+    cold = b.label(f"{p}cold")
     _pads(b, rng, 1, 3)
     b.emit(Opcode.HALT)
-    b.range_for(p, cold_lo, b.here())
+    b.range_for(entry, cold, b.here())
 
 
 def _build_opaque_jump(b: _Builder, rng: random.Random, p: str) -> None:
-    b.label(f"{p}g")
-    g_lo = b.here()
+    g = b.here()
     _pads(b, rng, 0, 2)
     b.emit(Opcode.IJMP_OPAQUE)
-    b.func(f"{p}g", f"{p}g$fn")
-    b.range_for(f"{p}g", g_lo, b.here())
+    b.func(g, f"{p}g$fn")
+    b.range_for(g, g, b.here())
 
-    b.label(f"{p}h")
-    h_lo = b.here()
+    h = b.here()
     _pads(b, rng)
-    b.emit(Opcode.CALL, _Ref(f"{p}g"))
+    b.emit(Opcode.CALL, g)
     call_end = b.here()
     b.emit(Opcode.RET)  # unreachable: the callee never returns
-    b.func(f"{p}h", f"{p}h$fn")
-    b.range_for(f"{p}h", h_lo, call_end)
-    b.noreturn_calls.append(call_end)
+    b.func(h, f"{p}h$fn")
+    b.range_for(h, h, call_end)
+    b.truth.noreturn_call_sites.add(call_end)
 
 
 _SIMPLE_FAMILIES = {
@@ -493,7 +425,17 @@ _SIMPLE_FAMILIES = {
     "opaque-jump": (_build_opaque_jump, {}),
 }
 
+_BIG_RANDOM_SCHEMA = {"functions": (200, 1, 100000)}
+
 FAMILIES = tuple(_SIMPLE_FAMILIES) + ("big-random",)
+
+#: every parameter name across the families' schemas, sorted
+PARAMETERS = tuple(
+    sorted(
+        {name for _, schema in _SIMPLE_FAMILIES.values() for name in schema}
+        | set(_BIG_RANDOM_SCHEMA)
+    )
+)
 
 # big-random unit mix: (family, weight, params from rng, seed budget cost)
 _MIX = (
@@ -536,7 +478,7 @@ def generate(spec: ScenarioSpec) -> tuple[Image, GroundTruth]:
         vals = _check_params(spec, schema)
         builder(b, rng, "u0_", **vals)
     elif spec.family == "big-random":
-        vals = _check_params(spec, {"functions": (200, 1, 100000)})
+        vals = _check_params(spec, _BIG_RANDOM_SCHEMA)
         _build_big_random(b, rng, vals["functions"])
     else:
         raise SpecOutOfBoundsError(f"unknown family {spec.family!r}")
@@ -551,36 +493,29 @@ def _build_big_random(b: _Builder, rng: random.Random, budget: int) -> None:
         name = rng.choices(families, weights)[0]
         p = f"u{idx}_"
         idx += 1
+        # every branch after the first runs with a budget of at least 2
         if name == "plain" or budget == 1:
             _build_plain(b, rng, p)
             cost = 1
         elif name == "shared-code":
             k = min(rng.randint(2, 4), budget)
-            if k < 2:
-                _build_plain(b, rng, p)
-                cost = 1
-            else:
-                _build_shared_code(b, rng, p, k)
-                cost = k
+            _build_shared_code(b, rng, p, k)
+            cost = k
         elif name == "noreturn-chain":
             d = min(rng.randint(1, 3), budget - 1)
-            if d < 1:
-                _build_plain(b, rng, p)
-                cost = 1
-            else:
-                _build_noreturn_chain(b, rng, p, d, rng.random() < 0.5)
-                cost = d + 1
+            _build_noreturn_chain(b, rng, p, d, rng.random() < 0.5)
+            cost = d + 1
         elif name == "noreturn-cycle":
             k = min(rng.randint(1, 3), budget)
             _build_noreturn_cycle(b, rng, p, k)
             cost = k
-        elif name == "tailcall-ambiguous" and budget >= 2:
+        elif name == "tailcall-ambiguous":
             _build_tailcall_ambiguous(b, rng, p)
             cost = 2
         elif name == "jump-table":
             _build_jump_table(b, rng, p, rng.randint(2, 5))
             cost = 1
-        elif name == "jump-table-overapprox" and budget >= 2:
+        elif name == "jump-table-overapprox":
             _build_jump_table_overapprox(b, rng, p, rng.randint(1, 3))
             cost = 2
         elif name == "multi-entry" and budget >= 3:
@@ -589,7 +524,7 @@ def _build_big_random(b: _Builder, rng: random.Random, budget: int) -> None:
         elif name == "outlined-cold":
             _build_outlined_cold(b, rng, p)
             cost = 1
-        elif name == "opaque-jump" and budget >= 2:
+        elif name == "opaque-jump":
             _build_opaque_jump(b, rng, p)
             cost = 2
         else:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from pcfg import cli, parallel
+from pcfg import cli, parallel, workload
 from pcfg.cfg import Edge, EdgeKind
 from pcfg.cli import main
 from pcfg.image import pack_image
@@ -270,7 +270,26 @@ class TestAnalysisFailure:
         assert "dangling-edge-target" in err
 
 
+#: (family, parameter, lower bound) for every parameter of every schema
+_SCHEMA_LOWER_BOUNDS = [
+    (family, name, lo)
+    for family, schema in [
+        *((f, s) for f, (_, s) in workload._SIMPLE_FAMILIES.items()),
+        ("big-random", workload._BIG_RANDOM_SCHEMA),
+    ]
+    for name, (_, lo, _) in schema.items()
+]
+
+
 class TestGen:
+    @pytest.mark.parametrize("family,name,lo", _SCHEMA_LOWER_BOUNDS)
+    def test_gen_takes_every_schema_parameter(self, tmp_path, capsys, family, name, lo):
+        code, _, err = _run(
+            capsys, "gen", family, f"--{name.replace('_', '-')}", lo, "--out", tmp_path
+        )
+        assert code == 0, err
+        assert json.loads((tmp_path / "truth.json").read_text())["functions"]
+
     def test_gen_writes_two_files(self, tmp_path, capsys):
         code, out, _ = _run(
             capsys, "gen", "tailcall-ambiguous", "--seed", 1, "--out", tmp_path

@@ -2,6 +2,9 @@ import logging
 import struct
 import threading
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from pcfg.image import Image
 from pcfg.isa import Opcode
 from pcfg.jumptables import (
@@ -98,6 +101,48 @@ def test_update_descriptor_is_monotone():
     assert desc.index_targets == [0x100, 0x104, 0x108]
 
 
+_TEXT_BASE, _TEXT_END, _DATA_BASE = 0x100, 0x140, 0x1000
+
+# data words that point inside or outside the text
+_words = st.lists(
+    st.one_of(st.integers(_TEXT_BASE, _TEXT_END - 1), st.integers(0, 2**32 - 1)),
+    max_size=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    words=_words,
+    base_delta=st.integers(-12, 60),
+    declared=st.integers(0, 16),
+    passes=st.lists(st.lists(st.integers(0, 16), max_size=3), min_size=1, max_size=6),
+)
+def test_update_descriptor_matches_a_from_scratch_reference(words, base_delta, declared, passes):
+    # each pass's bound is the declared bound widened by that pass's
+    # hints; after every pass the descriptor must equal what reading the
+    # table afresh at every bound so far gives: targets are the union of
+    # the reads, the bound their maximum, and the index targets the read
+    # at that maximum
+    img = _data_image(words)  # text [_TEXT_BASE, _TEXT_END)
+    base = _DATA_BASE + base_delta  # below, inside (aligned or not) or past the data
+    desc = TableDescriptor(base, declared, jump_end=_TEXT_END)
+    bounds: list[int] = []
+    for hints in passes:
+        bound = effective_bound(declared, hints)
+        assert bound == max([declared, *hints])
+        bounds.append(bound)
+        before = set(desc.targets)
+        added = update_descriptor(desc, img, bound)
+        reads = [read_table_entries(img, base, b) for b in bounds]
+        union = {t for entries, _ in reads for t in entries if t is not None}
+        assert desc.targets == union
+        assert added == union - before
+        assert desc.effective_bound == max(bounds)
+        assert desc.index_targets == read_table_entries(img, base, max(bounds))[0]
+        assert desc.clamped == any(clamped for _, clamped in reads)
+        assert desc.read
+
+
 def test_registry_single_winner_under_contention():
     reg = TableRegistry()
     results = []
@@ -110,7 +155,7 @@ def test_registry_single_winner_under_contention():
         t.start()
     for t in threads:
         t.join()
-    assert len(reg) == 1
+    assert len(reg.sorted_descriptors()) == 1
     assert all(d is results[0] for d in results)
 
 
