@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .cfg import ReturnStatus, canonical_serialize, require_valid, to_dot, to_json_dict
 from .errors import MalformedImageError, PcfgError, SpecOutOfBoundsError
-from .image import load_image
+from .image import Image, load_image
 from .parallel import construct_details
 from .workload import (
     FAMILIES,
@@ -59,19 +59,24 @@ def _thread_counts(text: str) -> list[int]:
     return [_thread_count(t) for t in text.split(",") if t]
 
 
-def _load(path: str):
-    return load_image(Path(path).read_bytes())
-
-
-def cmd_analyze(image_path: str, threads: int, fmt: str, out: str | None) -> int:
+def _load(path: str) -> Image | int:
+    """The image at `path`, or the exit code of a command that cannot
+    load it: 1 for a malformed image, 2 for a missing or unreadable
+    file."""
     try:
-        image = _load(image_path)
+        return load_image(Path(path).read_bytes())
     except MalformedImageError as exc:
         print(f"error: malformed image: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def cmd_analyze(image_path: str, threads: int, fmt: str, out: str | None) -> int:
+    image = _load(image_path)
+    if isinstance(image, int):
+        return image
     try:
         cfg, stats, registry = construct_details(image, threads)
         # the writer validates the graph before anything is printed
@@ -112,10 +117,12 @@ def cmd_analyze(image_path: str, threads: int, fmt: str, out: str | None) -> int
 
 
 def cmd_verify(image_path: str, truth_path: str, threads: int) -> int:
+    image = _load(image_path)
+    if isinstance(image, int):
+        return image
     try:
-        image = _load(image_path)
         expected = load_truth(truth_path)
-    except (MalformedImageError, OSError, ValueError, TypeError, KeyError) as exc:
+    except (OSError, ValueError, TypeError, KeyError) as exc:
         print(f"error: bad input: {exc}", file=sys.stderr)
         return 2
     try:
@@ -139,11 +146,9 @@ def cmd_verify(image_path: str, truth_path: str, threads: int) -> int:
 
 
 def cmd_bench(image_path: str, threads_list: list[int], repeat: int) -> int:
-    try:
-        image = _load(image_path)
-    except (MalformedImageError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    image = _load(image_path)
+    if isinstance(image, int):
+        return image
     results: dict[int, list[float]] = {}
     outputs: dict[int, str] = {}
     for threads in threads_list:

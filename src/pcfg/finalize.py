@@ -215,23 +215,25 @@ def _drop_unreachable_below(g: Cfg, index: EdgeIndex, roots: Iterable[int]) -> l
 
 
 def trim_overlapping_tables(g: Cfg, registry: TableRegistry, index: EdgeIndex) -> None:
-    """Cut each table whose effective extent overlaps the next table's
-    base back to that base and drop the indirect edges only the cut
-    entries produced, from `g` and from `index`. The code they alone
+    """Cut each table whose effective extent overlaps the next larger
+    table base back to that base and drop the indirect edges only the
+    cut entries produced, from `g` and from `index`. The code they alone
     reached is left to the sweep that follows the trim in
     `finalize_details`."""
     ends = {b.end: b.start for b in g.blocks.values()}
     descs = registry.sorted_descriptors()
+    bases = sorted({d.base for d in descs})
+    next_base = dict(zip(bases, bases[1:]))
     drop: set[Edge] = set()
-    for i, desc in enumerate(descs):
+    for desc in descs:
         owner = ends.get(desc.jump_end)
-        nxt = descs[i + 1] if i + 1 < len(descs) else None
+        nxt = next_base.get(desc.base)
         extent = desc.base + 4 * desc.effective_bound
-        if nxt is None or extent <= nxt.base or owner is None:
+        if nxt is None or extent <= nxt or owner is None:
             if desc.final_bound is None:
                 desc.final_bound = desc.effective_bound
             continue
-        new_bound = (nxt.base - desc.base) // 4
+        new_bound = (nxt - desc.base) // 4
         kept = {t for t in desc.index_targets[:new_bound] if t is not None}
         cut = {t for t in desc.index_targets[new_bound:] if t is not None} - kept
         drop.update(Edge(owner, t, EdgeKind.INDIRECT) for t in cut)

@@ -3,13 +3,14 @@
 An indirect table jump names a table base in the data section and a
 declared bound. The effective bound is the maximum of the declared
 bound and the last bound-hint immediate found in each currently-known
-intra-procedural direct predecessor block, so targets discovered along
-different paths accumulate as a union and the resolved set only ever
-grows. Reads past the data section are clamped, and each clamped table
-gets one diagnostic once construction has settled its bound; entries
-that do not land in the text section are skipped. The registry
-records one descriptor per table base so finalization can detect tables
-whose effective extent overlaps the next table and trim them.
+intra-procedural direct predecessor block. A table is only ever read
+at the largest bound seen so far, so each read extends the last one and
+the resolved set only ever grows. Reads past the data section are
+clamped, and each clamped table gets one diagnostic once construction
+has settled its bound; entries that do not land in the text section are
+skipped. The registry records one descriptor per table jump, so jumps
+that share a base each get their own targets, and finalization trims
+each table whose effective extent overlaps the next larger base.
 """
 
 from __future__ import annotations
@@ -60,14 +61,19 @@ class TableDescriptor:
     jump_end: int  # end address of the indirect jump; stable across splits
     effective_bound: int = 0
     final_bound: int | None = None
-    targets: set[int] = field(default_factory=set)
-    #: resolved target per table index (None where skipped); lets
-    #: finalization trim by index without touching the image again
+    #: resolved target per table index (None where skipped), as last
+    #: read; lets finalization trim by index without touching the image
+    #: again
     index_targets: list[int | None] = field(default_factory=list)
     interested: set[int] = field(default_factory=set)  # function entries
     clamped: bool = False
     #: whether `update_descriptor` has read the table yet
     read: bool = False
+
+    @property
+    def targets(self) -> set[int]:
+        """The resolved targets: every in-text entry of the last read."""
+        return {t for t in self.index_targets if t is not None}
 
     @property
     def settled_bound(self) -> int:
@@ -76,41 +82,45 @@ class TableDescriptor:
 
 
 def update_descriptor(desc: TableDescriptor, image: Image, bound: int) -> set[int]:
-    """Fold one analysis pass into the descriptor: bounds and targets
-    accumulate as a union, so the resolved set never shrinks. Returns the
-    targets this pass added. Callers serialize access per descriptor."""
+    """Read the table at `bound` or at its largest earlier bound, if
+    that is larger, so each read extends the last one and the resolved
+    set never shrinks. Returns the targets this read added. Callers
+    serialize access per descriptor."""
     bound = max(bound, desc.effective_bound)
     entries, clamped = read_table_entries(image, desc.base, bound)
-    found = {t for t in entries if t is not None}
-    new = found - desc.targets
-    desc.targets |= found
+    old = desc.index_targets
+    new = {t for t in entries[len(old) :] if t is not None}.difference(old)
     desc.effective_bound = bound
     desc.index_targets = entries
-    desc.clamped |= clamped
+    desc.clamped = clamped
     desc.read = True
     return new
 
 
 class TableRegistry:
-    """One descriptor per table base; insertion is single-winner."""
+    """One descriptor per table jump, keyed by the jump's end; insertion
+    is single-winner."""
 
     def __init__(self) -> None:
-        self._by_base: dict[int, TableDescriptor] = {}
+        self._by_jump: dict[int, TableDescriptor] = {}
 
     def get_or_create(self, base: int, declared: int, jump_end: int) -> TableDescriptor:
         desc = TableDescriptor(base, declared, jump_end)
-        return self._by_base.setdefault(base, desc)
+        return self._by_jump.setdefault(jump_end, desc)
 
     def sorted_descriptors(self) -> list[TableDescriptor]:
-        return [self._by_base[b] for b in sorted(self._by_base)]
+        """The descriptors by base, then by jump end."""
+        return sorted(self._by_jump.values(), key=lambda d: (d.base, d.jump_end))
 
     def dump(self) -> list[dict]:
-        """Registry summary sorted by base, for the JSON export."""
+        """Registry summary sorted by base, then jump end, for the JSON
+        export."""
         out = []
         for d in self.sorted_descriptors():
             out.append(
                 {
                     "base": f"0x{d.base:x}",
+                    "jump_end": f"0x{d.jump_end:x}",
                     "declared_bound": d.declared_bound,
                     "effective_bound": d.effective_bound,
                     "final_bound": d.settled_bound,

@@ -53,8 +53,12 @@ A function record holds state only while it uses it. Its worklist is
 created under the record lock by the first enqueue and handed whole to
 the drain, so a drained function holds none. Its waiter set is created
 by the first waiter and dropped when its status is written; a status is
-written once, so no set is made again. Its table set exists from its
-first table jump on, and its set of visited addresses until quiescence.
+written once, so no set is made again. Its set of visited addresses
+lasts until quiescence.
+
+A table jump's table is refreshed at each visit of the jump and in the
+quiescence sweep, as in the serial oracle: tables only grow, so any
+order of refreshes reaches the same fixed point.
 
 `ConcurrentCfgState.run` is the engine's one driver: it traverses to
 quiescence and exports the raw graph. `construct_details` is the one
@@ -72,7 +76,7 @@ import queue
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .cfg import (
     EDGE_KINDS,
@@ -159,7 +163,6 @@ class _FuncRecord:
         "pending",
         "active",
         "visited",
-        "table_descs",
         "status",
         "waiters",
     )
@@ -172,35 +175,13 @@ class _FuncRecord:
         self.active = False
         # dropped at quiescence
         self.visited: set[int] | None = set()
-        # the function's jump tables, from its first one on
-        self.table_descs: set | None = None
         self.status = status
         # (waiting function, call-site end or _TAIL_SITE), from the first
         # waiter until the status is written
         self.waiters: set[tuple[int, int]] | None = None
 
 
-class _WorkerCtx:
-    """Per-worker counters, each named after the `EngineStats` field it
-    is summed into when a run ends."""
-
-    __slots__ = (
-        "blocks_created",
-        "block_claim_losses",
-        "end_registrations",
-        "end_registration_losses",
-        "splits_performed",
-        "functions_created",
-        "function_claim_losses",
-        "waiters_registered",
-    )
-
-    def __init__(self):
-        for name in self.__slots__:
-            setattr(self, name, 0)
-
-
-@dataclass
+@dataclass(slots=True)
 class EngineStats:
     blocks_created: int = 0
     block_claim_losses: int = 0
@@ -238,7 +219,8 @@ class _TaskPool:
             threading.Thread(target=self._run, args=(i,), daemon=True)
             for i in range(workers)
         ]
-        self.ctxs = [_WorkerCtx() for _ in range(workers)]
+        #: one per worker, which counts into it alone
+        self.ctxs = [EngineStats() for _ in range(workers)]
 
     def start(self) -> None:
         for t in self._threads:
@@ -319,7 +301,7 @@ class ConcurrentCfgState:
 
     # -- invariant primitives ---------------------------------------------
 
-    def attempt_create_block(self, addr: int, ctx: _WorkerCtx) -> bool:
+    def attempt_create_block(self, addr: int, ctx: EngineStats) -> bool:
         """Single-winner claim of the block starting at `addr`. True means
         the caller owns parsing of that block."""
         blk = _EngineBlock(addr)
@@ -329,7 +311,7 @@ class ConcurrentCfgState:
         ctx.block_claim_losses += 1
         return False
 
-    def attempt_create_function(self, addr: int, ctx: _WorkerCtx) -> bool:
+    def attempt_create_function(self, addr: int, ctx: EngineStats) -> bool:
         """Single-winner creation of the function record at `addr`; the
         winner's traversal is queued immediately."""
         if addr in self.functions:
@@ -344,7 +326,7 @@ class ConcurrentCfgState:
         self._enqueue_addr(rec, addr)
         return True
 
-    def register_block_end(self, block: _EngineBlock, tail: bool, ctx: _WorkerCtx) -> None:
+    def register_block_end(self, block: _EngineBlock, tail: bool, ctx: EngineStats) -> None:
         """Single-winner end registration with the eager block split. The
         first block at an end creates its outgoing edges while holding
         the end's stripe lock (a block cut short has none to create); a
@@ -446,7 +428,7 @@ class ConcurrentCfgState:
                 if tgt not in seen:
                     seen.add(tgt)
                     work.append(tgt)
-        return goal in seen
+        return False
 
     def _classify_branch(self, fn: _FuncRecord, src: int, target: int, teardown: bool) -> bool:
         """Tail-call heuristics in order: branch to a known entry; branch
@@ -510,7 +492,7 @@ class ConcurrentCfgState:
             else:
                 stack.pop()
 
-    def _await_status(self, ctx: _WorkerCtx, fn: _FuncRecord, target: int, site: int) -> None:
+    def _await_status(self, ctx: EngineStats, fn: _FuncRecord, target: int, site: int) -> None:
         """`fn` waits on `target`'s return status at `site`, a call-site
         end or `_TAIL_SITE`: it joins the target's waiters while the
         status is unset, and acts at once on a target that returns."""
@@ -604,11 +586,10 @@ class ConcurrentCfgState:
                 rec.active = True
                 self.pool.spawn(lambda ctx, r=rec: self.traverse_function(r, ctx))
 
-    def traverse_function(self, rec: _FuncRecord, ctx: _WorkerCtx) -> None:
-        """Drain one function's worklist, driving its jump tables to a
-        fixed point before going idle. Going idle drops the worklist.
-        The drain takes the whole worklist in one lock acquisition and
-        queues the function's own direct successors on a local FIFO.
+    def traverse_function(self, rec: _FuncRecord, ctx: EngineStats) -> None:
+        """Drain one function's worklist; going idle drops it. The drain
+        takes the whole worklist in one lock acquisition and queues the
+        function's own direct successors on a local FIFO.
         Wake-ups and table targets still arrive in the worklist, which
         is moved to the FIFO's tail after each visit that finds it
         non-empty. A visit adds successors or worklist entries, never
@@ -625,9 +606,6 @@ class ConcurrentCfgState:
                     with rec.lock:
                         work.extend(rec.pending)
                         rec.pending = None
-            if rec.table_descs is not None:
-                for desc in sorted(rec.table_descs, key=lambda d: d.base):
-                    self.refresh_descriptor(desc)
             with rec.lock:
                 if not rec.pending:
                     rec.active = False
@@ -635,7 +613,7 @@ class ConcurrentCfgState:
 
     # -- per-address dispatch ----------------------------------------------------
 
-    def _process(self, ctx: _WorkerCtx, fn: _FuncRecord, addr: int, work: deque[int]) -> None:
+    def _process(self, ctx: EngineStats, fn: _FuncRecord, addr: int, work: deque[int]) -> None:
         """Visit `addr` in `fn`, appending its direct successors that the
         function has not visited to `work`."""
         if not self._text_base <= addr < self._text_end:
@@ -680,10 +658,6 @@ class ConcurrentCfgState:
             self._set_status(fn.entry, ReturnStatus.RETURN, strict=False)
         elif kind == _TABLE:
             desc = self.registry.get_or_create(a, b, end)
-            if fn.table_descs is None:
-                fn.table_descs = {desc}
-            else:
-                fn.table_descs.add(desc)
             with self._end_locks[desc.jump_end % _END_STRIPES]:
                 desc.interested.add(fn.entry)
                 known = sorted(desc.targets)
@@ -729,17 +703,14 @@ class ConcurrentCfgState:
         t2 = time.perf_counter()
         stats.traversal_seconds = t2 - t1
 
-        self._merge_ctx_stats(stats)
+        for ctx in self.pool.ctxs:
+            for f in fields(EngineStats):
+                setattr(stats, f.name, getattr(stats, f.name) + getattr(ctx, f.name))
         stats.tables_clamped = log_clamped_tables(self.registry, self.image)
         cfg = self.export_cfg()
         stats.raw_edge_count = len(cfg.edges)
         stats.export_seconds = time.perf_counter() - t2
         return cfg, stats
-
-    def _merge_ctx_stats(self, stats: EngineStats) -> None:
-        for ctx in self.pool.ctxs:
-            for name in _WorkerCtx.__slots__:
-                setattr(stats, name, getattr(stats, name) + getattr(ctx, name))
 
     # -- export ---------------------------------------------------------------
 

@@ -290,7 +290,7 @@ def _reaches(ix: _IndexedCfg, source: int, goal: int, exclude: Edge | None) -> b
             if e.target not in seen:
                 seen.add(e.target)
                 work.append(e.target)
-    return goal in seen
+    return False
 
 
 def _has_teardown(image: Image, blk: Block) -> bool:

@@ -558,8 +558,10 @@ def extract_facets(g: Cfg, registry: TableRegistry) -> GroundTruth:
         truth.function_ranges[fb.entry] = coalesce_ranges(
             (g.blocks[s].start, g.blocks[s].end) for s in fb.blocks
         )
+    sizes = truth.jump_table_sizes
     for desc in registry.sorted_descriptors():
-        truth.jump_table_sizes[desc.base] = desc.settled_bound
+        # jumps that share a base: the largest bound any of them settled on
+        sizes[desc.base] = max(desc.settled_bound, sizes.get(desc.base, 0))
     for blk in g.blocks.values():
         term = blk.terminator
         if term is not None and term.kind is Opcode.CALL:

@@ -16,18 +16,19 @@ _CALLISH = (EdgeKind.CALL, EdgeKind.TAIL_CALL)
 
 
 def _trim(g: Cfg, registry: TableRegistry) -> None:
-    """Cut each table that overlaps the next table's base back to that
-    base and drop the indirect edges only the cut entries produced."""
+    """Cut each table that overlaps the next larger table base back to
+    that base and drop the indirect edges only the cut entries produced."""
     ends = {b.end: b.start for b in g.blocks.values()}
     descs = registry.sorted_descriptors()
-    for desc, nxt in zip(descs, descs[1:] + [None]):
+    for desc in descs:
         owner = ends.get(desc.jump_end)
+        nxt = min((d.base for d in descs if d.base > desc.base), default=None)
         extent = desc.base + 4 * desc.effective_bound
-        if nxt is None or extent <= nxt.base or owner is None:
+        if nxt is None or extent <= nxt or owner is None:
             if desc.final_bound is None:
                 desc.final_bound = desc.effective_bound
             continue
-        new_bound = (nxt.base - desc.base) // 4
+        new_bound = (nxt - desc.base) // 4
         kept = {t for t in desc.index_targets[:new_bound] if t is not None}
         for t in desc.index_targets[new_bound:]:
             if t is not None and t not in kept:

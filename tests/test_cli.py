@@ -28,6 +28,18 @@ def _run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+#: the commands that load an image
+_IMAGE_COMMANDS = ("analyze", "verify", "bench")
+
+
+def _image_command(command, image_path, corpus):
+    """`command` run on `image_path`; `verify` checks it against the
+    corpus's valid ground truth, so only the image can be at fault."""
+    if command == "verify":
+        return command, image_path, "--truth", corpus[1]
+    return command, image_path
+
+
 class TestAnalyze:
     def test_canon_output_identical_across_thread_counts(self, corpus, capsys, tmp_path):
         image_path, _ = corpus
@@ -69,8 +81,9 @@ class TestAnalyze:
         assert code == 0
         doc = json.loads(out.read_text())
         assert "cfg" in doc and "jump_tables" in doc
+        fields = {"base", "jump_end", "declared_bound", "effective_bound", "final_bound"}
         for t in doc["jump_tables"]:
-            assert {"base", "declared_bound", "effective_bound", "final_bound"} <= set(t)
+            assert fields <= set(t)
 
     def test_dot_format(self, corpus, capsys, tmp_path):
         image_path, _ = corpus
@@ -79,20 +92,22 @@ class TestAnalyze:
         assert code == 0
         assert out.read_text().startswith("digraph cfg {")
 
-    def test_bad_magic_exits_1(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", _IMAGE_COMMANDS)
+    def test_bad_magic_exits_1(self, corpus, tmp_path, capsys, command):
         p = tmp_path / "bad.pcfg"
         p.write_bytes(b"XXXX" + b"\x00" * 32)
-        code, _, err = _run(capsys, "analyze", p)
+        code, _, err = _run(capsys, *_image_command(command, p, corpus))
         assert code == 1
         assert "malformed" in err
 
-    def test_undecodable_symbol_name_exits_1(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", _IMAGE_COMMANDS)
+    def test_undecodable_symbol_name_exits_1(self, corpus, tmp_path, capsys, command):
         from pcfg.image import Image, SymbolKind, make_symbol, pack_image
 
         img = Image(0x1000, b"\x05", 0x2000, b"", (make_symbol(0x1000, "f", SymbolKind.FUNC),))
         p = tmp_path / "badname.pcfg"
         p.write_bytes(pack_image(img)[:-1] + b"\xff")
-        code, _, err = _run(capsys, "analyze", p)
+        code, _, err = _run(capsys, *_image_command(command, p, corpus))
         assert code == 1
         assert "malformed image" in err
         assert "Traceback" not in err

@@ -2,9 +2,12 @@ import logging
 import struct
 import threading
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcfg.cfg import EdgeKind, ReturnStatus, canonical_serialize
+from pcfg.finalize import EdgeIndex, finalize_details
 from pcfg.image import Image
 from pcfg.isa import Opcode
 from pcfg.jumptables import (
@@ -15,8 +18,9 @@ from pcfg.jumptables import (
     read_table_entries,
     update_descriptor,
 )
-from pcfg.parallel import ConcurrentCfgState, construct_details
-from pcfg.workload import ScenarioSpec, generate
+from pcfg.parallel import ConcurrentCfgState, construct, construct_details
+from pcfg.serial import serial_construct, serial_construct_details
+from pcfg.workload import ScenarioSpec, extract_facets, generate
 
 from conftest import asm_image
 
@@ -172,16 +176,83 @@ def test_registry_dump_sorted_with_final_bounds():
     assert dump[1]["final_bound"] == 2
 
 
-def test_engine_refresh_reaches_fixed_point():
+@pytest.mark.parametrize("workers", [1, 2, 8])
+def test_engine_refresh_reaches_fixed_point(workers):
     # the growing variant analyzes narrow first, then a loop-back
-    # predecessor widens the bound on refresh
+    # predecessor, found after the jump's visit, widens the bound in the
+    # quiescence sweep
     img, truth = generate(ScenarioSpec.make("jump-table", seed=1, entries=5))
-    state = ConcurrentCfgState(img, workers=1)
+    state = ConcurrentCfgState(img, workers)
     cfg, _ = state.run()
     (desc,) = state.registry.sorted_descriptors()
     assert desc.effective_bound == truth.jump_table_sizes[desc.base]
     assert not state.refresh_descriptor(desc)  # already at the fixed point
     assert len(desc.targets) == 5
+    finalize_details(cfg, state.registry, EdgeIndex(cfg.edges))
+    assert canonical_serialize(cfg) == canonical_serialize(serial_construct(img))
+
+
+def _canon_everywhere(img):
+    """The oracle's canonical bytes, checked equal to the engine's at 1
+    and 2 workers, and the oracle's graph and registry."""
+    cfg, registry = serial_construct_details(img)
+    text = canonical_serialize(cfg)
+    for workers in (1, 2):
+        assert canonical_serialize(construct(img, workers)) == text
+    return cfg, registry
+
+
+def _indirect(cfg):
+    return sorted((e.source, e.target) for e in cfg.edges if e.kind is EdgeKind.INDIRECT)
+
+
+def test_jumps_sharing_a_table_base_each_get_its_targets():
+    # two functions jump through the same table of two `ret`s
+    img = asm_image(
+        0x0,
+        [
+            (Opcode.IJMP_TABLE, 0x100000, 2),
+            (Opcode.RET,),
+            (Opcode.RET,),
+            (Opcode.IJMP_TABLE, 0x100000, 2),
+        ],
+        symbols=[(0x0, "a$1", False), (0x9, "b$1", False)],
+        data=struct.pack("<II", 0x7, 0x8),
+    )
+    cfg, registry = _canon_everywhere(img)
+    assert _indirect(cfg) == [(0x0, 0x7), (0x0, 0x8), (0x9, 0x7), (0x9, 0x8)]
+    assert {a: f.status for a, f in cfg.entries.items()} == {
+        0x0: ReturnStatus.RETURN,
+        0x9: ReturnStatus.RETURN,
+    }
+    assert [d["jump_end"] for d in registry.dump()] == ["0x7", "0x10"]
+
+
+def test_jumps_sharing_a_table_base_trim_at_the_next_larger_base():
+    # jumps at 0x0 and 0xa read three and one entries at 0x100000, and
+    # the jump at 0x11 one entry at 0x100008: the first table is cut
+    # back to two entries, and the base's size is the larger of the two
+    img = asm_image(
+        0x0,
+        [
+            (Opcode.IJMP_TABLE, 0x100000, 3),
+            (Opcode.RET,),
+            (Opcode.RET,),
+            (Opcode.RET,),
+            (Opcode.IJMP_TABLE, 0x100000, 1),
+            (Opcode.IJMP_TABLE, 0x100008, 1),
+        ],
+        symbols=[(0x0, "a$1", False), (0xA, "b$1", False), (0x11, "c$1", False)],
+        data=struct.pack("<III", 0x7, 0x8, 0x9),
+    )
+    cfg, registry = _canon_everywhere(img)
+    assert _indirect(cfg) == [(0x0, 0x7), (0x0, 0x8), (0xA, 0x7), (0x11, 0x9)]
+    assert [(d.base, d.jump_end, d.final_bound) for d in registry.sorted_descriptors()] == [
+        (0x100000, 0x7, 2),
+        (0x100000, 0x11, 1),
+        (0x100008, 0x18, 1),
+    ]
+    assert extract_facets(cfg, registry).jump_table_sizes == {0x100000: 2, 0x100008: 1}
 
 
 def test_clamped_tables_logged_once_each_and_counted(caplog):

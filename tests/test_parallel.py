@@ -24,7 +24,7 @@ from conftest import asm_image, decode_walk
 
 
 def _ctx():
-    return parallel._WorkerCtx()
+    return parallel.EngineStats()
 
 
 def _raised_within(seconds, fn):
@@ -876,26 +876,21 @@ def test_no_thread_holds_two_end_stripes(monkeypatch, workers):
 
 
 class TestEngineMemory:
-    """A record holds a worklist, waiter set and table set only while it
-    uses them, and the engine's state is freed before finalize."""
+    """A record holds a worklist and waiter set only while it uses them,
+    and the engine's state is freed before finalize."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_records_hold_only_what_they_use(self, workers):
-        waited = tabled = 0
+        waited = 0
         for spec in _FAMILY_SPECS:
             img, _ = generate(spec)
             state = ConcurrentCfgState(img, workers)
             _, stats = state.run()
             waited += stats.waiters_registered
-            with_tables = set()
-            for desc in state.registry.sorted_descriptors():
-                with_tables |= desc.interested
-            tabled += len(with_tables)
-            for addr, rec in state.functions.items():
+            for rec in state.functions.values():
                 assert rec.pending is None
                 assert rec.status is not ReturnStatus.UNSET and rec.waiters is None
-                assert (rec.table_descs is not None) == (addr in with_tables)
-        assert waited > 0 and tabled > 0
+        assert waited > 0
 
     def test_state_is_freed_before_finalize(self, monkeypatch):
         refs = []
