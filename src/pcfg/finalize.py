@@ -10,9 +10,11 @@ a canonical order or judges them all against the same graph, so the
 result is independent of how the traversal phase was scheduled.
 
 Every step reads the graph's edges through one `EdgeIndex` (out-edges
-by source, in-edges by target) of `g.edges` that the caller hands in
-and finalization keeps current through each removal and flip, so no
-step rebuilds a view of every edge for itself.
+by source, in-edges by target) of `g.edges` that the caller hands in,
+and changes them only through it: the index is the only writer of the
+edge set it was built over, so its three views stay in step through
+each removal and flip, and no step rebuilds a view of every edge for
+itself.
 
 Tail-call correction applies three rules to each branch edge, lowest
 rule wins, judged against a per-round snapshot:
@@ -74,7 +76,7 @@ in-edge from outside the region.
 
 from __future__ import annotations
 
-from collections.abc import Collection, Iterable
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .cfg import (
@@ -104,13 +106,14 @@ class FinalizeStats:
 
 
 class EdgeIndex:
-    """A graph's edges by source (`out`) and by target (`inc`), kept in
-    step with `g.edges` by the steps that change it. No list is empty:
+    """A graph's edge set (`edges`, the set it was built over) with its
+    edges by source (`out`) and by target (`inc`). It is the only writer
+    of that set, so the three views change together. No list is empty:
     an address without edges has no key."""
 
-    __slots__ = ("out", "inc")
+    __slots__ = ("edges", "out", "inc")
 
-    def __init__(self, edges: Iterable[Edge]):
+    def __init__(self, edges: set[Edge]):
         out: dict[int, list[Edge]] = {}
         inc: dict[int, list[Edge]] = {}
         for e in edges:
@@ -125,15 +128,21 @@ class EdgeIndex:
                 inc[target] = [e]
             else:
                 bucket.append(e)
+        self.edges = edges
         self.out = out
         self.inc = inc
 
-    def add(self, e: Edge) -> None:
-        """Index `e`, an edge not indexed yet."""
+    def add(self, e: Edge) -> bool:
+        """Add `e`; returns whether it was not there yet."""
+        if e in self.edges:
+            return False
+        self.edges.add(e)
         self.out.setdefault(e.source, []).append(e)
         self.inc.setdefault(e.target, []).append(e)
+        return True
 
     def remove(self, e: Edge) -> None:
+        self.edges.remove(e)
         for by, key in ((self.out, e.source), (self.inc, e.target)):
             bucket = by[key]
             bucket.remove(e)
@@ -141,29 +150,26 @@ class EdgeIndex:
                 del by[key]
 
     def replace(self, old: Edge, new: Edge) -> None:
-        """Swap `old` for `new`, an edge with the same ends."""
+        """Swap `old` for `new`, an edge with the same ends; when `new` is
+        there already, only remove `old`."""
+        if new in self.edges:
+            self.remove(old)
+            return
+        self.edges.remove(old)
+        self.edges.add(new)
         for bucket in (self.out[old.source], self.inc[old.target]):
             bucket[bucket.index(old)] = new
 
 
-def _remove_nodes(g: Cfg, index: EdgeIndex, nodes: Collection[int]) -> list[Edge]:
+def _remove_nodes(g: Cfg, index: EdgeIndex, nodes: set[int]) -> list[Edge]:
     """Drop the blocks and candidates at `nodes`, which no other node
     has an edge into, with every edge they touch; returns the edges."""
-    inc, out = index.inc, index.out
     for n in nodes:
         g.blocks.pop(n, None)
         g.candidates.discard(n)
-        inc.pop(n, None)
-    removed: list[Edge] = []
-    for n in nodes:
-        for e in out.pop(n, ()):
-            removed.append(e)
-            bucket = inc.get(e.target)
-            if bucket is not None:
-                bucket.remove(e)
-                if not bucket:
-                    del inc[e.target]
-    g.edges.difference_update(removed)
+    removed = [e for n in nodes for e in index.out.get(n, ())]
+    for e in removed:
+        index.remove(e)
     return removed
 
 
@@ -180,8 +186,8 @@ def _drop_unreachable(g: Cfg, index: EdgeIndex) -> bool:
             if target not in seen:
                 seen.add(target)
                 work.append(target)
-    dead = [s for s in g.blocks if s not in seen]
-    dead += g.candidates - seen
+    dead = {s for s in g.blocks if s not in seen}
+    dead |= g.candidates - seen
     if not dead:
         return False
     _remove_nodes(g, index, dead)
@@ -217,9 +223,8 @@ def _drop_unreachable_below(g: Cfg, index: EdgeIndex, roots: Iterable[int]) -> l
 def trim_overlapping_tables(g: Cfg, registry: TableRegistry, index: EdgeIndex) -> None:
     """Cut each table whose effective extent overlaps the next larger
     table base back to that base and drop the indirect edges only the
-    cut entries produced, from `g` and from `index`. The code they alone
-    reached is left to the sweep that follows the trim in
-    `finalize_details`."""
+    cut entries produced. The code they alone reached is left to the
+    sweep that follows the trim in `finalize_details`."""
     ends = {b.end: b.start for b in g.blocks.values()}
     descs = registry.sorted_descriptors()
     bases = sorted({d.base for d in descs})
@@ -238,9 +243,7 @@ def trim_overlapping_tables(g: Cfg, registry: TableRegistry, index: EdgeIndex) -
         cut = {t for t in desc.index_targets[new_bound:] if t is not None} - kept
         drop.update(Edge(owner, t, EdgeKind.INDIRECT) for t in cut)
         desc.final_bound = new_bound
-    drop &= g.edges
-    g.edges -= drop
-    for e in drop:
+    for e in drop & index.edges:
         index.remove(e)
 
 
@@ -287,10 +290,10 @@ def correct_tail_calls(
     g: Cfg, index: EdgeIndex, boundaries: list[FunctionBoundary], judged: Iterable[Edge]
 ) -> list[Edge]:
     """One pass of the three correction rules over the edges `judged`,
-    applied to `g` and `index` in place; returns the judged edges that
-    flipped, as they were before the flip. Every edge is judged against
-    the graph as the pass found it and the flips are applied after the
-    pass, so the order edges are judged in does not matter.
+    applied to `g` in place through `index`; returns the judged edges
+    that flipped, as they were before the flip. Every edge is judged
+    against the graph as the pass found it and the flips are applied
+    after the pass, so the order edges are judged in does not matter.
     `boundaries` must include every boundary that holds the source of a
     judged tail call."""
     inc = index.inc
@@ -327,10 +330,7 @@ def correct_tail_calls(
                 drop_entries.append(target)
 
     for e, kind in flips:
-        new = Edge(e.source, e.target, kind)
-        g.edges.discard(e)
-        g.edges.add(new)
-        index.replace(e, new)
+        index.replace(e, Edge(e.source, e.target, kind))
     for addr in drop_entries:
         g.entries.pop(addr, None)
     return [e for e, _ in flips]

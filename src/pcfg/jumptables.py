@@ -1,21 +1,27 @@
 """Jump table target resolution.
 
 An indirect table jump names a table base in the data section and a
-declared bound. The effective bound is the maximum of the declared
-bound and the last bound-hint immediate found in each currently-known
-intra-procedural direct predecessor block. A table is only ever read
-at the largest bound seen so far, so each read extends the last one and
-the resolved set only ever grows. Reads past the data section are
-clamped, and each clamped table gets one diagnostic once construction
-has settled its bound; entries that do not land in the text section are
-skipped. The registry records one descriptor per table jump, so jumps
-that share a base each get their own targets, and finalization trims
-each table whose effective extent overlaps the next larger base.
+declared bound. `refresh_table` owns the one rule both constructors
+refresh a table by: its bound is the maximum of the declared bound, the
+last bound-hint immediate found in each currently-known
+intra-procedural direct predecessor block, and the bound of its last
+read. Tables only grow: a table's targets depend on its base and bound
+alone, so a refresh whose bound did not grow cannot add a target, and
+the table is read only at its first refresh and when its bound grows.
+Each read extends the last one, so the resolved set only ever grows and
+any order of refreshes reaches the same fixed point. Reads past the
+data section are clamped, and each clamped table gets one diagnostic
+once construction has settled its bound; entries that do not land in
+the text section are skipped. The registry records one descriptor per
+table jump, so jumps that share a base each get their own targets, and
+finalization trims each table whose effective extent overlaps the next
+larger base.
 """
 
 from __future__ import annotations
 
 import logging
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from ._kernels import scan_block
@@ -50,16 +56,12 @@ def last_bound_hint(image: Image, start: int, end: int) -> int | None:
     return scan_block(image.text, image.text_base, start, end)[6]
 
 
-def effective_bound(declared: int, hints) -> int:
-    return max([declared, *hints])
-
-
 @dataclass(eq=False)
 class TableDescriptor:
     base: int
     declared_bound: int
     jump_end: int  # end address of the indirect jump; stable across splits
-    effective_bound: int = 0
+    effective_bound: int = 0  # the bound of the last read
     final_bound: int | None = None
     #: resolved target per table index (None where skipped), as last
     #: read; lets finalization trim by index without touching the image
@@ -67,7 +69,9 @@ class TableDescriptor:
     index_targets: list[int | None] = field(default_factory=list)
     interested: set[int] = field(default_factory=set)  # function entries
     clamped: bool = False
-    #: whether `update_descriptor` has read the table yet
+    #: whether `refresh_table` has read the table; the first refresh
+    #: reads even at bound 0, so a base outside the data section is
+    #: still flagged clamped
     read: bool = False
 
     @property
@@ -81,12 +85,15 @@ class TableDescriptor:
         return self.final_bound if self.final_bound is not None else self.effective_bound
 
 
-def update_descriptor(desc: TableDescriptor, image: Image, bound: int) -> set[int]:
-    """Read the table at `bound` or at its largest earlier bound, if
-    that is larger, so each read extends the last one and the resolved
-    set never shrinks. Returns the targets this read added. Callers
-    serialize access per descriptor."""
-    bound = max(bound, desc.effective_bound)
+def refresh_table(desc: TableDescriptor, image: Image, hints: Iterable[int]) -> list[int]:
+    """Refresh `desc` at the largest of its declared bound, `hints` and
+    the bound of its last read; returns the targets this refresh added,
+    sorted. The first refresh always reads, which flags a clamped base;
+    a later one reads only when the bound grew. Callers serialize access
+    per descriptor."""
+    bound = max(desc.declared_bound, desc.effective_bound, *hints)
+    if desc.read and bound == desc.effective_bound:
+        return []
     entries, clamped = read_table_entries(image, desc.base, bound)
     old = desc.index_targets
     new = {t for t in entries[len(old) :] if t is not None}.difference(old)
@@ -94,7 +101,7 @@ def update_descriptor(desc: TableDescriptor, image: Image, bound: int) -> set[in
     desc.index_targets = entries
     desc.clamped = clamped
     desc.read = True
-    return new
+    return sorted(new)
 
 
 class TableRegistry:

@@ -57,8 +57,9 @@ written once, so no set is made again. Its set of visited addresses
 lasts until quiescence.
 
 A table jump's table is refreshed at each visit of the jump and in the
-quiescence sweep, as in the serial oracle: tables only grow, so any
-order of refreshes reaches the same fixed point.
+quiescence sweep, by `refresh_table`, the rule the serial oracle
+refreshes by too: tables only grow, so any order of refreshes reaches
+the same fixed point.
 
 `ConcurrentCfgState.run` is the engine's one driver: it traverses to
 quiescence and exports the raw graph. `construct_details` is the one
@@ -94,13 +95,7 @@ from .errors import AlreadySetError, InternalError, OutOfRangeError
 from .finalize import EdgeIndex, finalize_details
 from .image import Image
 from .isa import LENGTHS, Instruction, Opcode
-from .jumptables import (
-    TableRegistry,
-    effective_bound,
-    last_bound_hint,
-    log_clamped_tables,
-    update_descriptor,
-)
+from .jumptables import TableRegistry, last_bound_hint, log_clamped_tables, refresh_table
 from .symtab import symbol_facts
 
 _INTRA_INTS = frozenset(int(k) for k in INTRA_EDGE_KINDS)
@@ -518,12 +513,11 @@ class ConcurrentCfgState:
     # -- jump tables ---------------------------------------------------------
 
     def refresh_descriptor(self, desc) -> bool:
-        """Re-resolve one table against the currently-known predecessor
-        set; append any new edges and queue the new targets for every
-        interested function. Monotone: the target set never shrinks, and
-        the table is read again only when its bound grows, because its
-        targets depend on its base and bound alone. The descriptor is
-        guarded by its jump end's stripe lock."""
+        """Refresh one table (`refresh_table`) against its owner's
+        currently-known predecessors; add an edge to each target it adds
+        and queue those for every interested function. Returns whether it
+        added any. The descriptor is guarded by its jump end's stripe
+        lock."""
         jump_end = desc.jump_end
         by_end = self.blocks_by_end
         with self._end_locks[jump_end % _END_STRIPES]:
@@ -538,20 +532,15 @@ class ConcurrentCfgState:
                 h = self._last_hint(pb)
                 if h is not None:
                     hints.append(h)
-            bound = effective_bound(desc.declared_bound, hints)
-            # the first read always happens: it flags a clamped base
-            if desc.read and bound <= desc.effective_bound:
-                return False
-            new = update_descriptor(desc, self.image, bound)
+            new = refresh_table(desc, self.image, hints)
             if not new:
                 return False
-            new_sorted = sorted(new)
-            for t in new_sorted:
+            for t in new:
                 self._add_edge_locked(owner, t, _INDIRECT)
             interested = sorted(desc.interested)
         for fi in interested:
             rec = self.functions[fi]
-            for t in new_sorted:
+            for t in new:
                 self._enqueue_addr(rec, t)
         return True
 

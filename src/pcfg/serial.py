@@ -4,15 +4,17 @@ The six operations are pure: each takes a whole graph value and returns
 a new one, or the graph itself when it has nothing to change. Each is
 a clone plus one in-place step over an `_IndexedCfg`, the graph
 together with finalization's `EdgeIndex` of its edges, its blocks by
-end and its sorted block starts; edge removal's step is
-finalization's unreachable-code sweep. Every fact the steps read from
-the image's bytes (block ends, terminators, frame teardown, bound
-hints) is one field of a `scan_block` call. `serial_construct` applies
-the same steps to one indexed graph of its own, driven from the symbol
-table seeds by a deterministic FIFO worklist, so each step costs what
-it touches rather than the whole graph, and construction grows about
-linearly with the image; finalization reads the same index. It is the
-correctness oracle the concurrent engine is checked against, so it
+end and its sorted block starts; the index is the only writer of the
+graph's edge set, and edge removal's step is finalization's
+unreachable-code sweep. Every fact the steps read from the image's
+bytes (block ends, terminators, frame teardown, bound hints) is one
+field of a `scan_block` call, and every table is read through
+`refresh_table`, the refresh rule the engine shares. `serial_construct`
+applies the same steps to one indexed graph of its own, driven from the
+symbol table seeds by a deterministic FIFO worklist, so each step costs
+what it touches rather than the whole graph, and construction grows
+about linearly with the image; finalization reads the same index. It is
+the correctness oracle the concurrent engine is checked against, so it
 imports nothing from the engine (`pcfg.parallel`). Like the engine, it
 runs with the cyclic collector paused (`pcfg._collector`).
 """
@@ -48,14 +50,7 @@ from .errors import (
 from .finalize import EdgeIndex, _drop_unreachable
 from .image import Image
 from .isa import LENGTHS, Instruction, Opcode
-from .jumptables import (
-    TableDescriptor,
-    TableRegistry,
-    effective_bound,
-    last_bound_hint,
-    read_table_entries,
-    update_descriptor,
-)
+from .jumptables import TableDescriptor, TableRegistry, last_bound_hint, refresh_table
 from .symtab import symbol_facts
 
 _DIRECT_TERMS = (Opcode.JMP_DIRECT, Opcode.JCC_DIRECT, Opcode.CALL)
@@ -68,11 +63,12 @@ HintReader = Callable[[int, int], int | None]
 class _IndexedCfg(EdgeIndex):
     """A graph plus the lookups the steps make, kept in step with it:
     the `EdgeIndex` of its edges, each block's start by its end, and the
-    sorted block starts. Blocks and edges change only through
-    `put_block`, `add_edge` and `drop_edge`; candidates and entries are
-    not indexed and are changed on `g` directly. Blocks never overlap in
-    a graph the operations build, so a block end names one block and the
-    nearest start below an address names the only block that can hold it."""
+    sorted block starts. Blocks change only through `put_block` and
+    edges only through the `EdgeIndex` writers; candidates and entries
+    are not indexed and are changed on `g` directly. Blocks never
+    overlap in a graph the operations build, so a block end names one
+    block and the nearest start below an address names the only block
+    that can hold it."""
 
     __slots__ = ("g", "start_by_end", "starts")
 
@@ -91,18 +87,6 @@ class _IndexedCfg(EdgeIndex):
         self.g.blocks[b.start] = b
         self.start_by_end[b.end] = b.start
 
-    def add_edge(self, e: Edge) -> bool:
-        """Add `e`; returns whether it was not there yet."""
-        if e in self.g.edges:
-            return False
-        self.g.edges.add(e)
-        self.add(e)
-        return True
-
-    def drop_edge(self, e: Edge) -> None:
-        self.g.edges.remove(e)
-        self.remove(e)
-
     def outgoing(self, start: int) -> list[Edge]:
         """The edges leaving `start`, by target and kind."""
         return sorted(self.out.get(start, ()))
@@ -119,9 +103,9 @@ def _split(ix: _IndexedCfg, b: Block, t: int) -> None:
     ix.put_block(Block(b.start, t, None))
     ix.put_block(Block(t, b.end, b.terminator))
     for e in list(ix.out.get(b.start, ())):
-        ix.drop_edge(e)
-        ix.add_edge(Edge(t, e.target, e.kind))
-    ix.add_edge(Edge(b.start, t, EdgeKind.COND_FALLTHROUGH))
+        ix.remove(e)
+        ix.add(Edge(t, e.target, e.kind))
+    ix.add(Edge(b.start, t, EdgeKind.COND_FALLTHROUGH))
 
 
 def _ber(ix: _IndexedCfg, image: Image, t: int) -> None:
@@ -146,7 +130,7 @@ def _ber(ix: _IndexedCfg, image: Image, t: int) -> None:
     # no control flow instruction starts and ends within [t, nxt)
     if nxt is not None and (kind == -1 or end > nxt):
         ix.put_block(Block(t, nxt, None))
-        ix.add_edge(Edge(t, nxt, EdgeKind.COND_FALLTHROUGH))
+        ix.add(Edge(t, nxt, EdgeKind.COND_FALLTHROUGH))
         return
     if kind == -1:
         term = Instruction(image.text_end, Opcode.HALT, 1)
@@ -193,7 +177,7 @@ def _dec(ix: _IndexedCfg, a: Block) -> list[Edge]:
     created = []
     for target, kind in wanted:
         e = Edge(blk.start, target, kind)
-        if ix.add_edge(e):
+        if ix.add(e):
             created.append(e)
         _link(ix.g, target)
     return sorted(created)
@@ -219,7 +203,7 @@ def _cfec(ix: _IndexedCfg, call_edge: Edge, callee_status: ReturnStatus) -> bool
     src = ix.g.blocks.get(call_edge.source)
     if src is None:
         raise InternalError(f"no source block at 0x{call_edge.source:x}")
-    ix.add_edge(Edge(src.start, src.end, EdgeKind.CALL_FALLTHROUGH))
+    ix.add(Edge(src.start, src.end, EdgeKind.CALL_FALLTHROUGH))
     _link(ix.g, src.end)
     return True
 
@@ -230,10 +214,13 @@ def op_cfec(g: Cfg, call_edge: Edge, callee_status: ReturnStatus) -> Cfg:
     return out if _cfec(_IndexedCfg(out), call_edge, callee_status) else g
 
 
-def _table_bound(ix: _IndexedCfg, blk: Block, hint: HintReader) -> int:
-    """The effective bound of a table jump block's table, given the
-    currently-known intra-procedural predecessors, whose bound hints
-    `hint` reads."""
+def _refresh(
+    ix: _IndexedCfg, image: Image, blk: Block, desc: TableDescriptor, hint: HintReader
+) -> list[int]:
+    """Refresh the table jump block's table `desc` (`refresh_table`)
+    against the block's currently-known intra-procedural predecessors,
+    whose bound hints `hint` reads; add an edge to each target the
+    refresh added, and return those targets, sorted."""
     g = ix.g
     hints = []
     for e in ix.inc.get(blk.start, ()):
@@ -241,10 +228,14 @@ def _table_bound(ix: _IndexedCfg, blk: Block, hint: HintReader) -> int:
             h = hint(e.source, g.blocks[e.source].end)
             if h is not None:
                 hints.append(h)
-    return effective_bound(blk.terminator.b, hints)
+    new = refresh_table(desc, image, hints)
+    for t in new:
+        ix.add(Edge(blk.start, t, EdgeKind.INDIRECT))
+        _link(g, t)
+    return new
 
 
-def _iec(ix: _IndexedCfg, image: Image, a: Block, hint: HintReader) -> bool:
+def _iec(ix: _IndexedCfg, image: Image, a: Block) -> bool:
     """The step of `op_iec`; returns False when it leaves the graph as it
     was."""
     blk = ix.g.blocks.get(a.start)
@@ -255,11 +246,8 @@ def _iec(ix: _IndexedCfg, image: Image, a: Block, hint: HintReader) -> bool:
         raise NotIndirectTerminatorError(f"block at 0x{a.start:x}")
     if term.kind is Opcode.IJMP_OPAQUE:
         return False
-    entries, _ = read_table_entries(image, term.a, _table_bound(ix, blk, hint))
-    for t in entries:
-        if t is not None:
-            ix.add_edge(Edge(blk.start, t, EdgeKind.INDIRECT))
-            _link(ix.g, t)
+    desc = TableDescriptor(term.a, term.b, blk.end)
+    _refresh(ix, image, blk, desc, partial(last_bound_hint, image))
     return True
 
 
@@ -267,7 +255,7 @@ def op_iec(g: Cfg, image: Image, a: Block) -> Cfg:
     """Indirect edge creation: resolve table targets and append edges.
     An opaque indirect jump contributes nothing."""
     out = g.clone()
-    return out if _iec(_IndexedCfg(out), image, a, partial(last_bound_hint, image)) else g
+    return out if _iec(_IndexedCfg(out), image, a) else g
 
 
 def _reaches(ix: _IndexedCfg, source: int, goal: int, exclude: Edge | None) -> bool:
@@ -298,8 +286,7 @@ def _has_teardown(image: Image, blk: Block) -> bool:
 
 
 def _relabel(ix: _IndexedCfg, e: Edge, kind: EdgeKind) -> None:
-    ix.drop_edge(e)
-    ix.add_edge(Edge(e.source, e.target, kind))
+    ix.replace(e, Edge(e.source, e.target, kind))
 
 
 def _label_entry(g: Cfg, addr: int) -> None:
@@ -363,8 +350,9 @@ def op_er(g: Cfg, e: Edge) -> Cfg:
     if e not in g.edges:
         raise EdgeNotFoundError(f"0x{e.source:x} -> 0x{e.target:x}")
     out = g.clone()
-    out.edges.discard(e)
-    _drop_unreachable(out, _IndexedCfg(out))
+    ix = _IndexedCfg(out)
+    ix.remove(e)
+    _drop_unreachable(out, ix)
     return out
 
 
@@ -460,26 +448,17 @@ class _SerialDriver:
 
     # -- jump tables ------------------------------------------------------
 
-    def _refresh_block_table(self, blk: Block, desc: TableDescriptor) -> set[int]:
-        """Read the block's table `desc` at its current bound once; add an
-        edge to each target the read added, and return those targets."""
-        new = update_descriptor(desc, self.image, _table_bound(self.ix, blk, self._hint))
-        for t in new:
-            self.ix.add_edge(Edge(blk.start, t, EdgeKind.INDIRECT))
-            _link(self.g, t)
-        return new
-
     def _table_sweep(self) -> bool:
         changed = False
         for desc in self.registry.sorted_descriptors():
             blk = self.ix.block_by_end(desc.jump_end)
             if blk is None:
                 raise InternalError(f"no block ends at 0x{desc.jump_end:x}")
-            new = self._refresh_block_table(blk, desc)
+            new = _refresh(self.ix, self.image, blk, desc, self._hint)
             if not new:
                 continue
             for fn in sorted(desc.interested):
-                for t in sorted(new):
+                for t in new:
                     self.queue.append((fn, t))
             changed = True
         return changed
@@ -534,15 +513,12 @@ class _SerialDriver:
             desc.interested.add(fn)
             if blk.end not in self.dec_done:
                 self.dec_done.add(blk.end)
-                self._refresh_block_table(blk, desc)
+                _refresh(self.ix, self.image, blk, desc, self._hint)
             for e in self.ix.outgoing(t):
                 if e.kind is EdgeKind.INDIRECT:
                     self.queue.append((fn, e.target))
-        elif kind is Opcode.IJMP_OPAQUE:
-            if blk.end not in self.dec_done:
-                self.dec_done.add(blk.end)
-                _iec(self.ix, self.image, blk, self._hint)
-        # HALT and the synthesized end-of-text terminator have no successors
+        # opaque jumps, HALT and the synthesized end-of-text terminator
+        # have no successors
 
     def _seed(self) -> None:
         facts = symbol_facts(self.image)

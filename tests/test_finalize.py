@@ -510,7 +510,6 @@ class TestLocalSweep:
         edges = sorted(g.edges)
         cut = {edges[i % len(edges)] for i in drop_edges} if edges else set()
         for e in cut:
-            g.edges.remove(e)
             index.remove(e)
             roots.append(e.target)
         want = g.clone()
@@ -519,6 +518,42 @@ class TestLocalSweep:
         _drop_unreachable_below(g, index, roots)
         assert (g.blocks, g.candidates, g.edges) == (want.blocks, want.candidates, want.edges)
         assert self._normal(index) == self._normal(EdgeIndex(g.edges))
+
+
+_edges = st.builds(Edge, st.integers(0, 5), st.integers(0, 5), st.sampled_from(list(EdgeKind)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    start=st.lists(_edges, max_size=12),
+    steps=st.lists(
+        st.tuples(st.sampled_from(["add", "remove", "replace"]), _edges, st.integers(0, 99)),
+        max_size=30,
+    ),
+)
+def test_edge_index_keeps_its_views_in_step(start, steps):
+    # `remove` and `replace` take an edge the set holds, picked by
+    # `pick`; `replace` swaps it for the same ends with `e`'s kind
+    edges = set(start)
+    index = EdgeIndex(edges)
+    want = set(edges)
+    for op, e, pick in steps:
+        if op == "add":
+            assert index.add(e) == (e not in want)
+            assert not index.add(e)
+            want.add(e)
+        elif want:
+            old = sorted(want)[pick % len(want)]
+            if op == "remove":
+                index.remove(old)
+                want.remove(old)
+            elif e.kind is not old.kind:
+                new = Edge(old.source, old.target, e.kind)
+                index.replace(old, new)
+                want.remove(old)
+                want.add(new)
+        assert index.edges is edges and edges == want
+        assert TestLocalSweep._normal(index) == TestLocalSweep._normal(EdgeIndex(set(want)))
 
 
 def _shuffled(items, rng: random.Random) -> list:

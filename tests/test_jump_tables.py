@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcfg import jumptables
 from pcfg.cfg import EdgeKind, ReturnStatus, canonical_serialize
 from pcfg.finalize import EdgeIndex, finalize_details
 from pcfg.image import Image
@@ -13,10 +14,9 @@ from pcfg.isa import Opcode
 from pcfg.jumptables import (
     TableDescriptor,
     TableRegistry,
-    effective_bound,
     last_bound_hint,
     read_table_entries,
-    update_descriptor,
+    refresh_table,
 )
 from pcfg.parallel import ConcurrentCfgState, construct, construct_details
 from pcfg.serial import serial_construct, serial_construct_details
@@ -41,14 +41,14 @@ def test_read_targets_matches_raw_words():
 def test_out_of_text_entries_skipped():
     img = _data_image([0x100, 0xDEAD_BEEF, 0x120])
     desc = TableDescriptor(0x1000, 3, 0x140)
-    assert update_descriptor(desc, img, 3) == {0x100, 0x120}
+    assert refresh_table(desc, img, []) == [0x100, 0x120]
     assert not desc.clamped
 
 
 def test_duplicate_entries_deduplicated():
     img = _data_image([0x100, 0x100, 0x104])
     desc = TableDescriptor(0x1000, 3, 0x140)
-    assert update_descriptor(desc, img, 3) == {0x100, 0x104}
+    assert refresh_table(desc, img, []) == [0x100, 0x104]
     assert desc.index_targets == [0x100, 0x100, 0x104]
 
 
@@ -84,22 +84,22 @@ def test_last_bound_hint():
 
 
 def test_effective_bound_is_max_of_declared_and_hints():
-    assert effective_bound(3, []) == 3
-    assert effective_bound(1, [5, 2]) == 5
-    assert effective_bound(0, []) == 0
+    img = _data_image([0x100, 0x104, 0x108, 0x10C, 0x110])
+    for declared, hints, bound in [(3, [], 3), (1, [5, 2], 5), (0, [], 0)]:
+        desc = TableDescriptor(0x1000, declared, jump_end=0x140)
+        refresh_table(desc, img, hints)
+        assert desc.effective_bound == bound
+        assert len(desc.index_targets) == bound
 
 
-def test_update_descriptor_is_monotone():
+def test_refresh_table_is_monotone():
     img = _data_image([0x100, 0x104, 0x108, 0x10C])
     reg = TableRegistry()
     desc = reg.get_or_create(0x1000, declared=1, jump_end=0x110)
-    new1 = update_descriptor(desc, img, 1)
-    assert new1 == {0x100}
-    new2 = update_descriptor(desc, img, 3)
-    assert new2 == {0x104, 0x108}
+    assert refresh_table(desc, img, []) == [0x100]
+    assert refresh_table(desc, img, [3, 2]) == [0x104, 0x108]
     # a later pass with a narrower bound never shrinks anything
-    new3 = update_descriptor(desc, img, 2)
-    assert new3 == set()
+    assert refresh_table(desc, img, [2]) == []
     assert desc.effective_bound == 3
     assert desc.targets == {0x100, 0x104, 0x108}
     assert desc.index_targets == [0x100, 0x104, 0x108]
@@ -126,24 +126,35 @@ def test_update_descriptor_matches_a_from_scratch_reference(words, base_delta, d
     # hints; after every pass the descriptor must equal what reading the
     # table afresh at every bound so far gives: targets are the union of
     # the reads, the bound their maximum, and the index targets the read
-    # at that maximum
+    # at that maximum. The first pass reads; a later one reads only when
+    # it raises that maximum, since only a larger bound can add a target
     img = _data_image(words)  # text [_TEXT_BASE, _TEXT_END)
     base = _DATA_BASE + base_delta  # below, inside (aligned or not) or past the data
     desc = TableDescriptor(base, declared, jump_end=_TEXT_END)
+    reads = []
+
+    def read(image, at, bound):
+        reads.append(bound)
+        return read_table_entries(image, at, bound)
+
     bounds: list[int] = []
     for hints in passes:
-        bound = effective_bound(declared, hints)
-        assert bound == max([declared, *hints])
+        bound = max([declared, *hints])
+        grows = not bounds or bound > max(bounds)
         bounds.append(bound)
         before = set(desc.targets)
-        added = update_descriptor(desc, img, bound)
-        reads = [read_table_entries(img, base, b) for b in bounds]
-        union = {t for entries, _ in reads for t in entries if t is not None}
+        del reads[:]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(jumptables, "read_table_entries", read)
+            added = refresh_table(desc, img, hints)
+        assert reads == ([max(bounds)] if grows else [])
+        fresh = [read_table_entries(img, base, b) for b in bounds]
+        union = {t for entries, _ in fresh for t in entries if t is not None}
         assert desc.targets == union
-        assert added == union - before
+        assert added == sorted(union - before)
         assert desc.effective_bound == max(bounds)
         assert desc.index_targets == read_table_entries(img, base, max(bounds))[0]
-        assert desc.clamped == any(clamped for _, clamped in reads)
+        assert desc.clamped == any(clamped for _, clamped in fresh)
         assert desc.read
 
 

@@ -27,6 +27,7 @@ from pcfg.errors import (
 )
 from pcfg.image import Image
 from pcfg.isa import Opcode
+from pcfg.parallel import construct
 from pcfg.serial import (
     _IndexedCfg,
     _SerialDriver,
@@ -597,23 +598,32 @@ class TestStepsOverIndexedGraph:
         ids=lambda spec: spec.family,
     )
     def test_driver_reads_a_table_once_per_refresh(self, monkeypatch, spec):
-        # a refresh reads the table through `update_descriptor` alone and
-        # takes the edges it adds from the targets that read found
-        calls = []
+        # the oracle reads a table only through `refresh_table`, at most
+        # once per refresh and only when the table's bound grew, so it
+        # reads each table as often as the engine does at one worker,
+        # though the engine refreshes a table at every visit of its jump
+        reads = []
+        per_refresh = []
         real_read = jumptables.read_table_entries
-        real_update = serial_module.update_descriptor
+        real_refresh = serial_module.refresh_table
 
         def read(image, base, bound):
-            calls.append("read")
+            reads.append((base, bound))
             return real_read(image, base, bound)
 
-        def update(desc, image, bound):
-            calls.append("update")
-            return real_update(desc, image, bound)
+        def refresh(desc, image, hints):
+            before = len(reads)
+            added = real_refresh(desc, image, hints)
+            per_refresh.append(len(reads) - before)
+            return added
 
         monkeypatch.setattr(jumptables, "read_table_entries", read)
-        monkeypatch.setattr(serial_module, "read_table_entries", read, raising=False)
-        monkeypatch.setattr(serial_module, "update_descriptor", update)
-        serial_construct(generate(spec)[0])
-        assert calls.count("update") > 0
-        assert calls == ["update", "read"] * calls.count("update")
+        monkeypatch.setattr(serial_module, "refresh_table", refresh)
+        img = generate(spec)[0]
+        serial_construct(img)
+        oracle = len(reads)
+        assert per_refresh and set(per_refresh) <= {0, 1}
+        assert sum(per_refresh) == oracle
+        reads.clear()
+        construct(img, 1)
+        assert oracle == len(reads)

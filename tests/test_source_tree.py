@@ -1,8 +1,9 @@
 """The library takes no settings from the environment and no setting but
 the worker count, ships one scan kernel, in Python source only, decodes
-only through that kernel, keeps the serial oracle independent of the
-engine it checks, keeps no engine stat that nothing reads and no export
-that nothing uses, and gives no finalize step an optional argument."""
+only through that kernel, reads jump tables only in `pcfg.jumptables`,
+keeps the serial oracle independent of the engine it checks, keeps no
+engine stat that nothing reads and no export that nothing uses, and
+gives no finalize step an optional argument."""
 
 import ast
 import dataclasses
@@ -72,6 +73,17 @@ def test_scan_block_is_the_only_range_decoder():
     tree = ast.parse((SRC / "_kernels" / "__init__.py").read_text())
     defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
     assert defined == {"scan_block"}
+
+
+def test_jumptables_alone_reads_tables():
+    # both constructors refresh tables through `refresh_table`, so the
+    # refresh rule has one owner
+    readers = [
+        str(p.relative_to(SRC))
+        for p in sorted(SRC.rglob("*.py"))
+        if "read_table_entries" in p.read_text()
+    ]
+    assert readers == ["jumptables.py"]
 
 
 #: exports kept for callers outside the library, the CLI and the
