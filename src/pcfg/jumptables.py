@@ -67,7 +67,6 @@ class TableDescriptor:
     #: read; lets finalization trim by index without touching the image
     #: again
     index_targets: list[int | None] = field(default_factory=list)
-    interested: set[int] = field(default_factory=set)  # function entries
     clamped: bool = False
     #: whether `refresh_table` has read the table; the first refresh
     #: reads even at bound 0, so a base outside the data section is
@@ -114,6 +113,9 @@ class TableRegistry:
     def get_or_create(self, base: int, declared: int, jump_end: int) -> TableDescriptor:
         desc = TableDescriptor(base, declared, jump_end)
         return self._by_jump.setdefault(jump_end, desc)
+
+    def get(self, jump_end: int) -> TableDescriptor | None:
+        return self._by_jump.get(jump_end)
 
     def sorted_descriptors(self) -> list[TableDescriptor]:
         """The descriptors by base, then by jump end."""

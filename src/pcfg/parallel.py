@@ -5,33 +5,54 @@ start address (single-winner insertion), one block per end address
 (single-winner end registration), outgoing edges created only by the
 thread that registered the end, an eager block split inside the one end
 registration loop whenever two blocks reach the same end, and one
-function per entry address. Linear parsing runs with no global lookups
+function per entry address. A block that loses its end to a later start
+is cut once, at the lowest start above its own in the blocks that fall
+into that end, so a block inserted below known starts does not split its
+way down through them. Linear parsing runs with no global lookups
 between control flow instructions.
 
-Return statuses resolve eagerly in one direction only: the first return
-instruction found anywhere in a function marks it returning immediately
-and wakes every caller blocked on a call fall-through, without waiting
-for the callee's traversal to finish. Functions that never prove they
-return stay unresolved until global quiescence, where the remaining
-ones (mutual-call cycles included) are all marked non-returning at
-once. A jump is classified once per visit, before its block's end is
-registered, so the edge it creates and the walk that follows agree. A
-branch classified as a tail call makes the branching function wait on
-its target the same way a caller waits on a callee, in the same waiter
-set, which keeps statuses independent of which thread classified the
-branch first.
+The engine walks blocks, not functions. The first visitor of an address
+claims, scans and registers its block, and the registration that
+creates the block's edges handles its successors: it pushes branch
+targets onto its worker's local stack, and creates, pushes and waits on
+the function its call or tail call names. So each block is scanned
+once, and each terminator's successors are handled once. A jump is a
+tail call when its target is a known entry or its block tears down the
+frame; no rule reads a function's context. Every seed's record exists
+before the pool starts, so a flag's effect does not depend on the
+schedule, and the export labels a jump to any entry a tail call, so
+neither does the label. Tasks are batches of addresses: `_SEED_BATCH`
+seeds, or the targets a table refresh adds.
 
-Work is scheduled as one task per function traversal on a fixed pool of
-threads sharing one C-level `queue.SimpleQueue`. A worker that is
-already running takes the next task before a sleeping one wakes: a put
-wakes at most one sleeper, which then waits for the GIL, so sleepers
-wake about once per GIL switch interval, not once per task. The count
-of unfinished tasks is a list that spawns append to and finished tasks
-pop from, both atomic; a lock around it convoys, because once a worker
-is preempted while holding it every later acquisition blocks and
-switches threads. The thread driving quiescence sleeps on a condition
-no worker waits on, woken only by the worker that finishes the last
-task or records the first error, and never polls.
+"A `ret` is reachable from here" only turns from false to true, so
+return statuses are a backward fixed point over `incoming`, the
+intra-procedural predecessors of each block start. A block returns when
+it ends in `ret`, tail-calls a function that returns, or has an
+intra-procedural successor that returns. Its start then goes on one
+shared worklist, which marks it once, pushes its predecessors, writes
+RETURN for an entry (a noreturn flag wins) and wakes the entry's
+waiters: a call site gets its fall-through edge, which is then visited,
+and a tail call's block goes on the same worklist, so nothing recurses.
+No mark is missed: the worklist marks a start before it reads its
+predecessors, and every writer re-checks after it writes. An end
+registration re-checks the blocks it registered, which hands a split
+block's mark to the block that keeps the end; a new call fall-through
+or table target re-checks its block; a new function record reads its
+entry's mark. Entries still unset at quiescence, call cycles included,
+become non-returning at once.
+
+Work is scheduled on a fixed pool of threads sharing one C-level
+`queue.SimpleQueue`. A worker that is already running takes the next
+task before a sleeping one wakes: a put wakes at most one sleeper, which
+then waits for the GIL, so sleepers wake about once per GIL switch
+interval, not once per task. The count of unfinished tasks is a list
+that spawns append to and finished tasks pop from, both atomic; a lock
+around it convoys, because once a worker is preempted while holding it
+every later acquisition blocks and switches threads. The thread driving
+quiescence sleeps on a condition no worker waits on, woken only by the
+worker that finishes the last task or records the first error, and
+never polls. A task drains the return worklist before it ends, so the
+worklist is empty once the pool is idle.
 
 A worker's error ends the run: tasks spawned or still queued after the
 first error never run, and every worker is joined before `run` raises
@@ -42,24 +63,22 @@ by stripe `e % _END_STRIPES`, and a table descriptor by the stripe of
 its jump end. Every read-modify-write of one end (registration, the call
 fall-through edge, a table refresh) holds that end's stripe and takes no
 other end lock while it does: the split loop releases one end before it
-takes the next. A function record has one lock, over its worklist,
-status and waiter set. No thread takes an engine lock while it holds
-another: a status write releases its record's lock before it wakes the
-waiters, a waiter holds only its target's lock, and an enqueue holds
-only its own record's lock while it spawns. So two ends that share a
-stripe serialize but cannot deadlock, and neither can records.
+takes the next. A function record has one lock, over its status and
+waiter set. No thread takes an engine lock while it holds another, so
+two ends that share a stripe serialize but cannot deadlock, and neither
+can records.
 
-A function record holds state only while it uses it. Its worklist is
-created under the record lock by the first enqueue and handed whole to
-the drain, so a drained function holds none. Its waiter set is created
-by the first waiter and dropped when its status is written; a status is
-written once, so no set is made again. Its set of visited addresses
-lasts until quiescence.
+A function record holds its lock, its status, and a waiter set from its
+first waiter until its status is written. Nothing is kept per function
+or per visit: a walk's state is its worker's stack.
 
-A table jump's table is refreshed at each visit of the jump and in the
-quiescence sweep, by `refresh_table`, the rule the serial oracle
-refreshes by too: tables only grow, so any order of refreshes reaches
-the same fixed point.
+A table is refreshed by `refresh_table`, the serial oracle's rule too,
+when its jump's block is registered, and at quiescence while it is
+dirty: its owner's start gained a predecessor, a split moved the owner's
+start, or its last refresh met an unregistered predecessor end. A
+predecessor's split only shortens its range and can only drop its hint,
+so a clean table's refresh could not grow its bound; tables only grow,
+so any order of refreshes reaches the same fixed point.
 
 `ConcurrentCfgState.run` is the engine's one driver: it traverses to
 quiescence and exports the raw graph. `construct_details` is the one
@@ -76,8 +95,8 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, fields
+from functools import partial
 
 from .cfg import (
     EDGE_KINDS,
@@ -95,18 +114,22 @@ from .errors import AlreadySetError, InternalError, OutOfRangeError
 from .finalize import EdgeIndex, finalize_details
 from .image import Image
 from .isa import LENGTHS, Instruction, Opcode
-from .jumptables import TableRegistry, last_bound_hint, log_clamped_tables, refresh_table
+from .jumptables import (
+    TableDescriptor,
+    TableRegistry,
+    last_bound_hint,
+    log_clamped_tables,
+    refresh_table,
+)
 from .symtab import symbol_facts
 
 _INTRA_INTS = frozenset(int(k) for k in INTRA_EDGE_KINDS)
 _NO_TERM = -2
 _SYNTH_HALT = -1
-#: the site of a tail-call waiter; a call-site waiter's site is the
-#: call block's end
-_TAIL_SITE = -1
 # bound once: an enum class attribute lookup costs ~0.1 us, and every
-# `ret` visit compares against it
+# status check compares against one
 _UNSET = ReturnStatus.UNSET
+_RETURN = ReturnStatus.RETURN
 
 _DIRECT = int(EdgeKind.DIRECT)
 _COND_TAKEN = int(EdgeKind.COND_TAKEN)
@@ -131,6 +154,9 @@ _OPCODES = {int(op): op for op in Opcode}
 #: `e % _END_STRIPES`
 _END_STRIPES = 64
 
+#: How many seeds one traversal task starts from
+_SEED_BATCH = 128
+
 
 class _EngineBlock:
     __slots__ = ("start", "end", "term", "ta", "tb", "hint_at", "hint", "out")
@@ -152,28 +178,14 @@ class _EngineBlock:
 
 
 class _FuncRecord:
-    __slots__ = (
-        "entry",
-        "lock",
-        "pending",
-        "active",
-        "visited",
-        "status",
-        "waiters",
-    )
+    __slots__ = ("lock", "status", "waiters")
 
-    def __init__(self, entry: int, status: ReturnStatus):
-        self.entry = entry
+    def __init__(self, status: ReturnStatus):
         self.lock = threading.Lock()
-        # the worklist, only while it has work (see the module docstring)
-        self.pending: deque[int] | None = None
-        self.active = False
-        # dropped at quiescence
-        self.visited: set[int] | None = set()
         self.status = status
-        # (waiting function, call-site end or _TAIL_SITE), from the first
-        # waiter until the status is written
-        self.waiters: set[tuple[int, int]] | None = None
+        # (end of the waiting call or jump, whether it is a tail call),
+        # from the first waiter until the status is written
+        self.waiters: set[tuple[int, bool]] | None = None
 
 
 @dataclass(slots=True)
@@ -282,17 +294,21 @@ class ConcurrentCfgState:
         # bound once: `Image.text_end` is a property, and every visit reads it
         self._text_base = image.text_base
         self._text_end = image.text_end
-        self.workers = workers
         self.blocks_by_start: dict[int, _EngineBlock] = {}
         self.blocks_by_end: dict[int, _EngineBlock] = {}
         self._end_locks = tuple(threading.Lock() for _ in range(_END_STRIPES))
         self.functions: dict[int, _FuncRecord] = {}
         # block start -> ends of its intra-procedural predecessors
         self.incoming: dict[int, list[int]] = {}
+        # the starts of blocks known to return, and the return worklist:
+        # starts found to return, not yet marked and propagated
+        self.returns: set[int] = set()
+        self._return_work: list[int] = []
         self.registry = TableRegistry()
+        # the tables the quiescence sweep refreshes
+        self._dirty: set[TableDescriptor] = set()
         self.symbols = symbol_facts(image)
         self.pool = _TaskPool(workers)
-        self._running = False
 
     # -- invariant primitives ---------------------------------------------
 
@@ -308,31 +324,43 @@ class ConcurrentCfgState:
 
     def attempt_create_function(self, addr: int, ctx: EngineStats) -> bool:
         """Single-winner creation of the function record at `addr`; the
-        winner's traversal is queued immediately."""
+        caller that gets True queues the entry's traversal. Once the
+        record is published, an entry block already known to return goes
+        on the return worklist, which writes the status."""
         if addr in self.functions:
             ctx.function_claim_losses += 1
             return False
         status = ReturnStatus.NORETURN if addr in self.symbols.noreturn else ReturnStatus.UNSET
-        rec = _FuncRecord(addr, status)
+        rec = _FuncRecord(status)
         if self.functions.setdefault(addr, rec) is not rec:
             ctx.function_claim_losses += 1
             return False
         ctx.functions_created += 1
-        self._enqueue_addr(rec, addr)
+        if addr in self.returns:
+            self._return_work.append(addr)
         return True
 
-    def register_block_end(self, block: _EngineBlock, tail: bool, ctx: EngineStats) -> None:
+    def register_block_end(self, block: _EngineBlock, tail: bool, ctx: EngineStats) -> bool:
         """Single-winner end registration with the eager block split. The
         first block at an end creates its outgoing edges while holding
         the end's stripe lock (a block cut short has none to create); a
         jump's edge is a tail call when `tail`, the branch's class. A
         block that finds another at its end splits with it: the later
-        start keeps the end and the other block is cut to end there, then
-        registered at that strictly smaller end, so the loop converges; a
-        cut that would not shorten the end raises `InternalError`. Each
-        round releases one end's lock before it takes the next."""
+        start keeps the end, with the terminator and its edges, and the
+        other block is cut to end there, or, if it is the block being
+        registered, at the lowest start above its own among the blocks
+        that fall into that end; it is then registered at that strictly
+        smaller end, so the loop converges; a cut that would not shorten
+        the end raises `InternalError`. Each round releases one end's
+        lock before it takes the next. Then every block the loop
+        registered or handed an end is re-checked for a return, which
+        hands a split block's mark to the block that keeps the end.
+        Returns whether `block` created its edges, which makes the
+        caller the one that handles its successors."""
         cur = block
         lost = False
+        created = False
+        touched = [block]
         by_end = self.blocks_by_end
         locks = self._end_locks
         while True:
@@ -343,9 +371,10 @@ class ConcurrentCfgState:
                     by_end[end] = cur
                     ctx.end_registrations += 1
                     self._create_edges_locked(cur, tail)
-                    return
+                    created = not lost
+                    break
                 if reg is cur or reg.start == cur.start:
-                    return
+                    break
                 if not lost:
                     lost = True
                     ctx.end_registration_losses += 1
@@ -355,14 +384,28 @@ class ConcurrentCfgState:
                         f"0x{end:x}: splitting at 0x{cut:x} does not shorten the block"
                     )
                 if reg.start > cur.start:
-                    self._truncate(cur, cut)
+                    # where cutting at one start after another would stop
+                    low = reg
+                    while (nxt := by_end.get(low.start)) is not None and nxt.start > cur.start:
+                        low = nxt
+                    self._truncate(cur, low.start)
                 else:
                     cur.out.update(reg.out)
                     cur.term, cur.ta, cur.tb = reg.term, reg.ta, reg.tb
                     by_end[end] = cur
+                    if cur.term == _TABLE:
+                        # the table's owner now starts at `cur`
+                        desc = self.registry.get(end)
+                        if desc is not None:
+                            self._dirty.add(desc)
                     self._truncate(reg, cut)
                     cur = reg
+                    touched.append(reg)
                 ctx.splits_performed += 1
+        for b in touched:
+            if self._returns(b):
+                self._return_work.append(b.start)
+        return created
 
     def _truncate(self, b: _EngineBlock, new_end: int) -> None:
         # a truncated block keeps only the fall-through into its successor
@@ -371,18 +414,27 @@ class ConcurrentCfgState:
         b.ta = 0
         b.tb = 0
         b.out = {(new_end, _COND_FALLTHROUGH): None}
-        self.incoming.setdefault(new_end, []).append(new_end)
+        self._add_pred(new_end, new_end)
 
     # -- edges ---------------------------------------------------------------
+
+    def _add_pred(self, start: int, pred_end: int) -> None:
+        self.incoming.setdefault(start, []).append(pred_end)
+        # a table whose owner starts here may now read one more hint
+        owner = self.blocks_by_start.get(start)
+        if owner is not None and owner.term == _TABLE:
+            desc = self.registry.get(owner.end)
+            if desc is not None:
+                self._dirty.add(desc)
 
     def _add_edge_locked(self, block: _EngineBlock, target: int, kind: int) -> None:
         key = (target, kind)
         if key in block.out:
             return
         block.out[key] = None
-        # only table refreshes read predecessors, and only intra ones
+        # return marks and table refreshes read predecessors, intra ones only
         if kind in _INTRA_INTS:
-            self.incoming.setdefault(target, []).append(block.end)
+            self._add_pred(target, block.end)
 
     def _create_edges_locked(self, block: _EngineBlock, tail: bool) -> None:
         term = block.term
@@ -395,63 +447,63 @@ class ConcurrentCfgState:
             self._add_edge_locked(block, block.ta, _CALL_EDGE)
 
     def _ensure_cfec(self, call_end: int) -> None:
-        """Idempotently create the call fall-through edge at a call site.
-        Skipped while the call block's end is unregistered; the registrant
-        re-checks the callee status right after registering."""
+        """Idempotently create the call fall-through edge at a registered
+        call site, then re-check the call block against it."""
         with self._end_locks[call_end % _END_STRIPES]:
-            blk = self.blocks_by_end.get(call_end)
-            if blk is not None:
-                self._add_edge_locked(blk, call_end, _CALL_FALLTHROUGH)
-
-    # -- tail call classification -------------------------------------------
-
-    def _reaches_intra(self, source: int, goal: int, exclude: tuple[int, int]) -> bool:
-        seen = {source}
-        work = deque([source])
-        while work:
-            cur = work.popleft()
-            if cur == goal:
-                return True
-            b = self.blocks_by_start.get(cur)
-            if b is None:
-                continue
-            for tgt, kind in list(b.out):
-                if kind not in _INTRA_INTS:
-                    continue
-                if (cur, tgt) == exclude:
-                    continue
-                if tgt not in seen:
-                    seen.add(tgt)
-                    work.append(tgt)
-        return False
-
-    def _classify_branch(self, fn: _FuncRecord, src: int, target: int, teardown: bool) -> bool:
-        """Tail-call heuristics in order: branch to a known entry; branch
-        to a block already reachable inside this function; frame teardown
-        before the branch (`teardown`, from the scan of the source block)."""
-        if target in self.functions:
-            return True
-        if self._reaches_intra(fn.entry, target, (src, target)):
-            return False
-        return teardown
+            blk = self.blocks_by_end[call_end]
+            self._add_edge_locked(blk, call_end, _CALL_FALLTHROUGH)
+        if call_end in self.returns:
+            self._return_work.append(blk.start)
 
     # -- return status ---------------------------------------------------------
 
-    def _set_status(self, entry: int, status: ReturnStatus, strict: bool) -> None:
-        """Single-assignment status write with eager caller notification:
-        a strict write of a set status raises `AlreadySetError`, and a
-        non-strict write (a `ret`, or a tail-call propagation) only
-        fills an unset status, so a known-noreturn flag wins over a `ret`
-        found in the flagged function, as in the serial oracle."""
-        waiters = self._write_status(entry, status, strict)
-        if status is ReturnStatus.RETURN and waiters:
-            self._wake(waiters)
+    def _returns(self, b: _EngineBlock) -> bool:
+        """Whether what block `b` holds now makes it return: a `ret`, a
+        tail call to a function that returns, or an intra-procedural
+        successor known to return."""
+        if b.term == _RET:
+            return True
+        for t, k in list(b.out):
+            if k == _TAIL_CALL:
+                rec = self.functions.get(t)
+                if rec is not None and rec.status is _RETURN:
+                    return True
+            elif k != _CALL_EDGE and t in self.returns:
+                return True
+        return False
+
+    def _propagate(self, stack: list[int]) -> None:
+        """Drain the return worklist: mark each start once and push its
+        intra-procedural predecessors, write RETURN for an entry (a
+        noreturn flag wins, as in the serial oracle) and wake its
+        waiters, pushing woken fall-throughs onto `stack`."""
+        work = self._return_work
+        returns = self.returns
+        by_end = self.blocks_by_end
+        incoming = self.incoming
+        while True:
+            try:
+                s = work.pop()
+            except IndexError:
+                return
+            if s not in returns:
+                returns.add(s)
+                # a predecessor not registered yet re-checks once it is
+                for pe in incoming.get(s, ()):
+                    pb = by_end.get(pe)
+                    if pb is not None and pb.start not in returns:
+                        work.append(pb.start)
+            if s in self.functions:
+                for site, tail in self._write_status(s, _RETURN, False) or ():
+                    self._wake(site, tail, stack)
 
     def _write_status(
         self, entry: int, status: ReturnStatus, strict: bool
-    ) -> set[tuple[int, int]] | None:
-        """The status write of `_set_status`; returns the waiters it
-        took, or None when it wrote nothing."""
+    ) -> set[tuple[int, bool]] | None:
+        """Single-assignment status write: a strict write of a set status
+        raises `AlreadySetError`, and a non-strict one only fills an
+        unset status. Returns the waiters it took, or None when it wrote
+        nothing."""
         rec = self.functions[entry]
         # a status is written once, so a set one needs no lock to be seen
         if not strict and rec.status is not _UNSET:
@@ -467,81 +519,70 @@ class ConcurrentCfgState:
             rec.waiters = None
         return waiters
 
-    def _wake(self, waiters: set[tuple[int, int]]) -> None:
-        """Act on `waiters` of a function that returns, in sorted order:
-        a call falls through, and a tail call returns where its target
-        does, so its function's own waiters wake before the next waiter
-        here. The explicit stack keeps that depth-first order for tail-call
-        chains of any length."""
-        stack = [iter(sorted(waiters))]
-        while stack:
-            for fn_addr, site in stack[-1]:
-                if site != _TAIL_SITE:
-                    self._ensure_cfec(site)
-                    self._enqueue_addr(self.functions[fn_addr], site)
-                    continue
-                woken = self._write_status(fn_addr, ReturnStatus.RETURN, False)
-                if woken:
-                    stack.append(iter(sorted(woken)))
-                    break
-            else:
-                stack.pop()
+    def _wake(self, site: int, tail: bool, stack: list[int]) -> None:
+        """Act on the waiter at `site` of a function that returns: a tail
+        call's block returns too, and a call falls through to `site`,
+        which is visited."""
+        if tail:
+            self._return_work.append(self.blocks_by_end[site].start)
+        else:
+            self._ensure_cfec(site)
+            stack.append(site)
 
-    def _await_status(self, ctx: EngineStats, fn: _FuncRecord, target: int, site: int) -> None:
-        """`fn` waits on `target`'s return status at `site`, a call-site
-        end or `_TAIL_SITE`: it joins the target's waiters while the
-        status is unset, and acts at once on a target that returns."""
+    def _await_status(
+        self, ctx: EngineStats, target: int, site: int, tail: bool, stack: list[int]
+    ) -> None:
+        """The call or jump ending at `site` waits on `target`'s return
+        status: it joins the target's waiters while the status is unset,
+        and is woken at once if the target returns."""
         rec = self.functions[target]
         with rec.lock:
             val = rec.status
-            if val is ReturnStatus.UNSET:
+            if val is _UNSET:
                 if rec.waiters is None:
-                    rec.waiters = {(fn.entry, site)}
-                else:
-                    rec.waiters.add((fn.entry, site))
+                    rec.waiters = set()
+                rec.waiters.add((site, tail))
                 ctx.waiters_registered += 1
-        if val is ReturnStatus.RETURN:
-            self._wake({(fn.entry, site)})
+        if val is _RETURN:
+            self._wake(site, tail, stack)
 
     def resolve_status_cycles(self) -> None:
         """At quiescence, every still-unresolved function (cyclic call
-        dependencies included) is non-returning; drain their waiters."""
+        dependencies included) is non-returning; its waiters are dropped."""
         for addr in sorted(self.functions):
-            if self.functions[addr].status is ReturnStatus.UNSET:
-                self._set_status(addr, ReturnStatus.NORETURN, strict=True)
+            if self.functions[addr].status is _UNSET:
+                self._write_status(addr, ReturnStatus.NORETURN, True)
 
     # -- jump tables ---------------------------------------------------------
 
-    def refresh_descriptor(self, desc) -> bool:
-        """Refresh one table (`refresh_table`) against its owner's
-        currently-known predecessors; add an edge to each target it adds
-        and queue those for every interested function. Returns whether it
-        added any. The descriptor is guarded by its jump end's stripe
+    def refresh_descriptor(self, desc: TableDescriptor) -> bool:
+        """Refresh one table (`refresh_table`) against the currently-known
+        predecessors of its owner, the block holding its jump; add an
+        edge to each target the refresh adds, re-check the owner against
+        them and queue them as one task. Returns whether it added any.
+        Once the descriptor exists, a predecessor added at the owner's
+        start marks the table dirty; so does a predecessor end found
+        unregistered. The descriptor is guarded by its jump end's stripe
         lock."""
         jump_end = desc.jump_end
         by_end = self.blocks_by_end
         with self._end_locks[jump_end % _END_STRIPES]:
-            owner = by_end.get(jump_end)
-            if owner is None:
-                return False
+            owner = by_end[jump_end]
             hints = []
             for pe in set(self.incoming.get(owner.start, ())):
                 pb = by_end.get(pe)
                 if pb is None:
-                    continue
-                h = self._last_hint(pb)
-                if h is not None:
+                    self._dirty.add(desc)
+                elif (h := self._last_hint(pb)) is not None:
                     hints.append(h)
             new = refresh_table(desc, self.image, hints)
             if not new:
                 return False
             for t in new:
                 self._add_edge_locked(owner, t, _INDIRECT)
-            interested = sorted(desc.interested)
-        for fi in interested:
-            rec = self.functions[fi]
-            for t in new:
-                self._enqueue_addr(rec, t)
+        if not self.returns.isdisjoint(new):
+            self._return_work.append(owner.start)
+        self.pool.spawn(partial(self.traverse_function, new))
         return True
 
     def _last_hint(self, b: _EngineBlock) -> int | None:
@@ -554,106 +595,69 @@ class ConcurrentCfgState:
         return last_bound_hint(self.image, b.start, end)
 
     def _global_table_sweep(self) -> bool:
+        """Refresh the dirty tables; returns whether any added a target."""
+        dirty, self._dirty = self._dirty, set()
         changed = False
-        for desc in self.registry.sorted_descriptors():
+        for desc in sorted(dirty, key=lambda d: (d.base, d.jump_end)):
             if self.refresh_descriptor(desc):
                 changed = True
         return changed
 
-    # -- work scheduling -------------------------------------------------------
+    # -- traversal -------------------------------------------------------------
 
-    def _enqueue_addr(self, rec: _FuncRecord, addr: int) -> None:
-        if addr in rec.visited:
-            return
-        with rec.lock:
-            pending = rec.pending
-            if pending is None:
-                rec.pending = deque((addr,))
-            else:
-                pending.append(addr)
-            if not rec.active and self._running:
-                rec.active = True
-                self.pool.spawn(lambda ctx, r=rec: self.traverse_function(r, ctx))
-
-    def traverse_function(self, rec: _FuncRecord, ctx: EngineStats) -> None:
-        """Drain one function's worklist; going idle drops it. The drain
-        takes the whole worklist in one lock acquisition and queues the
-        function's own direct successors on a local FIFO.
-        Wake-ups and table targets still arrive in the worklist, which
-        is moved to the FIFO's tail after each visit that finds it
-        non-empty. A visit adds successors or worklist entries, never
-        both, so one worker drains addresses in the order they were
-        queued, as through one shared worklist."""
-        process = self._process
+    def traverse_function(self, batch: list[int], ctx: EngineStats) -> None:
+        """One task: walk from the addresses in `batch`, in order, on a
+        local stack, draining the return worklist first whenever it has
+        work, until both are empty. Visits push the successors they find,
+        and propagation the fall-throughs it wakes."""
+        stack = list(reversed(batch))
+        work = self._return_work
+        visit = self._visit
         while True:
-            with rec.lock:
-                work = rec.pending
-                rec.pending = None
-            while work:
-                process(ctx, rec, work.popleft(), work)
-                if rec.pending:
-                    with rec.lock:
-                        work.extend(rec.pending)
-                        rec.pending = None
-            with rec.lock:
-                if not rec.pending:
-                    rec.active = False
-                    return
+            if work:
+                self._propagate(stack)
+            elif stack:
+                visit(ctx, stack.pop(), stack)
+            else:
+                return
 
-    # -- per-address dispatch ----------------------------------------------------
-
-    def _process(self, ctx: EngineStats, fn: _FuncRecord, addr: int, work: deque[int]) -> None:
-        """Visit `addr` in `fn`, appending its direct successors that the
-        function has not visited to `work`."""
+    def _visit(self, ctx: EngineStats, addr: int, stack: list[int]) -> None:
+        """Claim, scan and register the block at `addr` unless one starts
+        there, and handle its successors if its registration created its
+        edges."""
+        blocks = self.blocks_by_start
+        if addr in blocks:
+            return
         if not self._text_base <= addr < self._text_end:
             raise OutOfRangeError(addr)
-        visited = fn.visited
-        if addr in visited:
+        if not self.attempt_create_block(addr, ctx):
             return
-        visited.add(addr)
-
-        claimed = self.attempt_create_block(addr, ctx)
-        end, kind, a, b, teardown, hint_at, hint = scan_block(
-            self.image.text, self.image.text_base, addr
+        blk = blocks[addr]
+        end, kind, a, b, teardown, blk.hint_at, blk.hint = scan_block(
+            self.image.text, self._text_base, addr
         )
-        # classified once, before registration: the edge and the walk
-        # follow the same class, and no stripe is held while it is found
-        tail = kind == _JMP and self._classify_branch(fn, addr, a, teardown)
-        if claimed:
-            blk = self.blocks_by_start[addr]
-            blk.end = end
-            blk.term = kind if kind != -1 else _SYNTH_HALT
-            blk.ta = a
-            blk.tb = b
-            blk.hint_at = hint_at
-            blk.hint = hint
-            self.register_block_end(blk, tail, ctx)
-
-        if kind == _JMP:
-            if tail:
-                self.attempt_create_function(a, ctx)
-                self._await_status(ctx, fn, a, _TAIL_SITE)
-            elif a not in visited:
-                work.append(a)
+        # classified before registration, so the edge and the successors
+        # agree, and no stripe is held while it is found
+        tail = kind == _JMP and (a in self.functions or teardown)
+        blk.end = end
+        blk.term = kind if kind != -1 else _SYNTH_HALT
+        blk.ta = a
+        blk.tb = b
+        if not self.register_block_end(blk, tail, ctx):
+            return
+        if kind == _CALL or tail:
+            if self.attempt_create_function(a, ctx):
+                stack.append(a)
+            self._await_status(ctx, a, end, tail, stack)
+        elif kind == _JMP:
+            stack.append(a)
         elif kind == _JCC:
-            if a not in visited:
-                work.append(a)
-            if end not in visited:
-                work.append(end)
-        elif kind == _CALL:
-            self.attempt_create_function(a, ctx)
-            self._await_status(ctx, fn, a, end)
-        elif kind == _RET:
-            self._set_status(fn.entry, ReturnStatus.RETURN, strict=False)
+            stack.append(a)
+            stack.append(end)
         elif kind == _TABLE:
-            desc = self.registry.get_or_create(a, b, end)
-            with self._end_locks[desc.jump_end % _END_STRIPES]:
-                desc.interested.add(fn.entry)
-                known = sorted(desc.targets)
-            for t in known:
-                self._enqueue_addr(fn, t)
-            self.refresh_descriptor(desc)
-        # opaque jumps, halts, and running off text end have no successors
+            self.refresh_descriptor(self.registry.get_or_create(a, b, end))
+        # the registration marked a `ret`; opaque jumps, halts and running
+        # off text end have no successors
 
     # -- drive to completion --------------------------------------------------
 
@@ -662,33 +666,24 @@ class ConcurrentCfgState:
         finalization. The state stays readable afterwards."""
         stats = EngineStats()
         t0 = time.perf_counter()
-        self._running = True
+        seeds = self.symbols.seeds
+        # every seed is a known entry before any jump is classified
+        for addr in seeds:
+            self.attempt_create_function(addr, stats)
         self.pool.start()
         try:
-            seeds = self.symbols.seeds
-            step = max(1, (len(seeds) + self.workers - 1) // self.workers)
-            for i in range(0, len(seeds), step):
-                chunk = seeds[i : i + step]
-                self.pool.spawn(
-                    lambda ctx, c=chunk: [self.attempt_create_function(a, ctx) for a in c]
-                )
+            for i in range(0, len(seeds), _SEED_BATCH):
+                self.pool.spawn(partial(self.traverse_function, seeds[i : i + _SEED_BATCH]))
             t1 = time.perf_counter()
             stats.init_seconds = t1 - t0
 
-            while True:
+            self.pool.wait_idle()
+            while self._global_table_sweep():
                 self.pool.wait_idle()
-                if self._global_table_sweep():
-                    continue
-                if any(rec.status is ReturnStatus.UNSET for rec in self.functions.values()):
-                    self.resolve_status_cycles()
-                    continue
-                break
+            if any(rec.status is _UNSET for rec in self.functions.values()):
+                self.resolve_status_cycles()
         finally:
             self.pool.shutdown()
-        # nothing visits after quiescence: free the per-function visit sets
-        # before the export, the engine's memory peak
-        for rec in self.functions.values():
-            rec.visited = None
         t2 = time.perf_counter()
         stats.traversal_seconds = t2 - t1
 
@@ -720,6 +715,9 @@ class ConcurrentCfgState:
         candidates = set()
         for b in self.blocks_by_start.values():
             for t, k in b.out:
+                # a jump to an entry is a tail call, found before it or not
+                if k == _DIRECT and t in self.functions:
+                    k = _TAIL_CALL
                 edges.add(Edge(b.start, t, EDGE_KINDS[k]))
                 if t not in blocks:
                     candidates.add(t)

@@ -295,10 +295,18 @@ def _label_entry(g: Cfg, addr: int) -> None:
 
 
 def _fei(
-    ix: _IndexedCfg, image: Image, e: Edge, context_entry: int | None = None
+    ix: _IndexedCfg,
+    image: Image,
+    e: Edge,
+    context_entry: int | None = None,
+    *,
+    reach: bool = True,
 ) -> bool:
     """The step of `op_fei`; returns False when it leaves the graph as it
-    was."""
+    was. `reach=False` skips the second heuristic, as the construction
+    driver does: what a function reaches when one of its branches is
+    classified depends on the visit order, and finalization judges every
+    branch against the whole graph anyway."""
     g = ix.g
     if e not in g.edges:
         raise EdgeNotFoundError(f"0x{e.source:x} -> 0x{e.target:x}")
@@ -314,7 +322,9 @@ def _fei(
         _relabel(ix, e, EdgeKind.TAIL_CALL)
         return True
 
-    if context_entry is not None:
+    if not reach:
+        contexts = []
+    elif context_entry is not None:
         contexts = [context_entry] if context_entry in g.entries else []
     else:
         contexts = [f for f in sorted(g.entries) if _reaches(ix, f, e.source, exclude=e)]
@@ -372,6 +382,8 @@ class _SerialDriver:
         self.ft_waiters: dict[int, dict[int, set[int]]] = {}
         # callee entry -> functions whose branch tail-calls it
         self.tail_waiters: dict[int, set[int]] = {}
+        # table jump end -> functions whose traversal reached the jump
+        self.table_fns: dict[int, set[int]] = {}
         # (start, end) -> last bound hint in that range of the image
         self.hints: dict[tuple[int, int], int | None] = {}
 
@@ -457,7 +469,7 @@ class _SerialDriver:
             new = _refresh(self.ix, self.image, blk, desc, self._hint)
             if not new:
                 continue
-            for fn in sorted(desc.interested):
+            for fn in sorted(self.table_fns[desc.jump_end]):
                 for t in new:
                     self.queue.append((fn, t))
             changed = True
@@ -488,7 +500,7 @@ class _SerialDriver:
                 self.dec_done.add(blk.end)
                 for e in _dec(self.ix, blk):
                     if e.kind is EdgeKind.DIRECT:
-                        _fei(self.ix, self.image, e, context_entry=fn)
+                        _fei(self.ix, self.image, e, reach=False)
             for e in self.ix.outgoing(t):
                 if e.kind is EdgeKind.TAIL_CALL:
                     self._tail_interest(fn, e.target)
@@ -510,7 +522,7 @@ class _SerialDriver:
             self._set_status_return_if_unset(fn)
         elif kind is Opcode.IJMP_TABLE:
             desc = self.registry.get_or_create(term.a, term.b, blk.end)
-            desc.interested.add(fn)
+            self.table_fns.setdefault(blk.end, set()).add(fn)
             if blk.end not in self.dec_done:
                 self.dec_done.add(blk.end)
                 _refresh(self.ix, self.image, blk, desc, self._hint)
@@ -552,6 +564,11 @@ class _SerialDriver:
             raise InternalError(
                 f"unresolved candidates after quiescence: {sorted(self.g.candidates)}"
             )
+        # a branch classified before its target became an entry is a tail
+        # call too, so the order entries were found in does not show
+        for a in self.g.entries:
+            for e in [e for e in self.ix.inc.get(a, ()) if e.kind is EdgeKind.DIRECT]:
+                _relabel(self.ix, e, EdgeKind.TAIL_CALL)
         from .finalize import finalize_details
 
         finalize_details(self.g, self.registry, self.ix)

@@ -209,6 +209,25 @@ class TestEndRegistrationAndSplit:
             b.start: b.out for b in reference.blocks_by_start.values()
         }
 
+    def test_starts_inserted_below_known_ones_split_once_each(self):
+        # the order two workers can make: the upper half of a run's
+        # starts, rising, then the lower half, rising; a cut that only
+        # reached the next start down would split each lower block once
+        # per upper start
+        def splits(k):
+            img = asm_image(0x4, [(Opcode.ALU,)] * (2 * k - 1) + [(Opcode.RET,)])
+            starts = [0x4 + 3 * i for i in range(2 * k)]
+            state = ConcurrentCfgState(img, 1)
+            ctx = _ctx()
+            for start in starts[k:] + starts[:k]:
+                state.register_block_end(_claim_and_scan(state, start), False, ctx)
+            spans = {(b.start, b.end) for b in state.blocks_by_start.values()}
+            assert spans == set(zip(starts, starts[1:] + [img.text_end]))
+            return ctx.splits_performed
+
+        small, large = splits(64), splits(128)
+        assert large <= 2.2 * small, (small, large)
+
     def test_split_that_does_not_shorten_raises(self, paper_layout):
         # a scan at the text end walks nothing: the block [0xd, 0xd)
         # loses the end 0xd to [0x4, 0xd), and no split can shorten it
@@ -267,18 +286,20 @@ class TestTraverseFunction:
             symbols=[(0x0, "caller$1", False)],
         )
         state = ConcurrentCfgState(img, 1)
-        state.attempt_create_function(0x0, _ctx())
-        state.traverse_function(state.functions[0x0], _ctx())
-        assert set(state.functions) == {0x0, 0xA}
-        state.traverse_function(state.functions[0xA], _ctx())
+        ctx = _ctx()
+        assert state.attempt_create_function(0x0, ctx)
+        # one task walks the caller's block, the callee it creates, and
+        # the fall-through that the callee's `ret` wakes
+        state.traverse_function([0x0], ctx)
         assert set(state.functions) == {0x0, 0xA}
         assert state.functions[0xA].status is ReturnStatus.RETURN
-        # the drain re-queued the fall-through; resume the caller
-        state.traverse_function(state.functions[0x0], _ctx())
-        assert set(state.functions) == {0x0, 0xA}
         assert state.functions[0x0].status is ReturnStatus.RETURN
         blk = state.blocks_by_end[0x5]
         assert (0x5, int(EdgeKind.CALL_FALLTHROUGH)) in blk.out
+        assert {0x0, 0x5, 0xA} <= state.returns
+        assert state._return_work == []
+        assert ctx.blocks_created == len(state.blocks_by_start) == 3
+        assert ctx.block_claim_losses == 0
 
     def test_halt_function_resolves_noreturn_at_quiescence(self):
         img = asm_image(0x0, [(Opcode.HALT,)], symbols=[(0x0, "die$1", False)])
@@ -296,11 +317,14 @@ class TestReturnStatus:
     def test_double_set_raises(self, paper_layout):
         state = ConcurrentCfgState(paper_layout, 1)
         state.attempt_create_function(0x4, _ctx())
-        state._set_status(0x4, ReturnStatus.RETURN, strict=True)
+        state._write_status(0x4, ReturnStatus.RETURN, True)
         with pytest.raises(AlreadySetError):
-            state._set_status(0x4, ReturnStatus.RETURN, strict=True)
+            state._write_status(0x4, ReturnStatus.RETURN, True)
         with pytest.raises(AlreadySetError):
-            state._set_status(0x4, ReturnStatus.NORETURN, strict=True)
+            state._write_status(0x4, ReturnStatus.NORETURN, True)
+        # a non-strict write only fills an unset status
+        assert state._write_status(0x4, ReturnStatus.NORETURN, False) is None
+        assert state.functions[0x4].status is ReturnStatus.RETURN
 
     def test_eager_notification_drains_waiters_before_quiescence(self, monkeypatch):
         # a waiter left at quiescence means a function left unset, which
@@ -364,11 +388,27 @@ class TestReturnStatus:
         cfg = construct(img, 2)
         assert all(f.status is ReturnStatus.NORETURN for f in cfg.entries.values())
 
+    @pytest.mark.parametrize("order", [(0x4, 0xA), (0xA, 0x4)])
+    def test_a_split_keeps_both_halves_marked(self, paper_layout, order):
+        # [0x4, 0xd) ends in a `ret`; whichever half registers second, the
+        # block that keeps the `ret` and the one that falls into it both
+        # return, though the first was marked before the split
+        state = ConcurrentCfgState(paper_layout, 1)
+        for start in order:
+            state.register_block_end(_claim_and_scan(state, start), False, _ctx())
+            state._propagate([])
+        assert state.returns == {0x4, 0xA}
+        assert state._return_work == []
+
     def test_resolve_status_cycles_direct(self, paper_layout):
         state = ConcurrentCfgState(paper_layout, 1)
         state.attempt_create_function(0x4, _ctx())
         state.attempt_create_function(0xA, _ctx())
-        state._set_status(0xA, ReturnStatus.RETURN, strict=True)
+        # 0xa's entry block returns; draining the worklist writes it
+        state._return_work.append(0xA)
+        state._propagate([])
+        assert state.functions[0xA].status is ReturnStatus.RETURN
+        assert state.functions[0x4].status is ReturnStatus.UNSET
         state.resolve_status_cycles()
         assert state.functions[0x4].status is ReturnStatus.NORETURN
         assert state.functions[0xA].status is ReturnStatus.RETURN
@@ -427,7 +467,7 @@ class TestInstrumentation:
         _, _, stats = self._stress()
         assert stats.splits_performed > 0
 
-    def test_every_visit_claims_and_scans(self, monkeypatch):
+    def test_every_block_is_scanned_once(self, monkeypatch):
         img, _ = generate(ScenarioSpec.make("big-random", 1, functions=200))
         scans = []
 
@@ -438,10 +478,10 @@ class TestInstrumentation:
         monkeypatch.setattr(parallel, "scan_block", counted)
         cfg, stats, _ = construct_details(img, 1)
         assert canonical_serialize(cfg) == canonical_serialize(serial_construct(img))
-        assert len(scans) == stats.blocks_created + stats.block_claim_losses
-        # blocks shared by functions are visited once per function, so a
-        # single worker loses claims to itself
-        assert stats.block_claim_losses > 0
+        assert len(scans) == stats.blocks_created
+        # a visit finds a walked block before it claims, so a single
+        # worker never loses a claim, shared blocks included
+        assert stats.block_claim_losses == 0
 
 
 def test_stage_times_fit_in_construct_wall_time():
@@ -637,6 +677,96 @@ def test_tail_call_chain_longer_than_the_recursion_limit():
         assert len(g.entries) == n
         assert {f.status for f in g.entries.values()} == {ReturnStatus.RETURN}
         assert canonical_serialize(g) == want
+
+
+@pytest.fixture
+def short_switch_interval():
+    """Preempts threads about every 10 us, for races that need it, and
+    puts the interval back as the test found it."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    yield
+    sys.setswitchinterval(interval)
+
+
+def _noreturn_pairs(n):
+    """n functions `f_i: jmp g_i`, then n functions `g_i: ret`, each g_i
+    flagged noreturn. A jump classified while g_i is not yet a known
+    entry is a plain branch into a `ret`, which makes f_i return; the
+    oracle knows every seed first, so its f_i tail-call the flagged g_i
+    and never return."""
+    jmp = LENGTHS[Opcode.JMP_DIRECT]
+    g0 = 0x1000 + jmp * n
+    instrs = [(Opcode.JMP_DIRECT, g0 + i) for i in range(n)] + [(Opcode.RET,)] * n
+    symbols = [(0x1000 + jmp * i, f"f{i}", False) for i in range(n)]
+    symbols += [(g0 + i, f"g{i}", True) for i in range(n)]
+    return asm_image(0x1000, instrs, symbols)
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_every_seed_is_known_before_any_jump_is_classified(short_switch_interval, workers):
+    img = _noreturn_pairs(2000)
+    oracle = serial_construct(img)
+    assert {oracle.entries[0x1000].status, oracle.entries[0x1000 + 5 * 2000].status} == {
+        ReturnStatus.NORETURN
+    }
+    want = canonical_serialize(oracle)
+    diverged = sum(canonical_serialize(construct(img, workers)) != want for _ in range(5))
+    assert diverged == 0
+
+
+def _two_jumps_to_one_target(teardown_taken):
+    """A function `f` whose `jcc` leads to two jumps to 0x10, one after
+    a frame teardown and one plain, with the teardown on the taken side
+    or on the fall-through. Whichever jump is classified first decides
+    whether 0x10 is already an entry when the other one is."""
+    plain = [(Opcode.JMP_DIRECT, 0x10)]
+    torn = [(Opcode.FRAME_TEARDOWN,), (Opcode.JMP_DIRECT, 0x10)]
+    if teardown_taken:
+        # 0x0 teardown, jmp; 0x6 f: jcc 0x0; 0xb jmp; 0x10 ret
+        instrs, f = torn + [(Opcode.JCC_DIRECT, 0x0)] + plain, 0x6
+    else:
+        # 0x0 jmp; 0x5 f: jcc 0x0; 0xa teardown, jmp; 0x10 ret
+        instrs, f = plain + [(Opcode.JCC_DIRECT, 0x0)] + torn, 0x5
+    return asm_image(0x0, instrs + [(Opcode.RET,)], [(f, "f", False)])
+
+
+@pytest.mark.parametrize("teardown_taken", [True, False])
+def test_jump_labels_do_not_depend_on_the_visit_order(short_switch_interval, teardown_taken):
+    img = _two_jumps_to_one_target(teardown_taken)
+    oracle = serial_construct(img)
+    # the torn-down jump makes 0x10 an entry, so both jumps tail-call it
+    tails = {(e.source, e.target) for e in oracle.edges if e.kind is EdgeKind.TAIL_CALL}
+    assert {t for _, t in tails} == {0x10} and len(tails) == 2
+    assert oracle.entries[0x10].status is ReturnStatus.RETURN
+    want = canonical_serialize(oracle)
+    for workers in (1, 2, 4):
+        for _ in range(10):
+            assert canonical_serialize(construct(img, workers)) == want, workers
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_shared_code_splits_grow_linearly(monkeypatch, workers):
+    # each sharer inserts a start into one straight-line run: every
+    # block is scanned once, and the split count grows linearly with the
+    # sharers (the cut that skips known starts is guarded by
+    # test_starts_inserted_below_known_ones_split_once_each)
+    scans = []
+
+    def counted(*args):
+        scans.append(args)
+        return scan_block(*args)
+
+    monkeypatch.setattr(parallel, "scan_block", counted)
+    splits = {}
+    for sharers in (128, 256):
+        img, _ = generate(ScenarioSpec.make("shared-code", 1, sharers=sharers))
+        scans.clear()
+        cfg, stats, _ = construct_details(img, workers)
+        assert canonical_serialize(cfg) == canonical_serialize(serial_construct(img))
+        assert len(scans) == stats.blocks_created
+        splits[sharers] = stats.splits_performed
+    assert splits[256] <= 2.2 * max(splits[128], 1), splits
 
 
 def test_workers_are_joined_before_the_error_surfaces():
@@ -876,11 +1006,13 @@ def test_no_thread_holds_two_end_stripes(monkeypatch, workers):
 
 
 class TestEngineMemory:
-    """A record holds a worklist and waiter set only while it uses them,
-    and the engine's state is freed before finalize."""
+    """A record holds its lock, its status, and a waiter set only while
+    it uses it; nothing is kept per visit; and the engine's state is
+    freed before finalize."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_records_hold_only_what_they_use(self, workers):
+        assert parallel._FuncRecord.__slots__ == ("lock", "status", "waiters")
         waited = 0
         for spec in _FAMILY_SPECS:
             img, _ = generate(spec)
@@ -888,8 +1020,8 @@ class TestEngineMemory:
             _, stats = state.run()
             waited += stats.waiters_registered
             for rec in state.functions.values():
-                assert rec.pending is None
                 assert rec.status is not ReturnStatus.UNSET and rec.waiters is None
+            assert state._return_work == []
         assert waited > 0
 
     def test_state_is_freed_before_finalize(self, monkeypatch):

@@ -2,11 +2,13 @@
 the worker count, ships one scan kernel, in Python source only, decodes
 only through that kernel, reads jump tables only in `pcfg.jumptables`,
 keeps the serial oracle independent of the engine it checks, keeps no
-engine stat that nothing reads and no export that nothing uses, and
-gives no finalize step an optional argument."""
+engine stat that nothing reads and no export that nothing uses, gives
+no finalize step an optional argument, and keeps every engine name the
+benchmark's tracer wraps."""
 
 import ast
 import dataclasses
+import importlib
 import inspect
 import re
 from pathlib import Path
@@ -166,3 +168,26 @@ def test_finalize_steps_take_no_parameter_defaults():
     ]
     assert "finalize_details" in {f.__name__ for f in functions}
     assert defaulted == []
+
+
+def test_benchmark_tracer_finds_its_engine_targets():
+    # the tracer wraps names given as strings and skips a missing one, so
+    # a renamed engine method would leave its probe reading zero;
+    # `decode_at` left the library before this check existed
+    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text())
+    (targets,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)
+    ]
+    checked = []
+    for module, cls, attr, *_ in targets:
+        if module != "pcfg.parallel" or attr == "decode_at":
+            continue
+        owner = importlib.import_module(module)
+        if cls is not None:
+            owner = getattr(owner, cls, None)
+        checked.append((cls, attr, owner is not None and attr in vars(owner)))
+    assert {attr for _, attr, _ in checked} >= {"traverse_function", "refresh_descriptor"}
+    assert [c for c in checked if not c[2]] == []
