@@ -16,11 +16,15 @@ edge set it was built over, so its three views stay in step through
 each removal and flip, and no step rebuilds a view of every edge for
 itself.
 
-Tail-call correction applies three rules to each branch edge, lowest
-rule wins, judged against a per-round snapshot:
+Tail-call correction has three rules. Rule 1 runs once, before the
+rounds; rules 2 and 3 are judged against a per-round snapshot, lowest
+rule wins:
 
-1. a plain branch whose target has an incoming call-like edge becomes a
-   tail call;
+1. every plain branch into an entry becomes a tail call, whether the
+   constructor found the entry before the branch or after it. This is
+   a label, not a flip. Every call and tail-call target is an entry (a
+   precondition of `finalize_details`), so no plain branch into a
+   target with a call-like in-edge is left for a round to judge;
 2. a tail call whose target lies inside the branching function's own
    boundary becomes a plain branch;
 3. a tail call that is its target's only incoming edge becomes a plain
@@ -29,19 +33,16 @@ rule wins, judged against a per-round snapshot:
 
 Each edge flips at most once per finalization. The rounds keep this by
 construction, with no record of what flipped: the first round judges
-every plain branch and tail call, the only edges the rules apply to,
-and a later round judges only tail calls that have not flipped. So a
-flipped edge is never judged again, an unflipped one is judged for as
-long as its verdict can change (below), and every later round that
-flips shrinks the set of unflipped tail calls, which ends the loop.
+every tail call, the only edges rules 2 and 3 apply to, and a later
+round judges only tail calls that have not flipped. A flip makes a
+plain branch, which no round judges, so a flipped edge is never judged
+again, an unflipped one is judged for as long as its verdict can change
+(below), and every later round that flips shrinks the set of unflipped
+tail calls, which ends the loop.
 
 A later round judges only the unflipped tail calls whose source lies in
 a boundary just walked again, because no other edge's verdict can have
 changed:
-- Rule 1 cannot fire after the first round. A target gains a tail-call
-  in-edge only through rule 1, which needs a call-like in-edge that is
-  already there, so every plain branch into it flipped in the same
-  round.
 - Rule 3 reads in-degree, which a flip does not change.
 - Rule 2 reads the boundaries that hold the source. Before the last
   round, an entry that reaches the source now already reached either
@@ -289,51 +290,37 @@ def assign_function_boundaries(
 def correct_tail_calls(
     g: Cfg, index: EdgeIndex, boundaries: list[FunctionBoundary], judged: Iterable[Edge]
 ) -> list[Edge]:
-    """One pass of the three correction rules over the edges `judged`,
-    applied to `g` in place through `index`; returns the judged edges
-    that flipped, as they were before the flip. Every edge is judged
-    against the graph as the pass found it and the flips are applied
-    after the pass, so the order edges are judged in does not matter.
-    `boundaries` must include every boundary that holds the source of a
-    judged tail call."""
+    """One pass of rules 2 and 3 over the tail calls `judged`, applied to
+    `g` in place through `index`; returns the tail calls that flipped, as
+    they were before the flip. Every edge is judged against the graph as
+    the pass found it and the flips are applied after the pass, so the
+    order edges are judged in does not matter. `boundaries` must include
+    every boundary that holds the source of a judged tail call."""
     inc = index.inc
-    called: dict[int, bool] = {}
-    flips: list[tuple[Edge, EdgeKind]] = []
-    tails: list[Edge] = []
-    for e in judged:
-        source, target, kind = e
-        if kind is _DIRECT:
-            hit = called.get(target)
-            if hit is None:
-                hit = called[target] = any(i.kind in _CALLISH for i in inc[target])
-            if hit:
-                flips.append((e, _TAIL_CALL))
-        elif kind is _TAIL_CALL:
-            tails.append(e)
-
+    tails = list(judged)
     # rule 2 looks up only tail-call sources: the boundaries holding each
     tail_sources = {e.source for e in tails}
     holders: dict[int, list[set[int]]] = {}
-    if tail_sources:
-        for fb in boundaries:
-            for src in tail_sources & fb.blocks:
-                holders.setdefault(src, []).append(fb.blocks)
+    for fb in boundaries:
+        for src in tail_sources & fb.blocks:
+            holders.setdefault(src, []).append(fb.blocks)
+    flipped: list[Edge] = []
     drop_entries: list[int] = []
     for e in tails:
         source, target, _ = e
         if any(target in blocks for blocks in holders.get(source, ())):
-            flips.append((e, _DIRECT))
+            flipped.append(e)
         elif len(inc[target]) == 1:
-            flips.append((e, _DIRECT))
+            flipped.append(e)
             entry = g.entries.get(target)
             if entry is not None and not entry.seed:
                 drop_entries.append(target)
 
-    for e, kind in flips:
-        index.replace(e, Edge(e.source, e.target, kind))
+    for e in flipped:
+        index.replace(e, Edge(e.source, e.target, _DIRECT))
     for addr in drop_entries:
         g.entries.pop(addr, None)
-    return [e for e, _ in flips]
+    return flipped
 
 
 def _prune(g: Cfg, index: EdgeIndex, dropped: Iterable[int]) -> None:
@@ -362,14 +349,23 @@ def finalize_details(g: Cfg, registry: TableRegistry, index: EdgeIndex) -> Final
     """Run the full finalization pipeline over `g` in place, reading and
     updating `index`, which indexes `g.edges`; idempotent on its own
     output. The graph is not validated here: every writer in `pcfg.cfg`
-    validates what it is handed."""
+    validates what it is handed.
+
+    Precondition: every CALL and TAIL_CALL target in `g` is an entry,
+    as both constructors make it (a call or tail call labels its
+    target). Rule 1 relies on it (module docstring)."""
     trim_overlapping_tables(g, registry, index)
     _drop_unreachable(g, index)
     entries = set(g.entries)
-    # the first round judges every edge the rules apply to; later rounds
-    # judge only tail calls that have not flipped (module docstring)
-    judged = [e for e in g.edges if e.kind is _DIRECT or e.kind is _TAIL_CALL]
-    tails = {e for e in judged if e.kind is _TAIL_CALL}
+    # rule 1: a plain branch into an entry is a tail call, found before
+    # the entry or not
+    for a in entries:
+        for e in [e for e in index.inc.get(a, ()) if e.kind is _DIRECT]:
+            index.replace(e, Edge(e.source, a, _TAIL_CALL))
+    # the first round judges every tail call; later rounds judge only
+    # tail calls that have not flipped (module docstring)
+    tails = {e for e in g.edges if e.kind is _TAIL_CALL}
+    judged = list(tails)
     holding = _entries_reaching(g, index, {e.source for e in tails})
     boundaries = assign_function_boundaries(g, index, holding)
     flips = iterations = 0

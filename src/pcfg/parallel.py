@@ -18,11 +18,12 @@ targets onto its worker's local stack, and creates, pushes and waits on
 the function its call or tail call names. So each block is scanned
 once, and each terminator's successors are handled once. A jump is a
 tail call when its target is a known entry or its block tears down the
-frame; no rule reads a function's context. Every seed's record exists
-before the pool starts, so a flag's effect does not depend on the
-schedule, and the export labels a jump to any entry a tail call, so
-neither does the label. Tasks are batches of addresses: `_SEED_BATCH`
-seeds, or the targets a table refresh adds.
+frame (`pcfg.serial.op_fei`); no rule reads a function's context.
+Every seed's record exists before the pool starts, so a flag's effect
+does not depend on the schedule, and finalization labels a jump to any
+entry a tail call (its rule 1), so neither does the label. Tasks are
+batches of addresses: `_SEED_BATCH` seeds, or the targets a table
+refresh adds.
 
 "A `ret` is reachable from here" only turns from false to true, so
 return statuses are a backward fixed point over `incoming`, the
@@ -277,10 +278,13 @@ class _TaskPool:
                 raise self._error
 
     def shutdown(self) -> None:
+        """Stop and join every worker that started; a `start` that raised
+        part way leaves the rest unstarted."""
         self._stop = True
-        for _ in self._threads:
+        started = [t for t in self._threads if t.ident is not None]
+        for _ in started:
             self._q.put(None)
-        for t in self._threads:
+        for t in started:
             t.join()
 
 
@@ -670,8 +674,8 @@ class ConcurrentCfgState:
         # every seed is a known entry before any jump is classified
         for addr in seeds:
             self.attempt_create_function(addr, stats)
-        self.pool.start()
         try:
+            self.pool.start()
             for i in range(0, len(seeds), _SEED_BATCH):
                 self.pool.spawn(partial(self.traverse_function, seeds[i : i + _SEED_BATCH]))
             t1 = time.perf_counter()
@@ -715,9 +719,6 @@ class ConcurrentCfgState:
         candidates = set()
         for b in self.blocks_by_start.values():
             for t, k in b.out:
-                # a jump to an entry is a tail call, found before it or not
-                if k == _DIRECT and t in self.functions:
-                    k = _TAIL_CALL
                 edges.add(Edge(b.start, t, EDGE_KINDS[k]))
                 if t not in blocks:
                     candidates.add(t)

@@ -13,10 +13,13 @@ field of a `scan_block` call, and every table is read through
 applies the same steps to one indexed graph of its own, driven from the
 symbol table seeds by a deterministic FIFO worklist, so each step costs
 what it touches rather than the whole graph, and construction grows
-about linearly with the image; finalization reads the same index. It is
-the correctness oracle the concurrent engine is checked against, so it
-imports nothing from the engine (`pcfg.parallel`). Like the engine, it
-runs with the cyclic collector paused (`pcfg._collector`).
+about linearly with the image; finalization reads the same index. The
+driver applies each step as its operation defines it: a jump classified
+before its target became an entry stays a plain branch until
+finalization's rule 1 labels it a tail call, as it does the engine's.
+It is the correctness oracle the concurrent engine is checked against,
+so it imports nothing from the engine (`pcfg.parallel`). Like the
+engine, it runs with the cyclic collector paused (`pcfg._collector`).
 """
 
 from __future__ import annotations
@@ -258,35 +261,8 @@ def op_iec(g: Cfg, image: Image, a: Block) -> Cfg:
     return out if _iec(_IndexedCfg(out), image, a) else g
 
 
-def _reaches(ix: _IndexedCfg, source: int, goal: int, exclude: Edge | None) -> bool:
-    """Whether `goal` is reachable from `source` over intra-procedural
-    edges, optionally ignoring one edge (compared by endpoints)."""
-    blocks = ix.g.blocks
-    seen = {source}
-    work = deque([source])
-    while work:
-        cur = work.popleft()
-        if cur == goal:
-            return True
-        if cur not in blocks:
-            continue
-        for e in ix.out.get(cur, ()):
-            if e.kind not in INTRA_EDGE_KINDS:
-                continue
-            if exclude is not None and e.source == exclude.source and e.target == exclude.target:
-                continue
-            if e.target not in seen:
-                seen.add(e.target)
-                work.append(e.target)
-    return False
-
-
 def _has_teardown(image: Image, blk: Block) -> bool:
     return scan_block(image.text, image.text_base, blk.start, blk.end)[4]
-
-
-def _relabel(ix: _IndexedCfg, e: Edge, kind: EdgeKind) -> None:
-    ix.replace(e, Edge(e.source, e.target, kind))
 
 
 def _label_entry(g: Cfg, addr: int) -> None:
@@ -294,19 +270,9 @@ def _label_entry(g: Cfg, addr: int) -> None:
         g.entries[addr] = FunctionEntry(addr, None, ReturnStatus.UNSET, seed=False)
 
 
-def _fei(
-    ix: _IndexedCfg,
-    image: Image,
-    e: Edge,
-    context_entry: int | None = None,
-    *,
-    reach: bool = True,
-) -> bool:
+def _fei(ix: _IndexedCfg, image: Image, e: Edge) -> bool:
     """The step of `op_fei`; returns False when it leaves the graph as it
-    was. `reach=False` skips the second heuristic, as the construction
-    driver does: what a function reaches when one of its branches is
-    classified depends on the visit order, and finalization judges every
-    branch against the whole graph anyway."""
+    was."""
     g = ix.g
     if e not in g.edges:
         raise EdgeNotFoundError(f"0x{e.source:x} -> 0x{e.target:x}")
@@ -317,41 +283,25 @@ def _fei(
         return False
     if e.kind is not EdgeKind.DIRECT:
         return False
-
-    if e.target in g.entries:
-        _relabel(ix, e, EdgeKind.TAIL_CALL)
-        return True
-
-    if not reach:
-        contexts = []
-    elif context_entry is not None:
-        contexts = [context_entry] if context_entry in g.entries else []
-    else:
-        contexts = [f for f in sorted(g.entries) if _reaches(ix, f, e.source, exclude=e)]
-    for f in contexts:
-        if _reaches(ix, f, e.target, exclude=e):
-            return False
-
-    if _has_teardown(image, g.blocks[e.source]):
-        _relabel(ix, e, EdgeKind.TAIL_CALL)
+    if e.target in g.entries or _has_teardown(image, g.blocks[e.source]):
+        ix.replace(e, Edge(e.source, e.target, EdgeKind.TAIL_CALL))
         _label_entry(g, e.target)
         return True
     return False
 
 
-def op_fei(g: Cfg, image: Image, e: Edge, context_entry: int | None = None) -> Cfg:
+def op_fei(g: Cfg, image: Image, e: Edge) -> Cfg:
     """Function entry identification.
 
-    Call edges label their target trivially. For an unconditional branch
-    the heuristics run in order: a branch to a known entry is a tail
-    call; a branch to a block already reachable inside the current
-    function is not; a branch preceded by frame teardown in its block is
-    a tail call and labels its target. `context_entry` names the
-    function under analysis; when omitted it is inferred as any entry
-    that reaches the edge source.
+    A call labels its target an entry. An unconditional branch is a tail
+    call, and labels its target, when its target is already an entry or
+    its block tears down the frame; otherwise it stays a plain branch.
+    No rule reads the branching function's context: whether the target
+    lies inside that function is finalization's rule 2, judged on the
+    whole graph.
     """
     out = g.clone()
-    return out if _fei(_IndexedCfg(out), image, e, context_entry) else g
+    return out if _fei(_IndexedCfg(out), image, e) else g
 
 
 def op_er(g: Cfg, e: Edge) -> Cfg:
@@ -500,7 +450,7 @@ class _SerialDriver:
                 self.dec_done.add(blk.end)
                 for e in _dec(self.ix, blk):
                     if e.kind is EdgeKind.DIRECT:
-                        _fei(self.ix, self.image, e, reach=False)
+                        _fei(self.ix, self.image, e)
             for e in self.ix.outgoing(t):
                 if e.kind is EdgeKind.TAIL_CALL:
                     self._tail_interest(fn, e.target)
@@ -564,11 +514,6 @@ class _SerialDriver:
             raise InternalError(
                 f"unresolved candidates after quiescence: {sorted(self.g.candidates)}"
             )
-        # a branch classified before its target became an entry is a tail
-        # call too, so the order entries were found in does not show
-        for a in self.g.entries:
-            for e in [e for e in self.ix.inc.get(a, ()) if e.kind is EdgeKind.DIRECT]:
-                _relabel(self.ix, e, EdgeKind.TAIL_CALL)
         from .finalize import finalize_details
 
         finalize_details(self.g, self.registry, self.ix)

@@ -1,8 +1,4 @@
-import os
 import struct
-import sys
-
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import pytest
 

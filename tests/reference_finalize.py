@@ -77,8 +77,8 @@ def _boundary(g: Cfg, out: dict[int, list[Edge]], entry: int) -> set[int]:
 
 
 def _correction_round(g: Cfg, flipped: set[tuple[int, int]]) -> bool:
-    """Judge every edge against one snapshot, lowest rule first, then
-    apply the flips; returns whether any edge flipped."""
+    """Judge every unflipped tail call against one snapshot, lowest rule
+    first, then apply the flips; returns whether any edge flipped."""
     snapshot = frozenset(g.edges)
     out = _out_edges(g)
     boundaries = [_boundary(g, out, entry) for entry in sorted(g.entries)]
@@ -88,22 +88,17 @@ def _correction_round(g: Cfg, flipped: set[tuple[int, int]]) -> bool:
     flips: list[tuple[Edge, EdgeKind]] = []
     dropped: list[int] = []
     for e in sorted(snapshot):
-        if (e.source, e.target) in flipped:
+        if (e.source, e.target) in flipped or e.kind is not EdgeKind.TAIL_CALL:
             continue
-        if e.kind is EdgeKind.DIRECT:
-            # rule 1: a plain branch to a called target is a tail call
-            if any(i.kind in _CALLISH for i in incoming[e.target]):
-                flips.append((e, EdgeKind.TAIL_CALL))
-        elif e.kind is EdgeKind.TAIL_CALL:
-            # rule 2: a tail call within its own function is a branch
-            if any(e.source in b and e.target in b for b in boundaries):
-                flips.append((e, EdgeKind.DIRECT))
-            # rule 3: a tail call that is its target's only in-edge
-            elif len(incoming[e.target]) == 1:
-                flips.append((e, EdgeKind.DIRECT))
-                entry = g.entries.get(e.target)
-                if entry is not None and not entry.seed:
-                    dropped.append(e.target)
+        # rule 2: a tail call within its own function is a branch
+        if any(e.source in b and e.target in b for b in boundaries):
+            flips.append((e, EdgeKind.DIRECT))
+        # rule 3: a tail call that is its target's only in-edge
+        elif len(incoming[e.target]) == 1:
+            flips.append((e, EdgeKind.DIRECT))
+            entry = g.entries.get(e.target)
+            if entry is not None and not entry.seed:
+                dropped.append(e.target)
     for e, kind in flips:
         g.edges.remove(e)
         g.edges.add(Edge(e.source, e.target, kind))
@@ -129,6 +124,13 @@ def reference_finalize(g: Cfg, registry: TableRegistry) -> tuple[int, int]:
     """Finalize `g` in place; returns (flips, correction rounds)."""
     _trim(g, registry)
     _sweep(g)
+    # rule 1: a plain branch into an entry is a tail call; not a flip
+    g.edges = {
+        Edge(e.source, e.target, EdgeKind.TAIL_CALL)
+        if e.kind is EdgeKind.DIRECT and e.target in g.entries
+        else e
+        for e in g.edges
+    }
     flipped: set[tuple[int, int]] = set()
     rounds = 1
     while _correction_round(g, flipped):

@@ -274,8 +274,8 @@ def test_criterion_4_operation_algebra():
     g = op_dec(op_dec(g, g.blocks[0x0]), g.blocks[0xB])
     e_teardown = Edge(0x0, 0x10, EdgeKind.DIRECT)
     e_plain = Edge(0xB, 0x10, EdgeKind.DIRECT)
-    first = op_fei(op_fei(g, img, e_teardown, 0x0), img, e_plain, 0xB)
-    second = op_fei(op_fei(g, img, e_plain, 0xB), img, e_teardown, 0x0)
+    first = op_fei(op_fei(g, img, e_teardown), img, e_plain)
+    second = op_fei(op_fei(g, img, e_plain), img, e_teardown)
     witness = canonical_serialize(first) != canonical_serialize(second)
 
     _report(

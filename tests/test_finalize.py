@@ -217,19 +217,34 @@ class TestTailCallRules:
     @staticmethod
     def _round(g, judged=None):
         """One correction round over every entry's boundary; it judges
-        `judged`, or every branch and tail call."""
+        `judged`, or every tail call."""
         if judged is None:
-            judged = sorted(e for e in g.edges if e.kind in (EdgeKind.DIRECT, EdgeKind.TAIL_CALL))
+            judged = sorted(e for e in g.edges if e.kind is EdgeKind.TAIL_CALL)
         index = EdgeIndex(g.edges)
         boundaries = assign_function_boundaries(g, index, sorted(g.entries))
         flipped = correct_tail_calls(g, index, boundaries, judged)
         assert TestLocalSweep._normal(index) == TestLocalSweep._normal(EdgeIndex(g.edges))
         return flipped
 
-    def test_rule1_direct_branch_to_called_target_flips(self):
-        g = self._two_branch_graph(EdgeKind.TAIL_CALL, EdgeKind.DIRECT)
-        assert self._round(g) == [Edge(0x10, 0x20, EdgeKind.DIRECT)]
-        assert Edge(0x10, 0x20, EdgeKind.TAIL_CALL) in g.edges
+    def test_rule1_labels_branches_into_entries_without_a_flip(self):
+        # both plain branches into the entry 0x20 become tail calls, and
+        # no round turns them back: 0x20 has two in-edges and lies in
+        # neither branching function. Rule 1 reads entries, not in-edges:
+        # a plain branch into a called target that is no entry stays plain
+        g = self._two_branch_graph(EdgeKind.DIRECT, EdgeKind.DIRECT)
+        g.blocks[0x30] = _jmp_block(0x30, 0x35, 0x50)
+        g.blocks[0x40] = Block(0x40, 0x45, Instruction(0x40, Opcode.CALL, 5, 0x50))
+        g.blocks[0x50] = _ret_block(0x50)
+        g.edges |= {Edge(0x30, 0x50, EdgeKind.DIRECT), Edge(0x40, 0x50, EdgeKind.CALL)}
+        g.entries |= {0x30: _entry(0x30), 0x40: _entry(0x40)}
+        stats = finalize_details(g, TableRegistry(), EdgeIndex(g.edges))
+        assert stats == FinalizeStats(flips=0, iterations=1)
+        assert g.edges == {
+            Edge(0x0, 0x20, EdgeKind.TAIL_CALL),
+            Edge(0x10, 0x20, EdgeKind.TAIL_CALL),
+            Edge(0x30, 0x50, EdgeKind.DIRECT),
+            Edge(0x40, 0x50, EdgeKind.CALL),
+        }
 
     def test_rule2_branch_within_boundary_flips_back(self):
         # entry block conditionally reaches t, and t is also tail-called
@@ -267,13 +282,20 @@ class TestTailCallRules:
         assert 0x20 in g.entries
 
     def test_only_judged_edges_flip(self):
-        # rule 1 would flip the plain branch, but only the tail call is
-        # judged, and it stays: its target has two in-edges
-        g = self._two_branch_graph(EdgeKind.TAIL_CALL, EdgeKind.DIRECT)
-        before = set(g.edges)
-        assert self._round(g, [Edge(0x0, 0x20, EdgeKind.TAIL_CALL)]) == []
+        # rule 3 would flip either tail call, each its target's only
+        # in-edge, but only the judged one flips
+        g = Cfg()
+        g.blocks[0x0] = _jmp_block(0x0, 0x5, 0x20)
+        g.blocks[0x10] = _jmp_block(0x10, 0x15, 0x30)
+        g.blocks[0x20] = _ret_block(0x20)
+        g.blocks[0x30] = _ret_block(0x30)
+        first, second = Edge(0x0, 0x20, EdgeKind.TAIL_CALL), Edge(0x10, 0x30, EdgeKind.TAIL_CALL)
+        g.edges = {first, second}
+        g.entries = {a: _entry(a) for a in (0x0, 0x10, 0x20, 0x30)}
         assert self._round(g, []) == []
-        assert g.edges == before
+        assert g.edges == {first, second}
+        assert self._round(g, [first]) == [first]
+        assert g.edges == {Edge(0x0, 0x20, EdgeKind.DIRECT), second}
 
     @staticmethod
     def _judged_after_flip(monkeypatch, img) -> int:
@@ -444,11 +466,15 @@ class TestLocalSweep:
 
     @pytest.mark.parametrize("spec", CORPUS, ids=lambda s: f"{s.family}-{s.seed}")
     def test_graphs_are_fully_reachable_before_finalize(self, monkeypatch, spec):
+        # and every call and tail-call target is an entry, the
+        # precondition that lets rule 1 read entries alone
         img, _ = generate(spec)
-        for workers in (1, 2):
-            raw, _ = ConcurrentCfgState(img, workers).run()
+        raws = [ConcurrentCfgState(img, workers).run()[0] for workers in (1, 2)]
+        raws.append(_oracle_before_finalize(monkeypatch, img)[0])
+        for raw in raws:
+            called = {e.target for e in raw.edges if e.kind in (EdgeKind.CALL, EdgeKind.TAIL_CALL)}
+            assert called <= set(raw.entries)
             assert _sweep(raw) is False
-        assert _sweep(_oracle_before_finalize(monkeypatch, img)[0]) is False
 
     @staticmethod
     def _normal(index: EdgeIndex):
@@ -655,7 +681,7 @@ class TestReference:
             st.tuples(
                 st.integers(0, 99),
                 st.integers(0, 99),
-                # branches and tail calls are what the rounds judge
+                # rule 1 labels plain branches, and the rounds judge tail calls
                 st.sampled_from(list(EdgeKind) + [EdgeKind.DIRECT, EdgeKind.TAIL_CALL] * 2),
             ),
             min_size=4,
@@ -713,14 +739,14 @@ class TestWalkCounts:
         img, _ = generate(ScenarioSpec.make("big-random", 1, functions=20000))
         walks = self._count_walks(monkeypatch)
         judged: list[int] = []
-        branches: list[int] = []
+        tail_calls: list[int] = []
         real_tails = finalize.correct_tail_calls
 
         def tails(g, index, boundaries, edges):
+            edges = list(edges)
+            assert all(e.kind is EdgeKind.TAIL_CALL for e in edges)
             judged.append(len(edges))
-            branches.append(
-                sum(e.kind in (EdgeKind.DIRECT, EdgeKind.TAIL_CALL) for e in g.edges)
-            )
+            tail_calls.append(sum(e.kind is EdgeKind.TAIL_CALL for e in g.edges))
             return real_tails(g, index, boundaries, edges)
 
         monkeypatch.setattr(finalize, "correct_tail_calls", tails)
@@ -728,7 +754,7 @@ class TestWalkCounts:
         assert stats.finalize_iterations == len(judged) >= 2
         # 2,152 walks for 20,877 entries
         assert len(walks) < len(g.entries) // 5
-        # round 1 judges every branch and tail call (7,778 of 28,084
-        # edges); round 2 judges none
-        assert judged[0] == branches[0]
+        # round 1 judges every tail call (2,152 of 28,084 edges), and
+        # round 2 none
+        assert judged[0] == tail_calls[0] == 2152
         assert all(n < len(g.edges) // 100 for n in judged[1:])

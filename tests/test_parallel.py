@@ -778,6 +778,27 @@ def test_workers_are_joined_before_the_error_surfaces():
         assert not any(t.is_alive() for t in state.pool._threads)
 
 
+def test_a_worker_that_fails_to_start_leaves_no_thread_behind(monkeypatch, paper_layout):
+    # the second worker's start raises, as `Thread.start` does when the
+    # system has no thread to give: the error surfaces, and the worker
+    # that did start is stopped and joined
+    real_start = threading.Thread.start
+    starts = []
+
+    def start(thread):
+        starts.append(thread)
+        if len(starts) == 2:
+            raise RuntimeError("can't start new thread")
+        real_start(thread)
+
+    baseline = threading.active_count()
+    monkeypatch.setattr(threading.Thread, "start", start)
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        construct(paper_layout, 2)
+    assert len(starts) == 2 and not starts[0].is_alive()
+    assert threading.active_count() == baseline
+
+
 def _within(seconds, fn):
     """Runs `fn` under `_raised_within` and re-raises what it raised."""
     exc = _raised_within(seconds, fn)

@@ -3,8 +3,8 @@ the worker count, ships one scan kernel, in Python source only, decodes
 only through that kernel, reads jump tables only in `pcfg.jumptables`,
 keeps the serial oracle independent of the engine it checks, keeps no
 engine stat that nothing reads and no export that nothing uses, gives
-no finalize step an optional argument, and keeps every engine name the
-benchmark's tracer wraps."""
+no finalize step or serial operation an optional argument, and keeps
+every engine name the benchmark's tracer wraps."""
 
 import ast
 import dataclasses
@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import pcfg
-from pcfg import finalize
+from pcfg import finalize, serial
 from pcfg.parallel import ConcurrentCfgState, EngineStats, construct, construct_details
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -151,23 +151,25 @@ def test_every_engine_stat_is_read():
 
 
 def test_finalize_steps_take_no_parameter_defaults():
-    # each step takes exactly what `finalize_details` hands it, so no
-    # default path exists that only some callers take
-    functions = []
-    for obj in vars(finalize).values():
-        if getattr(obj, "__module__", None) != finalize.__name__:
-            continue
-        if inspect.isclass(obj):
-            functions += [f for f in vars(obj).values() if inspect.isfunction(f)]
-        elif inspect.isfunction(obj):
-            functions.append(obj)
-    defaulted = [
-        f.__qualname__
-        for f in functions
-        if any(p.default is not p.empty for p in inspect.signature(f).parameters.values())
-    ]
-    assert "finalize_details" in {f.__name__ for f in functions}
-    assert defaulted == []
+    # each finalize step takes exactly what `finalize_details` hands it,
+    # and each serial operation's step what the oracle's driver hands it,
+    # so no default path exists that only some callers take
+    for module, anchor in ((finalize, "finalize_details"), (serial, "op_fei")):
+        functions = []
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isclass(obj):
+                functions += [f for f in vars(obj).values() if inspect.isfunction(f)]
+            elif inspect.isfunction(obj):
+                functions.append(obj)
+        defaulted = [
+            f.__qualname__
+            for f in functions
+            if any(p.default is not p.empty for p in inspect.signature(f).parameters.values())
+        ]
+        assert anchor in {f.__name__ for f in functions}
+        assert defaulted == [], module.__name__
 
 
 def test_benchmark_tracer_finds_its_engine_targets():
