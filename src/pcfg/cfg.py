@@ -13,6 +13,7 @@ validate the graph they are handed.
 from __future__ import annotations
 
 import bisect
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from typing import NamedTuple
@@ -122,27 +123,40 @@ def _name(term: Opcode | None) -> str:
     return term.name if term is not None else "unterminated"
 
 
+def _repeats(code: str, values, what: str) -> list[Violation]:
+    """A violation per address that occurs more than once in `values`, in
+    address order."""
+    counts = Counter(values)
+    return [
+        Violation(code, (a,), f"{n} blocks {what} here")
+        for a, n in sorted(counts.items())
+        if n > 1
+    ]
+
+
 def validate(g: Cfg) -> list[Violation]:
     """Check every structural invariant; empty result means a valid graph."""
     out: list[Violation] = []
-    starts_seen: dict[int, int] = {}
-    ends_seen: dict[int, int] = {}
-    for key, b in g.blocks.items():
+    blocks = g.blocks
+    mismatched = False
+    for key, b in blocks.items():
         if key != b.start:
+            mismatched = True
             out.append(
                 Violation("block-key-mismatch", (key, b.start), "block keyed by wrong start")
             )
-        starts_seen[b.start] = starts_seen.get(b.start, 0) + 1
-        ends_seen[b.end] = ends_seen.get(b.end, 0) + 1
         if b.start >= b.end:
             out.append(Violation("empty-block", (b.start, b.end), "start must precede end"))
-    for addr in sorted(a for a, n in starts_seen.items() if n > 1):
-        n = starts_seen[addr]
-        out.append(Violation("duplicate-block-start", (addr,), f"{n} blocks start here"))
-    for addr in sorted(a for a, n in ends_seen.items() if n > 1):
-        n = ends_seen[addr]
-        out.append(Violation("duplicate-block-end", (addr,), f"{n} blocks end here"))
-    starts = set(starts_seen)
+    # keys are unique, so without a mismatched key they are the starts;
+    # an address set shorter than the blocks has a repeat, and only then
+    # are the addresses counted
+    starts = {b.start for b in blocks.values()} if mismatched else blocks
+    if len(starts) < len(blocks):
+        out.extend(
+            _repeats("duplicate-block-start", (b.start for b in blocks.values()), "start")
+        )
+    if len({b.end for b in blocks.values()}) < len(blocks):
+        out.extend(_repeats("duplicate-block-end", (b.end for b in blocks.values()), "end"))
     for c in sorted(g.candidates):
         if c in starts:
             out.append(
@@ -262,53 +276,70 @@ def partial_order_le(g1: Cfg, g2: Cfg) -> bool:
     return all(a in g2.entries for a in g1.entries)
 
 
+def _section(head: str, lines: list[str]) -> str:
+    """One section of a writer's text: `head`, then `lines`, each line
+    ending in a newline. `lines` is the caller's fresh list, and is
+    extended in place rather than copied."""
+    lines.insert(0, head)
+    lines.append("")
+    return "\n".join(lines)
+
+
 def canonical_serialize(g: Cfg) -> str:
-    """Deterministic text form: equal graphs produce identical bytes."""
+    """Deterministic text form: equal graphs produce identical bytes. Each
+    section is joined as it is written, so only one section's lines are
+    alive at a time."""
     require_valid(g)
-    lines: list[str] = []
     # a valid graph keys each block by its start, and no two blocks share
     # one, so the sorted keys give the (start, end) order
     blocks = g.blocks
-    lines.append(f"blocks {len(blocks)}")
-    for start in sorted(blocks):
-        lines.append(f"B 0x{start:x} 0x{blocks[start].end:x}")
-    cands = sorted(g.candidates)
-    lines.append(f"candidates {len(cands)}")
-    for c in cands:
-        lines.append(f"C 0x{c:x}")
-    edges = sorted(g.edges)
-    lines.append(f"edges {len(edges)}")
     names = EDGE_KIND_NAMES
-    for source, target, kind in edges:
-        lines.append(f"E 0x{source:x} 0x{target:x} {names[kind]}")
-    entries = g.entries
     status_text = _STATUS_TEXT
-    lines.append(f"entries {len(entries)}")
-    for addr in sorted(entries):
-        f = entries[addr]
-        lines.append(f"F 0x{addr:x} {status_text[f.status]} {int(f.seed)}")
-    return "\n".join(lines) + "\n"
+    sections = [
+        _section(
+            f"blocks {len(blocks)}",
+            [f"B 0x{start:x} 0x{blocks[start].end:x}" for start in sorted(blocks)],
+        ),
+        _section(
+            f"candidates {len(g.candidates)}", [f"C 0x{c:x}" for c in sorted(g.candidates)]
+        ),
+        _section(
+            f"edges {len(g.edges)}",
+            [f"E 0x{source:x} 0x{target:x} {names[kind]}" for source, target, kind in sorted(g.edges)],
+        ),
+        _section(
+            f"entries {len(g.entries)}",
+            [
+                f"F 0x{addr:x} {status_text[f.status]} {int(f.seed)}"
+                for addr, f in sorted(g.entries.items())
+            ],
+        ),
+    ]
+    return "".join(sections)
 
 
 def to_dot(g: Cfg) -> str:
-    """DOT export in canonical order."""
+    """DOT export in canonical order, its nodes and its edges each joined
+    as they are written, like `canonical_serialize`."""
     require_valid(g)
-    lines = ["digraph cfg {", "  node [shape=box fontname=monospace];"]
+    nodes = []
     for b in sorted(g.blocks.values(), key=lambda b: (b.start, b.end)):
         term = b.terminator.kind.name.lower() if b.terminator else "fall"
         attrs = f'label="0x{b.start:x}..0x{b.end:x}\\n{term}"'
         if b.start in g.entries:
             f = g.entries[b.start]
             attrs += f' peripheries=2 xlabel="{f.status.value}"'
-        lines.append(f'  "0x{b.start:x}" [{attrs}];')
-    for c in sorted(g.candidates):
-        lines.append(f'  "0x{c:x}" [label="0x{c:x}?" style=dashed];')
-    for source, target, kind in sorted(g.edges):
-        lines.append(
-            f'  "0x{source:x}" -> "0x{target:x}" [label="{EDGE_KIND_NAMES[kind]}"];'
-        )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        nodes.append(f'  "0x{b.start:x}" [{attrs}];')
+    nodes += [f'  "0x{c:x}" [label="0x{c:x}?" style=dashed];' for c in sorted(g.candidates)]
+    sections = [_section("digraph cfg {\n  node [shape=box fontname=monospace];", nodes)]
+    del nodes
+    edges = [
+        f'  "0x{source:x}" -> "0x{target:x}" [label="{EDGE_KIND_NAMES[kind]}"];'
+        for source, target, kind in sorted(g.edges)
+    ]
+    edges.append("}\n")
+    sections.append("\n".join(edges))
+    return "".join(sections)
 
 
 def to_json_dict(g: Cfg) -> dict:

@@ -59,19 +59,20 @@ A worker's error ends the run: tasks spawned or still queued after the
 first error never run, and every worker is joined before `run` raises
 it.
 
-Block ends are guarded by a fixed table of `_END_STRIPES` locks: end `e`
-by stripe `e % _END_STRIPES`, and a table descriptor by the stripe of
-its jump end. Every read-modify-write of one end (registration, the call
+Block ends are guarded by a fixed table of `_STRIPES` locks: end `e` by
+end stripe `e % _STRIPES`, and a table descriptor by the stripe of its
+jump end. Every read-modify-write of one end (registration, the call
 fall-through edge, a table refresh) holds that end's stripe and takes no
 other end lock while it does: the split loop releases one end before it
-takes the next. A function record has one lock, over its status and
-waiter set. No thread takes an engine lock while it holds another, so
-two ends that share a stripe serialize but cannot deadlock, and neither
-can records.
+takes the next. Function records are guarded the same way, by a second
+fixed table: the record at entry `a` by record stripe `a % _STRIPES`,
+over its status and waiter set. No thread takes an engine lock while it
+holds another, so two ends or two records that share a stripe serialize
+but cannot deadlock.
 
-A function record holds its lock, its status, and a waiter set from its
-first waiter until its status is written. Nothing is kept per function
-or per visit: a walk's state is its worker's stack.
+A function record holds its status, and a waiter set from its first
+waiter until its status is written. Nothing is kept per function or per
+visit: a walk's state is its worker's stack.
 
 A table is refreshed by `refresh_table`, the serial oracle's rule too,
 when its jump's block is registered, and at quiescence while it is
@@ -82,9 +83,14 @@ so a clean table's refresh could not grow its bound; tables only grow,
 so any order of refreshes reaches the same fixed point.
 
 `ConcurrentCfgState.run` is the engine's one driver: it traverses to
-quiescence and exports the raw graph. `construct_details` is the one
-place that finalizes it, after dropping the whole state, so
-finalization runs in the memory the engine held. The finalized graph
+quiescence and returns the stats, leaving the state readable.
+`export_cfg` then moves the state into the raw graph rather than copying
+it: it drops the maps the graph does not need (ends, predecessors,
+return marks, dirty tables) and pops each block and function record as
+it builds that item's graph values, so the state and the graph never
+exist in full together. `construct_details` is the one place that
+finalizes the graph, after dropping the emptied state, so finalization
+runs in the memory the engine held. The finalized graph
 is required to match the single-threaded reference constructor
 byte-for-byte under any worker count and schedule; the
 finalization pass erases the only schedule-visible differences (tail
@@ -151,9 +157,10 @@ _HALT = int(Opcode.HALT)
 #: Opcode members indexed by their value
 _OPCODES = {int(op): op for op in Opcode}
 
-#: How many locks guard block ends: end `e` is guarded by stripe
-#: `e % _END_STRIPES`
-_END_STRIPES = 64
+#: How many locks guard block ends, and how many guard function records:
+#: end `e` is guarded by end stripe `e % _STRIPES`, and the record at
+#: entry `a` by record stripe `a % _STRIPES`
+_STRIPES = 64
 
 #: How many seeds one traversal task starts from
 _SEED_BATCH = 128
@@ -179,10 +186,10 @@ class _EngineBlock:
 
 
 class _FuncRecord:
-    __slots__ = ("lock", "status", "waiters")
+    # guarded by the record stripe of its entry
+    __slots__ = ("status", "waiters")
 
     def __init__(self, status: ReturnStatus):
-        self.lock = threading.Lock()
         self.status = status
         # (end of the waiting call or jump, whether it is a tail call),
         # from the first waiter until the status is written
@@ -300,8 +307,9 @@ class ConcurrentCfgState:
         self._text_end = image.text_end
         self.blocks_by_start: dict[int, _EngineBlock] = {}
         self.blocks_by_end: dict[int, _EngineBlock] = {}
-        self._end_locks = tuple(threading.Lock() for _ in range(_END_STRIPES))
+        self._end_locks = tuple(threading.Lock() for _ in range(_STRIPES))
         self.functions: dict[int, _FuncRecord] = {}
+        self._record_locks = tuple(threading.Lock() for _ in range(_STRIPES))
         # block start -> ends of its intra-procedural predecessors
         self.incoming: dict[int, list[int]] = {}
         # the starts of blocks known to return, and the return worklist:
@@ -369,7 +377,7 @@ class ConcurrentCfgState:
         locks = self._end_locks
         while True:
             end = cur.end
-            with locks[end % _END_STRIPES]:
+            with locks[end % _STRIPES]:
                 reg = by_end.get(end)
                 if reg is None:
                     by_end[end] = cur
@@ -453,7 +461,7 @@ class ConcurrentCfgState:
     def _ensure_cfec(self, call_end: int) -> None:
         """Idempotently create the call fall-through edge at a registered
         call site, then re-check the call block against it."""
-        with self._end_locks[call_end % _END_STRIPES]:
+        with self._end_locks[call_end % _STRIPES]:
             blk = self.blocks_by_end[call_end]
             self._add_edge_locked(blk, call_end, _CALL_FALLTHROUGH)
         if call_end in self.returns:
@@ -512,7 +520,7 @@ class ConcurrentCfgState:
         # a status is written once, so a set one needs no lock to be seen
         if not strict and rec.status is not _UNSET:
             return None
-        with rec.lock:
+        with self._record_locks[entry % _STRIPES]:
             cur = rec.status
             if cur is not _UNSET:
                 if not strict:
@@ -540,7 +548,7 @@ class ConcurrentCfgState:
         status: it joins the target's waiters while the status is unset,
         and is woken at once if the target returns."""
         rec = self.functions[target]
-        with rec.lock:
+        with self._record_locks[target % _STRIPES]:
             val = rec.status
             if val is _UNSET:
                 if rec.waiters is None:
@@ -570,7 +578,7 @@ class ConcurrentCfgState:
         lock."""
         jump_end = desc.jump_end
         by_end = self.blocks_by_end
-        with self._end_locks[jump_end % _END_STRIPES]:
+        with self._end_locks[jump_end % _STRIPES]:
             owner = by_end[jump_end]
             hints = []
             for pe in set(self.incoming.get(owner.start, ())):
@@ -665,9 +673,10 @@ class ConcurrentCfgState:
 
     # -- drive to completion --------------------------------------------------
 
-    def run(self) -> tuple[Cfg, EngineStats]:
-        """Traverse to quiescence and export the raw graph, before
-        finalization. The state stays readable afterwards."""
+    def run(self) -> EngineStats:
+        """Traverse to quiescence and return the stats, the export's and
+        finalization's fields left unset. The state stays readable until
+        `export_cfg` moves it out."""
         stats = EngineStats()
         t0 = time.perf_counter()
         seeds = self.symbols.seeds
@@ -688,46 +697,55 @@ class ConcurrentCfgState:
                 self.resolve_status_cycles()
         finally:
             self.pool.shutdown()
-        t2 = time.perf_counter()
-        stats.traversal_seconds = t2 - t1
+        stats.traversal_seconds = time.perf_counter() - t1
 
         for ctx in self.pool.ctxs:
             for f in fields(EngineStats):
                 setattr(stats, f.name, getattr(stats, f.name) + getattr(ctx, f.name))
         stats.tables_clamped = log_clamped_tables(self.registry, self.image)
-        cfg = self.export_cfg()
-        stats.raw_edge_count = len(cfg.edges)
-        stats.export_seconds = time.perf_counter() - t2
-        return cfg, stats
+        return stats
 
     # -- export ---------------------------------------------------------------
 
     def export_cfg(self) -> Cfg:
+        """Move the quiescent state into the raw graph, before finalization.
+        The maps the graph does not need are dropped first, and each block
+        and function record is popped as its graph values are built, so
+        the state and the graph never exist in full together. Afterwards
+        the state's maps are empty; the registry is kept."""
+        self.blocks_by_end.clear()
+        self.incoming.clear()
+        self.returns.clear()
+        self._dirty.clear()
+        by_start = self.blocks_by_start
+        text_end = self._text_end
         blocks: dict[int, Block] = {}
-        for s, b in self.blocks_by_start.items():
+        edges = set()
+        candidates = set()
+        # popped in insertion order, the order the graph had when copied
+        for s in list(by_start):
+            b = by_start.pop(s)
             if b.term == _NO_TERM:
                 term = None
             elif b.term == _SYNTH_HALT:
-                term = Instruction(self.image.text_end, Opcode.HALT, 1)
+                term = Instruction(text_end, Opcode.HALT, 1)
             else:
                 op = _OPCODES[b.term]
                 term = Instruction(b.end - LENGTHS[op], op, LENGTHS[op], b.ta, b.tb)
-            blocks[s] = Block(b.start, b.end, term)
-        # a target no block starts at is a candidate: only a split drops
-        # out-edges, and what it drops leads to a block start
-        edges = set()
-        candidates = set()
-        for b in self.blocks_by_start.values():
+            blocks[s] = Block(s, b.end, term)
+            # a target no block starts at is a candidate: only a split
+            # drops out-edges, and what it drops leads to a block start
             for t, k in b.out:
-                edges.add(Edge(b.start, t, EDGE_KINDS[k]))
-                if t not in blocks:
+                edges.add(Edge(s, t, EDGE_KINDS[k]))
+                if t not in blocks and t not in by_start:
                     candidates.add(t)
         # every seed has a name, so the name map doubles as the seed set
         names = self.symbols.names
-        entries = {
-            a: FunctionEntry(a, names.get(a), rec.status, a in names)
-            for a, rec in self.functions.items()
-        }
+        functions = self.functions
+        entries = {}
+        for a in list(functions):
+            rec = functions.pop(a)
+            entries[a] = FunctionEntry(a, names.get(a), rec.status, a in names)
         return Cfg(blocks, candidates, edges, entries)
 
 
@@ -739,14 +757,19 @@ def construct(image: Image, workers: int) -> Cfg:
 
 def construct_details(image: Image, workers: int) -> tuple[Cfg, EngineStats, TableRegistry]:
     """Build and finalize the CFG; the one place the engine's graph is
-    finalized."""
-    # every engine object stays live until the state is dropped, so a
-    # collection before then would find nothing to free; the state is
-    # dropped before finalize, so finalize reuses its memory, and the
-    # first collection after the pause walks the finished graph alone
+    finalized. `run` traverses, `export_cfg` moves the state into the
+    raw graph, and the emptied state is dropped before finalization."""
+    # every engine object stays live until the export moves it out, so a
+    # collection before then would find nothing to free; the export frees
+    # the state as it builds the graph, so finalize reuses its memory, and
+    # the first collection after the pause walks the finished graph alone
     with COLLECTOR_PAUSE:
         state = ConcurrentCfgState(image, workers)
-        cfg, stats = state.run()
+        stats = state.run()
+        t = time.perf_counter()
+        cfg = state.export_cfg()
+        stats.raw_edge_count = len(cfg.edges)
+        stats.export_seconds = time.perf_counter() - t
         registry = state.registry
         del state
         t = time.perf_counter()

@@ -314,13 +314,17 @@ def test_criterion_6_invariant_counters():
     t0 = time.perf_counter()
     img, _ = generate(ScenarioSpec.make("shared-code", 0, sharers=64))
     state = ConcurrentCfgState(img, 8)
-    cfg, stats = state.run()
+    stats = state.run()
+    # the state is read before the export moves it into the graph
     filled_ends = len(state.blocks_by_end)
+    block_starts = set(state.blocks_by_start)
+    n_functions = len(state.functions)
+    cfg = state.export_cfg()
     ok = (
-        stats.blocks_created == len(state.blocks_by_start) > 0
+        stats.blocks_created == len(block_starts) > 0
         and stats.end_registrations == filled_ends
-        and stats.functions_created == len(state.functions)
-        and set(state.blocks_by_start) == set(cfg.blocks)
+        and stats.functions_created == n_functions
+        and block_starts == set(cfg.blocks)
     )
     _report(
         "criterion 6: invariant counters on the contention stress image",

@@ -323,6 +323,56 @@ def test_violations_pinned_in_order():
     ]
 
 
+def test_repeated_starts_and_ends_pinned_with_counts():
+    # several repeated addresses, inserted out of order and repeated more
+    # than twice, next to every other violation code: each repeat is
+    # reported once, in address order, with its count
+    g = Cfg()
+    g.blocks = {
+        0x80: Block(0x30, 0x90, None),
+        0x10: Block(0x10, 0x20, _ret(0x1F)),
+        0x70: Block(0x30, 0x20, None),
+        0x30: Block(0x30, 0x38, None),
+        0x44: Block(0x40, 0x48, _jmp(0x43, 0x10)),
+        0x40: Block(0x40, 0x48, None),
+        0x38: Block(0x38, 0x48, None),
+        0x50: Block(0x50, 0x20, None),
+    }
+    g.candidates = {0x38, 0x30, 0x99}
+    g.edges = {
+        Edge(0x38, 0x10, EdgeKind.CALL),
+        Edge(0x38, 0x11, EdgeKind.CALL_FALLTHROUGH),
+        Edge(0x1, 0x10, EdgeKind.DIRECT),
+        Edge(0x10, 0x99, EdgeKind.TAIL_CALL),
+    }
+    g.entries = {
+        0x99: _entry(0x99),
+        0x12: _entry(0x12),
+        0x20: _entry(0x21),
+    }
+    assert [str(v) for v in validate(g)] == [
+        "block-key-mismatch(0x80, 0x30): block keyed by wrong start",
+        "block-key-mismatch(0x70, 0x30): block keyed by wrong start",
+        "empty-block(0x30, 0x20): start must precede end",
+        "block-key-mismatch(0x44, 0x40): block keyed by wrong start",
+        "empty-block(0x50, 0x20): start must precede end",
+        "duplicate-block-start(0x30): 3 blocks start here",
+        "duplicate-block-start(0x40): 2 blocks start here",
+        "duplicate-block-end(0x20): 3 blocks end here",
+        "duplicate-block-end(0x48): 3 blocks end here",
+        "candidate-shadows-block(0x30): candidate at a block start",
+        "candidate-shadows-block(0x38): candidate at a block start",
+        "dangling-edge-source(0x1, 0x10): no source block",
+        "bad-edge-kind(0x10, 0x99): TAIL_CALL from RET block",
+        "bad-edge-kind(0x38, 0x10): CALL edge from unterminated block",
+        "dangling-edge-target(0x38, 0x11): no target block or candidate",
+        "bad-call-fallthrough(0x38, 0x11): fall-through target must be the source block end",
+        "entry-not-in-graph(0x12): no block or candidate at entry",
+        "entry-key-mismatch(0x20, 0x21): entry keyed by wrong address",
+        "entry-not-in-graph(0x21): no block or candidate at entry",
+    ]
+
+
 def _values():
     """One value of each graph and image value type, built afresh."""
     from pcfg.image import SymbolKind, make_symbol

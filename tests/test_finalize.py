@@ -75,12 +75,9 @@ class TestTrim:
 
     def test_trim_op_removes_overread_edges(self):
         img, _ = self._overapprox(seed=3)
-        from pcfg.parallel import ConcurrentCfgState
-
-        state = ConcurrentCfgState(img, 1)
-        raw, _ = state.run()
+        raw, registry = _engine_before_finalize(img, 1)
         trimmed = raw.clone()
-        trim_overlapping_tables(trimmed, state.registry, EdgeIndex(trimmed.edges))
+        trim_overlapping_tables(trimmed, registry, EdgeIndex(trimmed.edges))
         raw_ind = sum(1 for e in raw.edges if e.kind is EdgeKind.INDIRECT)
         new_ind = sum(1 for e in trimmed.edges if e.kind is EdgeKind.INDIRECT)
         assert new_ind < raw_ind
@@ -344,12 +341,9 @@ class TestFinalize:
 
     def test_never_adds_elements(self):
         img, _ = generate(ScenarioSpec.make("jump-table-overapprox", seed=7, extra=2))
-        from pcfg.parallel import ConcurrentCfgState
-
-        state = ConcurrentCfgState(img, 2)
-        raw, _ = state.run()
+        raw, registry = _engine_before_finalize(img, 2)
         final = raw.clone()
-        finalize_details(final, state.registry, EdgeIndex(final.edges))
+        finalize_details(final, registry, EdgeIndex(final.edges))
         assert set(final.blocks) <= set(raw.blocks)
         assert final.edges <= raw.edges | {
             Edge(e.source, e.target, EdgeKind.TAIL_CALL) for e in raw.edges
@@ -360,12 +354,9 @@ class TestFinalize:
 
     def test_flip_budget_bounded_by_edges(self):
         img, _ = generate(ScenarioSpec.make("big-random", seed=8, functions=80))
-        from pcfg.parallel import ConcurrentCfgState
-
-        state = ConcurrentCfgState(img, 2)
-        raw, _ = state.run()
+        raw, registry = _engine_before_finalize(img, 2)
         raw_edges = len(raw.edges)
-        stats = finalize_details(raw, state.registry, EdgeIndex(raw.edges))
+        stats = finalize_details(raw, registry, EdgeIndex(raw.edges))
         assert stats.flips <= raw_edges
         assert stats.iterations <= stats.flips + 1
 
@@ -460,6 +451,14 @@ def _oracle_before_finalize(monkeypatch, img) -> tuple[Cfg, TableRegistry]:
     return found
 
 
+def _engine_before_finalize(img, workers) -> tuple[Cfg, TableRegistry]:
+    """The engine's graph as its finalization receives it, and the
+    engine's table registry."""
+    state = ConcurrentCfgState(img, workers)
+    state.run()
+    return state.export_cfg(), state.registry
+
+
 class TestLocalSweep:
     """The local sweeps rely on a fully reachable graph after the one
     full sweep; these tests pin that precondition and their exactness."""
@@ -469,7 +468,7 @@ class TestLocalSweep:
         # and every call and tail-call target is an entry, the
         # precondition that lets rule 1 read entries alone
         img, _ = generate(spec)
-        raws = [ConcurrentCfgState(img, workers).run()[0] for workers in (1, 2)]
+        raws = [_engine_before_finalize(img, workers)[0] for workers in (1, 2)]
         raws.append(_oracle_before_finalize(monkeypatch, img)[0])
         for raw in raws:
             called = {e.target for e in raw.edges if e.kind in (EdgeKind.CALL, EdgeKind.TAIL_CALL)}
@@ -597,9 +596,7 @@ class TestOrderIndependence:
     )
     def test_shuffled_graphs_finalize_alike(self, monkeypatch, spec):
         img, _ = generate(spec)
-        state = ConcurrentCfgState(img, 1)
-        raw, _ = state.run()
-        graphs = [(raw, state.registry), _oracle_before_finalize(monkeypatch, img)]
+        graphs = [_engine_before_finalize(img, 1), _oracle_before_finalize(monkeypatch, img)]
         rng = random.Random(spec.seed)
 
         def shuffled_index(edges) -> EdgeIndex:
@@ -648,9 +645,7 @@ class TestReference:
     def test_corpus_graphs(self, monkeypatch, spec):
         img, _ = generate(spec)
         for workers in (1, 2):
-            state = ConcurrentCfgState(img, workers)
-            raw, _ = state.run()
-            self._agree(raw, state.registry)
+            self._agree(*_engine_before_finalize(img, workers))
         self._agree(*_oracle_before_finalize(monkeypatch, img))
 
     def test_flip_that_widens_a_boundary_is_seen_next_round(self):

@@ -114,10 +114,11 @@ class TestFunctionCreation:
         img, _ = generate(ScenarioSpec.make("big-random", seed=2, functions=50))
         n_seeds = len(img.func_symbols())
         state = ConcurrentCfgState(img, 4)
-        cfg, stats = state.run()
+        stats = state.run()
+        assert stats.functions_created == len(state.functions)
+        cfg = state.export_cfg()
         seeded = [f for f in cfg.entries.values() if f.seed]
         assert len(seeded) == n_seeds
-        assert stats.functions_created == len(state.functions)
 
 
 class TestEndRegistrationAndSplit:
@@ -446,25 +447,26 @@ class TestOracleEquivalence:
 
 class TestInstrumentation:
     def _stress(self):
+        """The quiescent state and its stats, not yet exported."""
         img, _ = generate(ScenarioSpec.make("shared-code", 0, sharers=64))
         state = ConcurrentCfgState(img, 8)
-        cfg, stats = state.run()
-        return state, cfg, stats
+        return state, state.run()
 
     def test_unique_creations_per_address(self):
         # each counter counts single-winner insertions, so one more win
         # at any address would leave it above the size of its map
-        state, cfg, stats = self._stress()
+        state, stats = self._stress()
         filled_ends = len(state.blocks_by_end)
         assert stats.blocks_created == len(state.blocks_by_start) > 0
         assert stats.end_registrations == filled_ends
         assert stats.functions_created == len(state.functions)
-        assert set(state.blocks_by_start) == set(cfg.blocks)
+        block_starts = set(state.blocks_by_start)
+        assert block_starts == set(state.export_cfg().blocks)
 
     def test_split_chains_strictly_decrease(self):
         # `register_block_end` raises InternalError on a cut that does not
         # shorten the end, so a clean run under contention is the audit
-        _, _, stats = self._stress()
+        _, stats = self._stress()
         assert stats.splits_performed > 0
 
     def test_every_block_is_scanned_once(self, monkeypatch):
@@ -964,9 +966,9 @@ _FAMILY_SPECS = [
 
 
 class _NestingCheck:
-    """Stands in for one engine lock, an end stripe or a function
-    record's lock, and fails the acquiring thread if that thread already
-    holds an engine lock."""
+    """Stands in for one engine lock, an end stripe or a record stripe,
+    and fails the acquiring thread if that thread already holds an engine
+    lock."""
 
     def __init__(self, lock, what, held, log):
         self._lock = lock
@@ -988,20 +990,13 @@ class _NestingCheck:
 
 
 @pytest.mark.parametrize("workers", [1, 2, 8])
-def test_no_thread_holds_two_end_stripes(monkeypatch, workers):
-    # holding one engine lock at a time, an end stripe or a record lock,
-    # is what rules out a deadlock between locks taken in one order by
-    # one thread and in another by a second; a short switch interval
-    # preempts workers inside their critical sections
+def test_no_thread_holds_two_end_stripes(workers):
+    # holding one engine lock at a time, an end stripe or a record
+    # stripe, is what rules out a deadlock between locks taken in one
+    # order by one thread and in another by a second; a short switch
+    # interval preempts workers inside their critical sections
     held = threading.local()
     log = []
-    real_init = parallel._FuncRecord.__init__
-
-    def init(rec, *args):
-        real_init(rec, *args)
-        rec.lock = _NestingCheck(rec.lock, "record", held, log)
-
-    monkeypatch.setattr(parallel._FuncRecord, "__init__", init)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -1012,13 +1007,17 @@ def test_no_thread_holds_two_end_stripes(monkeypatch, workers):
             state._end_locks = tuple(
                 _NestingCheck(lk, "stripe", held, log) for lk in state._end_locks
             )
+            state._record_locks = tuple(
+                _NestingCheck(lk, "record", held, log) for lk in state._record_locks
+            )
             out = []
             assert _raised_within(30, lambda: out.append(state.run())) is None, spec.family
             assert "nested" not in log, spec.family
             assert {"stripe", "record"} <= set(log), spec.family
-            cfg, stats = out[0]
+            (stats,) = out
             # a lost update at one end would register two blocks there
             assert stats.end_registrations == len(state.blocks_by_end), spec.family
+            cfg = state.export_cfg()
             finalize.finalize_details(cfg, state.registry, finalize.EdgeIndex(cfg.edges))
             want = canonical_serialize(serial_construct(img))
             assert canonical_serialize(cfg) == want, spec.family
@@ -1027,23 +1026,44 @@ def test_no_thread_holds_two_end_stripes(monkeypatch, workers):
 
 
 class TestEngineMemory:
-    """A record holds its lock, its status, and a waiter set only while
-    it uses it; nothing is kept per visit; and the engine's state is
+    """A record holds its status, and a waiter set only while it uses it,
+    and shares a fixed table of stripe locks; nothing is kept per visit;
+    the export moves the state into the graph; and the engine's state is
     freed before finalize."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_records_hold_only_what_they_use(self, workers):
-        assert parallel._FuncRecord.__slots__ == ("lock", "status", "waiters")
+        assert parallel._FuncRecord.__slots__ == ("status", "waiters")
         waited = 0
         for spec in _FAMILY_SPECS:
             img, _ = generate(spec)
             state = ConcurrentCfgState(img, workers)
-            _, stats = state.run()
+            stats = state.run()
             waited += stats.waiters_registered
             for rec in state.functions.values():
                 assert rec.status is not ReturnStatus.UNSET and rec.waiters is None
             assert state._return_work == []
         assert waited > 0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_export_moves_the_state(self, workers):
+        # the export empties the maps it reads or drops, so the state and
+        # the graph are never both held in full, and the graph it leaves
+        # finalizes to the oracle's bytes
+        for spec in _FAMILY_SPECS:
+            img, _ = generate(spec)
+            state = ConcurrentCfgState(img, workers)
+            stats = state.run()
+            assert len(state.blocks_by_start) == stats.blocks_created > 0, spec.family
+            cfg = state.export_cfg()
+            assert state.blocks_by_start == {}, spec.family
+            assert state.blocks_by_end == {}, spec.family
+            assert state.functions == {}, spec.family
+            assert state.incoming == {}, spec.family
+            assert len(cfg.blocks) == stats.blocks_created, spec.family
+            finalize.finalize_details(cfg, state.registry, finalize.EdgeIndex(cfg.edges))
+            want = canonical_serialize(serial_construct(img))
+            assert canonical_serialize(cfg) == want, spec.family
 
     def test_state_is_freed_before_finalize(self, monkeypatch):
         refs = []
@@ -1067,16 +1087,17 @@ class TestEngineMemory:
             construct_details(img, workers)
         assert alive == [False, False]
 
-    def test_traced_peak_per_function(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_traced_peak_per_function(self, workers):
         img, _ = generate(ScenarioSpec.make("big-random", 1, functions=2000))
         seeded = len(img.func_symbols())
         tracemalloc.start()
         try:
-            construct_details(img, 1)
+            construct_details(img, workers)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / seeded < 3500, f"{peak / seeded:.0f} B per seeded function"
+        assert peak / seeded < 1600, f"{peak / seeded:.0f} B per seeded function"
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -1103,7 +1124,8 @@ def test_tables_are_read_again_only_when_their_bound_grows(monkeypatch, spec, wo
 
     monkeypatch.setattr(jumptables, "read_table_entries", counted)
     state = ConcurrentCfgState(img, workers)
-    cfg, _ = state.run()
+    state.run()
+    cfg = state.export_cfg()
     finalize.finalize_details(cfg, state.registry, finalize.EdgeIndex(cfg.edges))
     descs = state.registry.sorted_descriptors()
     assert descs
