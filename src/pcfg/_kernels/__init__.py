@@ -3,11 +3,11 @@
 `scan_block` is the package's only decoder and the hot loop of control
 flow traversal: decode forward from an address, up to an optional stop,
 until the first control flow instruction, and report its end address,
-kind and operands, plus the two facts about the walked range that
-tail-call classification and jump-table bounds need. Every question
-about a byte range is one field of this scan: block ends and
-terminators in both constructors, `jumptables.last_bound_hint` and the
-oracle's frame teardown test. Its tables come from `pcfg.isa`.
+kind and operands, plus the two facts about the walked range that tail
+calls labelled on finished blocks and jump-table bounds need. Every
+question about a byte range is one field of this scan: block ends,
+terminators and frame teardown in both constructors, and
+`jumptables.last_bound_hint`. Its tables come from `pcfg.isa`.
 """
 
 from __future__ import annotations

@@ -20,8 +20,8 @@ Tail-call correction has three rules. Rule 1 runs once, before the
 rounds; rules 2 and 3 are judged against a per-round snapshot, lowest
 rule wins:
 
-1. every plain branch into an entry becomes a tail call, whether the
-   constructor found the entry before the branch or after it. This is
+1. every plain branch into an entry becomes a tail call; the
+   constructors label only branches whose own block says so. This is
    a label, not a flip. Every call and tail-call target is an entry (a
    precondition of `finalize_details`), so no plain branch into a
    target with a call-like in-edge is left for a round to judge;
@@ -357,8 +357,7 @@ def finalize_details(g: Cfg, registry: TableRegistry, index: EdgeIndex) -> Final
     trim_overlapping_tables(g, registry, index)
     _drop_unreachable(g, index)
     entries = set(g.entries)
-    # rule 1: a plain branch into an entry is a tail call, found before
-    # the entry or not
+    # rule 1: a plain branch into an entry is a tail call
     for a in entries:
         for e in [e for e in index.inc.get(a, ()) if e.kind is _DIRECT]:
             index.replace(e, Edge(e.source, a, _TAIL_CALL))

@@ -12,35 +12,31 @@ way down through them. Linear parsing runs with no global lookups
 between control flow instructions.
 
 The engine walks blocks, not functions. The first visitor of an address
-claims, scans and registers its block, and the registration that
-creates the block's edges handles its successors: it pushes branch
-targets onto its worker's local stack, and creates, pushes and waits on
-the function its call or tail call names. So each block is scanned
-once, and each terminator's successors are handled once. A jump is a
-tail call when its target is a known entry or its block tears down the
-frame (`pcfg.serial.op_fei`); no rule reads a function's context.
-Every seed's record exists before the pool starts, so a flag's effect
-does not depend on the schedule, and finalization labels a jump to any
-entry a tail call (its rule 1), so neither does the label. Tasks are
-batches of addresses: `_SEED_BATCH` seeds, or the targets a table
-refresh adds.
+claims, scans and registers its block, and the registration that creates
+the block's edges handles its successors: it pushes branch targets onto
+its worker's local stack, and creates, pushes and waits on the function
+its call names. So each block is scanned once, and each terminator's
+successors are handled once. During traversal a jump is a tail call only
+into a flagged seed, which the symbol table names before the pool
+starts; every other jump is a plain intra-procedural edge. The export
+applies `pcfg.serial.op_fei` once to each plain jump, on its finished
+block, so no label depends on the visit order. Tasks are batches of
+addresses: `_SEED_BATCH` seeds, or the targets a table refresh adds.
 
 "A `ret` is reachable from here" only turns from false to true, so
 return statuses are a backward fixed point over `incoming`, the
 intra-procedural predecessors of each block start. A block returns when
-it ends in `ret`, tail-calls a function that returns, or has an
-intra-procedural successor that returns. Its start then goes on one
-shared worklist, which marks it once, pushes its predecessors, writes
-RETURN for an entry (a noreturn flag wins) and wakes the entry's
-waiters: a call site gets its fall-through edge, which is then visited,
-and a tail call's block goes on the same worklist, so nothing recurses.
-No mark is missed: the worklist marks a start before it reads its
-predecessors, and every writer re-checks after it writes. An end
-registration re-checks the blocks it registered, which hands a split
-block's mark to the block that keeps the end; a new call fall-through
-or table target re-checks its block; a new function record reads its
-entry's mark. Entries still unset at quiescence, call cycles included,
-become non-returning at once.
+it ends in `ret` or has an intra-procedural successor that returns. Its
+start then goes on one shared worklist, which marks it once, pushes its
+predecessors, writes RETURN for an entry (a noreturn flag wins) and
+gives each call site waiting on the entry its fall-through edge, which
+is then visited, so nothing recurses. No mark is missed: the worklist
+marks a start before it reads its predecessors, and every writer
+re-checks after it writes. An end registration re-checks the blocks it
+registered, which hands a split block's mark to the block that keeps the
+end; a new call fall-through or table target re-checks its block; a new
+function record reads its entry's mark. Entries still unset at
+quiescence, call cycles included, become non-returning at once.
 
 Work is scheduled on a fixed pool of threads sharing one C-level
 `queue.SimpleQueue`. A worker that is already running takes the next
@@ -70,9 +66,9 @@ over its status and waiter set. No thread takes an engine lock while it
 holds another, so two ends or two records that share a stripe serialize
 but cannot deadlock.
 
-A function record holds its status, and a waiter set from its first
-waiter until its status is written. Nothing is kept per function or per
-visit: a walk's state is its worker's stack.
+A function record holds its status, and a set of waiting call sites
+from the first one until its status is written. Nothing is kept per
+function or per visit: a walk's state is its worker's stack.
 
 A table is refreshed by `refresh_table`, the serial oracle's rule too,
 when its jump's block is registered, and at quiescence while it is
@@ -86,15 +82,13 @@ so any order of refreshes reaches the same fixed point.
 quiescence and returns the stats, leaving the state readable.
 `export_cfg` then moves the state into the raw graph rather than copying
 it: it drops the maps the graph does not need (ends, predecessors,
-return marks, dirty tables) and pops each block and function record as
-it builds that item's graph values, so the state and the graph never
-exist in full together. `construct_details` is the one place that
-finalizes the graph, after dropping the emptied state, so finalization
-runs in the memory the engine held. The finalized graph
-is required to match the single-threaded reference constructor
-byte-for-byte under any worker count and schedule; the
-finalization pass erases the only schedule-visible differences (tail
-call labels and heuristic entry labels).
+dirty tables, and return marks once read) and pops each block and
+function record as it builds that item's graph values, so the state and
+the graph never exist in full together. `construct_details` is the one
+place that finalizes the graph, after dropping the emptied state, so
+finalization runs in the memory the engine held. The raw graph, and so
+the finalized one, is required to match the single-threaded reference
+constructor byte-for-byte under any worker count and schedule.
 """
 
 from __future__ import annotations
@@ -167,7 +161,7 @@ _SEED_BATCH = 128
 
 
 class _EngineBlock:
-    __slots__ = ("start", "end", "term", "ta", "tb", "hint_at", "hint", "out")
+    __slots__ = ("start", "end", "term", "ta", "tb", "teardown", "hint_at", "hint", "out")
 
     def __init__(self, start: int):
         self.start = start
@@ -175,9 +169,10 @@ class _EngineBlock:
         self.term = _NO_TERM
         self.ta = 0
         self.tb = 0
-        # what the scan that set `end` saw in [start, end): the address
-        # and immediate of the last bound hint (-1 and None when it saw
-        # none)
+        # what the scan that set `end` saw in [start, end): whether it
+        # tore down the frame, and the address and immediate of the last
+        # bound hint (-1 and None when it saw none)
+        self.teardown = False
         self.hint_at = -1
         self.hint: int | None = None
         # (target, kind) -> None; append-only during traversal except for
@@ -191,9 +186,9 @@ class _FuncRecord:
 
     def __init__(self, status: ReturnStatus):
         self.status = status
-        # (end of the waiting call or jump, whether it is a tail call),
-        # from the first waiter until the status is written
-        self.waiters: set[tuple[int, bool]] | None = None
+        # the ends of the call sites waiting on the status, from the first
+        # waiter until the status is written
+        self.waiters: set[int] | None = None
 
 
 @dataclass(slots=True)
@@ -352,12 +347,12 @@ class ConcurrentCfgState:
             self._return_work.append(addr)
         return True
 
-    def register_block_end(self, block: _EngineBlock, tail: bool, ctx: EngineStats) -> bool:
-        """Single-winner end registration with the eager block split. The
-        first block at an end creates its outgoing edges while holding
-        the end's stripe lock (a block cut short has none to create); a
-        jump's edge is a tail call when `tail`, the branch's class. A
-        block that finds another at its end splits with it: the later
+    def register_block_end(self, block: _EngineBlock, ctx: EngineStats) -> bool:
+        """Single-winner end registration with the eager block split.
+        The first block at an end creates its outgoing edges while
+        holding the end's stripe lock (a block cut short has none to
+        create); a jump's edge is a tail call only into a flagged seed.
+        A block that finds another at its end splits with it: the later
         start keeps the end, with the terminator and its edges, and the
         other block is cut to end there, or, if it is the block being
         registered, at the lowest start above its own among the blocks
@@ -382,7 +377,7 @@ class ConcurrentCfgState:
                 if reg is None:
                     by_end[end] = cur
                     ctx.end_registrations += 1
-                    self._create_edges_locked(cur, tail)
+                    self._create_edges_locked(cur)
                     created = not lost
                     break
                 if reg is cur or reg.start == cur.start:
@@ -448,47 +443,45 @@ class ConcurrentCfgState:
         if kind in _INTRA_INTS:
             self._add_pred(target, block.end)
 
-    def _create_edges_locked(self, block: _EngineBlock, tail: bool) -> None:
+    def _create_edges_locked(self, block: _EngineBlock) -> None:
         term = block.term
         if term == _JMP:
-            self._add_edge_locked(block, block.ta, _TAIL_CALL if tail else _DIRECT)
+            kind = _TAIL_CALL if block.ta in self.symbols.noreturn else _DIRECT
+            self._add_edge_locked(block, block.ta, kind)
         elif term == _JCC:
             self._add_edge_locked(block, block.ta, _COND_TAKEN)
             self._add_edge_locked(block, block.end, _COND_FALLTHROUGH)
         elif term == _CALL:
             self._add_edge_locked(block, block.ta, _CALL_EDGE)
 
-    def _ensure_cfec(self, call_end: int) -> None:
+    def _ensure_cfec(self, call_end: int, stack: list[int]) -> None:
         """Idempotently create the call fall-through edge at a registered
-        call site, then re-check the call block against it."""
+        call site, re-check the call block against it and push the
+        fall-through onto `stack`."""
         with self._end_locks[call_end % _STRIPES]:
             blk = self.blocks_by_end[call_end]
             self._add_edge_locked(blk, call_end, _CALL_FALLTHROUGH)
         if call_end in self.returns:
             self._return_work.append(blk.start)
+        stack.append(call_end)
 
     # -- return status ---------------------------------------------------------
 
     def _returns(self, b: _EngineBlock) -> bool:
-        """Whether what block `b` holds now makes it return: a `ret`, a
-        tail call to a function that returns, or an intra-procedural
-        successor known to return."""
+        """Whether what block `b` holds now makes it return: a `ret`, or
+        an intra-procedural successor known to return."""
         if b.term == _RET:
             return True
         for t, k in list(b.out):
-            if k == _TAIL_CALL:
-                rec = self.functions.get(t)
-                if rec is not None and rec.status is _RETURN:
-                    return True
-            elif k != _CALL_EDGE and t in self.returns:
+            if k in _INTRA_INTS and t in self.returns:
                 return True
         return False
 
     def _propagate(self, stack: list[int]) -> None:
         """Drain the return worklist: mark each start once and push its
         intra-procedural predecessors, write RETURN for an entry (a
-        noreturn flag wins, as in the serial oracle) and wake its
-        waiters, pushing woken fall-throughs onto `stack`."""
+        noreturn flag wins, as in the serial oracle) and give its waiting
+        call sites their fall-throughs, pushed onto `stack`."""
         work = self._return_work
         returns = self.returns
         by_end = self.blocks_by_end
@@ -506,12 +499,12 @@ class ConcurrentCfgState:
                     if pb is not None and pb.start not in returns:
                         work.append(pb.start)
             if s in self.functions:
-                for site, tail in self._write_status(s, _RETURN, False) or ():
-                    self._wake(site, tail, stack)
+                for site in self._write_status(s, _RETURN, False) or ():
+                    self._ensure_cfec(site, stack)
 
     def _write_status(
         self, entry: int, status: ReturnStatus, strict: bool
-    ) -> set[tuple[int, bool]] | None:
+    ) -> set[int] | None:
         """Single-assignment status write: a strict write of a set status
         raises `AlreadySetError`, and a non-strict one only fills an
         unset status. Returns the waiters it took, or None when it wrote
@@ -531,32 +524,20 @@ class ConcurrentCfgState:
             rec.waiters = None
         return waiters
 
-    def _wake(self, site: int, tail: bool, stack: list[int]) -> None:
-        """Act on the waiter at `site` of a function that returns: a tail
-        call's block returns too, and a call falls through to `site`,
-        which is visited."""
-        if tail:
-            self._return_work.append(self.blocks_by_end[site].start)
-        else:
-            self._ensure_cfec(site)
-            stack.append(site)
-
-    def _await_status(
-        self, ctx: EngineStats, target: int, site: int, tail: bool, stack: list[int]
-    ) -> None:
-        """The call or jump ending at `site` waits on `target`'s return
-        status: it joins the target's waiters while the status is unset,
-        and is woken at once if the target returns."""
+    def _await_status(self, ctx: EngineStats, target: int, site: int, stack: list[int]) -> None:
+        """The call ending at `site` waits on `target`'s return status: it
+        joins the target's waiters while the status is unset, and gets its
+        fall-through at once if the target returns."""
         rec = self.functions[target]
         with self._record_locks[target % _STRIPES]:
             val = rec.status
             if val is _UNSET:
                 if rec.waiters is None:
                     rec.waiters = set()
-                rec.waiters.add((site, tail))
+                rec.waiters.add(site)
                 ctx.waiters_registered += 1
         if val is _RETURN:
-            self._wake(site, tail, stack)
+            self._ensure_cfec(site, stack)
 
     def resolve_status_cycles(self) -> None:
         """At quiescence, every still-unresolved function (cyclic call
@@ -645,22 +626,19 @@ class ConcurrentCfgState:
         if not self.attempt_create_block(addr, ctx):
             return
         blk = blocks[addr]
-        end, kind, a, b, teardown, blk.hint_at, blk.hint = scan_block(
+        end, kind, a, b, blk.teardown, blk.hint_at, blk.hint = scan_block(
             self.image.text, self._text_base, addr
         )
-        # classified before registration, so the edge and the successors
-        # agree, and no stripe is held while it is found
-        tail = kind == _JMP and (a in self.functions or teardown)
         blk.end = end
         blk.term = kind if kind != -1 else _SYNTH_HALT
         blk.ta = a
         blk.tb = b
-        if not self.register_block_end(blk, tail, ctx):
+        if not self.register_block_end(blk, ctx):
             return
-        if kind == _CALL or tail:
+        if kind == _CALL:
             if self.attempt_create_function(a, ctx):
                 stack.append(a)
-            self._await_status(ctx, a, end, tail, stack)
+            self._await_status(ctx, a, end, stack)
         elif kind == _JMP:
             stack.append(a)
         elif kind == _JCC:
@@ -680,7 +658,7 @@ class ConcurrentCfgState:
         stats = EngineStats()
         t0 = time.perf_counter()
         seeds = self.symbols.seeds
-        # every seed is a known entry before any jump is classified
+        # every seed's record exists before any task runs
         for addr in seeds:
             self.attempt_create_function(addr, stats)
         try:
@@ -712,16 +690,24 @@ class ConcurrentCfgState:
         The maps the graph does not need are dropped first, and each block
         and function record is popped as its graph values are built, so
         the state and the graph never exist in full together. Afterwards
-        the state's maps are empty; the registry is kept."""
+        the state's maps are empty; the registry is kept.
+
+        On the way, `pcfg.serial.op_fei` labels each plain jump whose
+        block tears down the frame a tail call, and its target an entry
+        whose status is its block's return mark. A block that still holds
+        a jump scanned exactly its own range, as a split hands the end to
+        the higher start, whose scan reached it; so the scan's teardown
+        flag is the finished block's."""
         self.blocks_by_end.clear()
         self.incoming.clear()
-        self.returns.clear()
         self._dirty.clear()
+        returns = self.returns
         by_start = self.blocks_by_start
         text_end = self._text_end
         blocks: dict[int, Block] = {}
         edges = set()
         candidates = set()
+        tail_targets = set()
         # popped in insertion order, the order the graph had when copied
         for s in list(by_start):
             b = by_start.pop(s)
@@ -736,6 +722,10 @@ class ConcurrentCfgState:
             # a target no block starts at is a candidate: only a split
             # drops out-edges, and what it drops leads to a block start
             for t, k in b.out:
+                # only a jump's edge is DIRECT
+                if k == _DIRECT and b.teardown:
+                    k = _TAIL_CALL
+                    tail_targets.add(t)
                 edges.add(Edge(s, t, EDGE_KINDS[k]))
                 if t not in blocks and t not in by_start:
                     candidates.add(t)
@@ -746,6 +736,10 @@ class ConcurrentCfgState:
         for a in list(functions):
             rec = functions.pop(a)
             entries[a] = FunctionEntry(a, names.get(a), rec.status, a in names)
+        for a in tail_targets.difference(entries):
+            status = _RETURN if a in returns else ReturnStatus.NORETURN
+            entries[a] = FunctionEntry(a, None, status, False)
+        returns.clear()
         return Cfg(blocks, candidates, edges, entries)
 
 

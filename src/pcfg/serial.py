@@ -12,14 +12,17 @@ field of a `scan_block` call, and every table is read through
 `refresh_table`, the refresh rule the engine shares. `serial_construct`
 applies the same steps to one indexed graph of its own, driven from the
 symbol table seeds by a deterministic FIFO worklist, so each step costs
-what it touches rather than the whole graph, and construction grows
-about linearly with the image; finalization reads the same index. The
-driver applies each step as its operation defines it: a jump classified
-before its target became an entry stays a plain branch until
-finalization's rule 1 labels it a tail call, as it does the engine's.
-It is the correctness oracle the concurrent engine is checked against,
-so it imports nothing from the engine (`pcfg.parallel`). Like the
-engine, it runs with the cyclic collector paused (`pcfg._collector`).
+what it touches rather than the whole graph; finalization reads the
+same index. During traversal a jump is a tail call only into a flagged
+seed, and every other jump a plain branch, which the function's walk
+follows; at quiescence `op_fei` is applied once to each plain jump, on
+its finished block, as the engine's export does. As each function walks
+every block it reaches, construction grows about linearly with the
+image unless plain jumps chain functions: n functions that each jump to
+the next cost n^2 / 2 visits. It is the correctness oracle the
+concurrent engine is checked against, so it imports nothing from the
+engine (`pcfg.parallel`). Like the engine, it runs with the cyclic
+collector paused (`pcfg._collector`).
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from .errors import (
     NotIndirectTerminatorError,
     OutOfRangeError,
 )
-from .finalize import EdgeIndex, _drop_unreachable
+from .finalize import EdgeIndex, _drop_unreachable, assign_function_boundaries
 from .image import Image
 from .isa import LENGTHS, Instruction, Opcode
 from .jumptables import TableDescriptor, TableRegistry, last_bound_hint, refresh_table
@@ -281,9 +284,7 @@ def _fei(ix: _IndexedCfg, image: Image, e: Edge) -> bool:
             _label_entry(g, e.target)
             return True
         return False
-    if e.kind is not EdgeKind.DIRECT:
-        return False
-    if e.target in g.entries or _has_teardown(image, g.blocks[e.source]):
+    if e.kind is EdgeKind.DIRECT and _has_teardown(image, g.blocks[e.source]):
         ix.replace(e, Edge(e.source, e.target, EdgeKind.TAIL_CALL))
         _label_entry(g, e.target)
         return True
@@ -294,11 +295,11 @@ def op_fei(g: Cfg, image: Image, e: Edge) -> Cfg:
     """Function entry identification.
 
     A call labels its target an entry. An unconditional branch is a tail
-    call, and labels its target, when its target is already an entry or
-    its block tears down the frame; otherwise it stays a plain branch.
-    No rule reads the branching function's context: whether the target
-    lies inside that function is finalization's rule 2, judged on the
-    whole graph.
+    call, and labels its target, when its block tears down the frame;
+    otherwise it stays a plain branch. The verdict reads only the
+    branch's block, so it holds once that block is final. A branch into
+    an entry is finalization's rule 1, and one into the branching
+    function's own body its rule 2, both judged on the whole graph.
     """
     out = g.clone()
     return out if _fei(_IndexedCfg(out), image, e) else g
@@ -328,10 +329,9 @@ class _SerialDriver:
         self.queue: deque[tuple[int, int]] = deque()
         self.visited: dict[int, set[int]] = {}
         self.dec_done: set[int] = set()
+        self.facts = symbol_facts(image)
         # callee entry -> call-site end -> interested functions
         self.ft_waiters: dict[int, dict[int, set[int]]] = {}
-        # callee entry -> functions whose branch tail-calls it
-        self.tail_waiters: dict[int, set[int]] = {}
         # table jump end -> functions whose traversal reached the jump
         self.table_fns: dict[int, set[int]] = {}
         # (start, end) -> last bound hint in that range of the image
@@ -346,30 +346,13 @@ class _SerialDriver:
     # -- status handling ------------------------------------------------
 
     def _set_status(self, addr: int, status: ReturnStatus) -> None:
-        """Write `addr`'s status. A RETURN wakes its call sites, then each
-        function that tail-calls it, which returns too and wakes its own
-        waiters first: depth first in sorted order, on an explicit stack,
-        so a tail-call chain of any length fits."""
-        stack = [iter(self._write_status(addr, status))]
-        while stack:
-            for fn in stack[-1]:
-                if self.g.entries[fn].status is ReturnStatus.UNSET:
-                    stack.append(iter(self._write_status(fn, ReturnStatus.RETURN)))
-                    break
-            else:
-                stack.pop()
-
-    def _write_status(self, addr: int, status: ReturnStatus) -> list[int]:
-        """Write one status and wake `addr`'s call sites if it returns;
-        returns the functions that tail-call it, sorted, if it returns."""
+        """Write `addr`'s status once; a RETURN gives its waiting call
+        sites their fall-throughs, which the waiting functions visit."""
         cur = self.g.entries[addr].status
         if cur is not ReturnStatus.UNSET:
-            if status is ReturnStatus.RETURN and cur is ReturnStatus.RETURN:
-                return []
             raise AlreadySetError(f"0x{addr:x}: {cur.value} -> {status.value}")
         self.g.entries[addr] = self.g.entries[addr]._replace(status=status)
         ft = self.ft_waiters.pop(addr, {})
-        tails = self.tail_waiters.pop(addr, set())
         if status is ReturnStatus.RETURN:
             for call_end in sorted(ft):
                 src = self.ix.block_by_end(call_end)
@@ -378,8 +361,6 @@ class _SerialDriver:
                 _cfec(self.ix, Edge(src.start, addr, EdgeKind.CALL), status)
                 for fn in sorted(ft[call_end]):
                     self.queue.append((fn, call_end))
-            return sorted(tails)
-        return []
 
     def _set_status_return_if_unset(self, addr: int) -> None:
         if self.g.entries[addr].status is ReturnStatus.UNSET:
@@ -391,14 +372,6 @@ class _SerialDriver:
         if addr not in self.visited:
             self.visited[addr] = set()
             self.queue.append((addr, addr))
-
-    def _tail_interest(self, fn: int, target: int) -> None:
-        self._ensure_traversal(target)
-        status = self.g.entries[target].status
-        if status is ReturnStatus.RETURN:
-            self._set_status_return_if_unset(fn)
-        elif status is ReturnStatus.UNSET:
-            self.tail_waiters.setdefault(target, set()).add(fn)
 
     def _process_call_site(self, fn: int, blk: Block, callee: int) -> None:
         status = self.g.entries[callee].status
@@ -449,12 +422,12 @@ class _SerialDriver:
             if blk.end not in self.dec_done:
                 self.dec_done.add(blk.end)
                 for e in _dec(self.ix, blk):
-                    if e.kind is EdgeKind.DIRECT:
-                        _fei(self.ix, self.image, e)
+                    # only a jump into a flagged seed is a tail call before
+                    # its block is finished (`_label_tail_calls`)
+                    if e.kind is EdgeKind.DIRECT and e.target in self.facts.noreturn:
+                        self.ix.replace(e, Edge(e.source, e.target, EdgeKind.TAIL_CALL))
             for e in self.ix.outgoing(t):
-                if e.kind is EdgeKind.TAIL_CALL:
-                    self._tail_interest(fn, e.target)
-                elif e.kind in (
+                if e.kind in (
                     EdgeKind.DIRECT,
                     EdgeKind.COND_TAKEN,
                     EdgeKind.COND_FALLTHROUGH,
@@ -482,8 +455,26 @@ class _SerialDriver:
         # opaque jumps, HALT and the synthesized end-of-text terminator
         # have no successors
 
+    def _label_tail_calls(self) -> None:
+        """Apply `op_fei`'s step to each plain jump of the finished graph
+        whose block tears down the frame. A new entry returns when its
+        boundary, walked before any jump is relabelled, holds a `ret`:
+        the reach over which the traversal found every other status."""
+        g = self.g
+        plain = sorted(e for e in g.edges if e.kind is EdgeKind.DIRECT)
+        torn = [e for e in plain if _has_teardown(self.image, g.blocks[e.source])]
+        new = sorted({e.target for e in torn}.difference(g.entries))
+        boundaries = assign_function_boundaries(g, self.ix, new)
+        for e in torn:
+            _fei(self.ix, self.image, e)
+        for fb in boundaries:
+            terms = (g.blocks[s].terminator for s in fb.blocks)
+            returns = any(t is not None and t.kind is Opcode.RET for t in terms)
+            status = ReturnStatus.RETURN if returns else ReturnStatus.NORETURN
+            g.entries[fb.entry] = g.entries[fb.entry]._replace(status=status)
+
     def _seed(self) -> None:
-        facts = symbol_facts(self.image)
+        facts = self.facts
         for addr in facts.seeds:
             self.g.entries[addr] = FunctionEntry(
                 addr, facts.names[addr], ReturnStatus.UNSET, seed=True
@@ -514,6 +505,7 @@ class _SerialDriver:
             raise InternalError(
                 f"unresolved candidates after quiescence: {sorted(self.g.candidates)}"
             )
+        self._label_tail_calls()
         from .finalize import finalize_details
 
         finalize_details(self.g, self.registry, self.ix)

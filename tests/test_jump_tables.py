@@ -268,6 +268,41 @@ def test_jumps_sharing_a_table_base_trim_at_the_next_larger_base():
     assert extract_facets(cfg, registry).jump_table_sizes == {0x100000: 2, 0x100008: 1}
 
 
+def test_teardown_jump_feeds_its_bound_hint_to_the_table_it_reaches():
+    # `hint 3; teardown; jmp 0x20` reaches a table jump declared with one
+    # entry, of four words that point at `ret`s. The jump is labelled once
+    # its block is finished, so during traversal it is a plain
+    # predecessor of the table's owner and its hint widens the table to
+    # three entries; finalization then folds the tail call back, since
+    # it is its target's only in-edge
+    img = asm_image(
+        0x0,
+        [(Opcode.BOUND_HINT, 3), (Opcode.FRAME_TEARDOWN,), (Opcode.JMP_DIRECT, 0x20)]
+        + [(Opcode.NOP,)] * (0x20 - 0x9)
+        + [(Opcode.IJMP_TABLE, 0x100000, 1)]
+        + [(Opcode.RET,)] * 4,
+        symbols=[(0x0, "f0", False)],
+        data=struct.pack("<IIII", 0x27, 0x28, 0x29, 0x2A),
+    )
+    cfg, _ = _canon_everywhere(img)
+    assert canonical_serialize(cfg) == (
+        "blocks 5\n"
+        "B 0x0 0x9\n"
+        "B 0x20 0x27\n"
+        "B 0x27 0x28\n"
+        "B 0x28 0x29\n"
+        "B 0x29 0x2a\n"
+        "candidates 0\n"
+        "edges 4\n"
+        "E 0x0 0x20 direct\n"
+        "E 0x20 0x27 indirect\n"
+        "E 0x20 0x28 indirect\n"
+        "E 0x20 0x29 indirect\n"
+        "entries 1\n"
+        "F 0x0 RETURN 1\n"
+    )
+
+
 def test_clamped_tables_logged_once_each_and_counted(caplog):
     # one table based outside the data section, one reading past its end;
     # both are refreshed several times during traversal

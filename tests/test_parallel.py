@@ -128,11 +128,11 @@ class TestEndRegistrationAndSplit:
         img = asm_image(0x4, [(Opcode.ALU,), (Opcode.ALU,), (Opcode.JMP_DIRECT, 0x4)])
         state = ConcurrentCfgState(img, 1)
         b1 = _claim_and_scan(state, 0x4)
-        state.register_block_end(b1, False, _ctx())
+        state.register_block_end(b1, _ctx())
         assert list(b1.out) == [(0x4, int(EdgeKind.DIRECT))]
         b2 = _claim_and_scan(state, 0x7)
         ctx = _ctx()
-        state.register_block_end(b2, False, ctx)
+        state.register_block_end(b2, ctx)
         assert list(b2.out) == [(0x4, int(EdgeKind.DIRECT))]
         assert list(b1.out) == [(0x7, int(EdgeKind.COND_FALLTHROUGH))]
         assert state.incoming[0x4] == [0xF]
@@ -141,10 +141,10 @@ class TestEndRegistrationAndSplit:
     def test_two_way_split(self, paper_layout):
         state = ConcurrentCfgState(paper_layout, 1)
         b1 = _claim_and_scan(state, 0x4)
-        state.register_block_end(b1, False, _ctx())
+        state.register_block_end(b1, _ctx())
         b2 = _claim_and_scan(state, 0xA)
         ctx = _ctx()
-        state.register_block_end(b2, False, ctx)
+        state.register_block_end(b2, ctx)
         assert (b2.start, b2.end) == (0xA, 0xD)
         assert b2.term == int(Opcode.RET)
         assert (b1.start, b1.end) == (0x4, 0xA)
@@ -160,13 +160,13 @@ class TestEndRegistrationAndSplit:
         )
         state = ConcurrentCfgState(img, 1)
         first = _claim_and_scan(state, 0x4)
-        state.register_block_end(first, False, _ctx())
+        state.register_block_end(first, _ctx())
         mid = _claim_and_scan(state, 0xD)
-        state.register_block_end(mid, False, _ctx())
+        state.register_block_end(mid, _ctx())
         last = _claim_and_scan(state, 0xA)
         # 0xa loses 0x12 to 0xd, then 0xd to 0x4: one loss, two cuts
         ctx = _ctx()
-        state.register_block_end(last, False, ctx)
+        state.register_block_end(last, ctx)
         assert (ctx.end_registration_losses, ctx.splits_performed) == (1, 2)
         spans = {(b.start, b.end) for b in state.blocks_by_start.values()}
         assert spans == {(0x4, 0xA), (0xA, 0xD), (0xD, 0x12)}
@@ -193,7 +193,7 @@ class TestEndRegistrationAndSplit:
         def registered(order):
             state = ConcurrentCfgState(img, 1)
             for i in order:
-                state.register_block_end(_claim_and_scan(state, starts[i]), False, _ctx())
+                state.register_block_end(_claim_and_scan(state, starts[i]), _ctx())
             return state
 
         state = registered(order)
@@ -221,7 +221,7 @@ class TestEndRegistrationAndSplit:
             state = ConcurrentCfgState(img, 1)
             ctx = _ctx()
             for start in starts[k:] + starts[:k]:
-                state.register_block_end(_claim_and_scan(state, start), False, ctx)
+                state.register_block_end(_claim_and_scan(state, start), ctx)
             spans = {(b.start, b.end) for b in state.blocks_by_start.values()}
             assert spans == set(zip(starts, starts[1:] + [img.text_end]))
             return ctx.splits_performed
@@ -234,19 +234,19 @@ class TestEndRegistrationAndSplit:
         # loses the end 0xd to [0x4, 0xd), and no split can shorten it
         state = ConcurrentCfgState(paper_layout, 1)
         b1 = _claim_and_scan(state, 0x4)
-        state.register_block_end(b1, False, _ctx())
+        state.register_block_end(b1, _ctx())
         empty = _claim_and_scan(state, 0xD)
         assert (empty.start, empty.end) == (0xD, 0xD)
-        exc = _raised_within(10, lambda: state.register_block_end(empty, False, _ctx()))
+        exc = _raised_within(10, lambda: state.register_block_end(empty, _ctx()))
         assert isinstance(exc, InternalError) and "0xd" in str(exc)
 
     def test_same_start_registration_is_noop(self, paper_layout):
         state = ConcurrentCfgState(paper_layout, 1)
         b1 = _claim_and_scan(state, 0x4)
-        state.register_block_end(b1, False, _ctx())
+        state.register_block_end(b1, _ctx())
         out_before = dict(b1.out)
         ctx = _ctx()
-        state.register_block_end(b1, False, ctx)
+        state.register_block_end(b1, ctx)
         assert b1.out == out_before
         assert state.blocks_by_end[0xD] is b1
         assert (ctx.end_registrations, ctx.end_registration_losses) == (0, 0)
@@ -396,7 +396,7 @@ class TestReturnStatus:
         # return, though the first was marked before the split
         state = ConcurrentCfgState(paper_layout, 1)
         for start in order:
-            state.register_block_end(_claim_and_scan(state, start), False, _ctx())
+            state.register_block_end(_claim_and_scan(state, start), _ctx())
             state._propagate([])
         assert state.returns == {0x4, 0xA}
         assert state._return_work == []
@@ -662,7 +662,10 @@ def test_fallthrough_to_text_end_raises_instead_of_hanging(workers):
 
 def _tail_call_chain(n):
     """n functions, each a jmp to the next one's symbol; the last returns.
-    The last status write wakes a chain of n - 1 tail-call waiters."""
+    Each jump is a plain branch until finalization labels it, so the
+    last block's return mark reaches the first entry through n - 1
+    predecessors, and the oracle's walk from each function covers the
+    rest of the chain."""
     jmp = LENGTHS[Opcode.JMP_DIRECT]
     instrs = [(Opcode.JMP_DIRECT, 0x1000 + jmp * (i + 1)) for i in range(n - 1)]
     symbols = [(0x1000 + jmp * i, f"f{i}", False) for i in range(n)]
@@ -691,12 +694,46 @@ def short_switch_interval():
     sys.setswitchinterval(interval)
 
 
+#: every generator family at its parameters' upper bounds, and big-random
+#: at 500 functions, two seeds each
+_RAW_GRAPH_SPECS = [
+    ScenarioSpec.make(family, seed, **params)
+    for family, params in (
+        ("shared-code", {"sharers": 256}),
+        ("noreturn-chain", {"depth": 64, "early_ret": 1}),
+        ("noreturn-cycle", {"k": 64}),
+        ("tailcall-ambiguous", {}),
+        ("jump-table", {"entries": 256}),
+        ("jump-table-overapprox", {"extra": 64}),
+        ("multi-entry", {}),
+        ("outlined-cold", {}),
+        ("opaque-jump", {}),
+        ("big-random", {"functions": 500}),
+    )
+    for seed in (1, 2)
+]
+
+
+def test_raw_graph_does_not_depend_on_the_schedule(short_switch_interval):
+    # jumps are labelled once, at the export, on finished blocks, so the
+    # graph before finalization is the same at every worker count
+    for spec in _RAW_GRAPH_SPECS:
+        img, _ = generate(spec)
+        graphs = []
+        for workers in (1, 2, 2, 4, 4):
+            state = ConcurrentCfgState(img, workers)
+            state.run()
+            g = state.export_cfg()
+            graphs.append((g.blocks, g.edges, g.entries, g.candidates))
+        assert all(g == graphs[0] for g in graphs), spec
+
+
 def _noreturn_pairs(n):
     """n functions `f_i: jmp g_i`, then n functions `g_i: ret`, each g_i
-    flagged noreturn. A jump classified while g_i is not yet a known
-    entry is a plain branch into a `ret`, which makes f_i return; the
-    oracle knows every seed first, so its f_i tail-call the flagged g_i
-    and never return."""
+    flagged noreturn. A jump into g_i is a tail call only if g_i's flag
+    is known when the jump's edge is made; a plain branch into the `ret`
+    would make f_i return. The oracle knows every seed first, so its f_i
+    tail-call the flagged g_i and never return."""
     jmp = LENGTHS[Opcode.JMP_DIRECT]
     g0 = 0x1000 + jmp * n
     instrs = [(Opcode.JMP_DIRECT, g0 + i) for i in range(n)] + [(Opcode.RET,)] * n
@@ -720,8 +757,9 @@ def test_every_seed_is_known_before_any_jump_is_classified(short_switch_interval
 def _two_jumps_to_one_target(teardown_taken):
     """A function `f` whose `jcc` leads to two jumps to 0x10, one after
     a frame teardown and one plain, with the teardown on the taken side
-    or on the fall-through. Whichever jump is classified first decides
-    whether 0x10 is already an entry when the other one is."""
+    or on the fall-through. The torn-down jump makes 0x10 an entry, and
+    the plain one is labelled a tail call into it whichever of the two
+    is visited first."""
     plain = [(Opcode.JMP_DIRECT, 0x10)]
     torn = [(Opcode.FRAME_TEARDOWN,), (Opcode.JMP_DIRECT, 0x10)]
     if teardown_taken:

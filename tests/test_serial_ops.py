@@ -326,12 +326,28 @@ class TestFunctionEntryIdentification:
         assert 0x6 in out.entries
 
     def test_branch_to_known_entry_is_tail_call(self):
-        img = asm_image(0x0, [(Opcode.JMP_DIRECT, 0x5), (Opcode.RET,)])
-        g = Cfg(candidates={0x0, 0x5}, entries={0x0: _entry(0x0), 0x5: _entry(0x5)})
-        g = op_ber(g, img, 0x0)
-        g = op_dec(g, g.blocks[0x0])
-        out = op_fei(g, img, Edge(0x0, 0x5, EdgeKind.DIRECT))
-        assert Edge(0x0, 0x5, EdgeKind.TAIL_CALL) in out.edges
+        # op_fei reads only the branch's own block, so a plain branch into
+        # an entry stays plain; finalization's rule 1 labels it, which is
+        # a label and not a flip. Two such branches keep rule 3 away.
+        img = asm_image(0x0, [(Opcode.JMP_DIRECT, 0xA), (Opcode.JMP_DIRECT, 0xA), (Opcode.RET,)])
+        g = Cfg(
+            candidates={0x0, 0x5, 0xA},
+            entries={a: _entry(a) for a in (0x0, 0x5, 0xA)},
+        )
+        for a in (0x0, 0x5, 0xA):
+            g = op_ber(g, img, a)
+        g = op_dec(op_dec(g, g.blocks[0x0]), g.blocks[0x5])
+        for src in (0x0, 0x5):
+            e = Edge(src, 0xA, EdgeKind.DIRECT)
+            assert op_fei(g, img, e) is g
+        stats = finalize_module.finalize_details(
+            g, jumptables.TableRegistry(), finalize_module.EdgeIndex(g.edges)
+        )
+        assert {e for e in g.edges if e.kind is EdgeKind.TAIL_CALL} == {
+            Edge(0x0, 0xA, EdgeKind.TAIL_CALL),
+            Edge(0x5, 0xA, EdgeKind.TAIL_CALL),
+        }
+        assert stats.flips == 0
 
     def test_branch_back_into_function_is_not_tail_call(self):
         # jcc falls through to a teardown+jump targeting the taken path:
@@ -451,30 +467,31 @@ class TestSerialConstruct:
         b_first = serial_construct(flipped)
         assert canonical_serialize(a_first) == canonical_serialize(b_first)
 
-    def test_tailcall_ambiguous_pre_finalization_depends_on_order(self):
-        # the non-reorderability witness: before finalization the two
-        # worklist orders disagree on the second branch's label
-        from pcfg.serial import _SerialDriver
-
+    def test_tailcall_ambiguous_pre_finalization_is_order_independent(self, monkeypatch):
+        # jumps are labelled once, on finished blocks, so the two worklist
+        # orders build the same graph before finalization: both the prefix
+        # up to quiescence of direct work and the whole raw graph
         img, _ = generate(ScenarioSpec.make("tailcall-ambiguous", seed=5))
         flipped = Image(
             img.text_base, img.text, img.data_base, img.data, tuple(reversed(img.symbols))
         )
 
-        def pre_final(i):
+        def graph(g):
+            return g.blocks, g.candidates, g.edges, g.entries
+
+        def traversed(i):
             d = _SerialDriver(i)
             d._seed()
             while d.queue:
                 fn, t = d.queue.popleft()
                 d._process(fn, t)
-            return d.g
+            return graph(d.g)
 
-    # the prefix of construction up to quiescence of direct work
-        ga = pre_final(img)
-        gb = pre_final(flipped)
-        kinds_a = sorted(e.kind for e in ga.edges)
-        kinds_b = sorted(e.kind for e in gb.edges)
-        assert kinds_a != kinds_b
+        assert traversed(img) == traversed(flipped)
+        monkeypatch.setattr(finalize_module, "finalize_details", lambda *args: None)
+        raw = [graph(_SerialDriver(i).run()) for i in (img, flipped)]
+        assert raw[0] == raw[1]
+        assert any(e.kind is EdgeKind.TAIL_CALL for e in raw[0][2])
 
 
 _PURITY_IMAGES = [
